@@ -23,8 +23,10 @@ void ablation_wire_sizing(const bench::experiment_config& cfg) {
     core::det_options plain{cfg.wire, cfg.library, cfg.driver_res_ohm, {1.0}};
     core::det_options sized = plain;
     sized.wire_width_multipliers = {1.0, 2.0, 4.0};
-    const auto r_plain = core::run_van_ginneken(net, plain);
-    const auto r_sized = core::run_van_ginneken(net, sized);
+    const auto r_plain =
+        bench::expect_solved(core::solve_van_ginneken(net, plain));
+    const auto r_sized =
+        bench::expect_solved(core::solve_van_ginneken(net, sized));
     t.add_row({spec.name, analysis::fmt(r_plain.root_rat_ps, 1),
                analysis::fmt(r_sized.root_rat_ps, 1),
                analysis::fmt_percent((r_sized.root_rat_ps - r_plain.root_rat_ps) /
@@ -54,7 +56,8 @@ void ablation_selection(const bench::experiment_config& cfg) {
       o.driver_res_ohm = cfg.driver_res_ohm;
       o.selection_percentile = sel;
       o.root_percentile = 0.05;
-      const auto r = core::run_statistical_insertion(net, model, o);
+      const auto r = bench::expect_solved(
+          core::solve_statistical_insertion(net, model, o));
       auto eval = bench::make_model(spec, cfg, layout::wid_mode(), profile);
       const auto rat = bench::evaluate_design(net, cfg, r.assignment, eval);
       q05[i] = analysis::yield_rat(rat, eval.space());
@@ -83,7 +86,8 @@ void ablation_sweep_window(const bench::experiment_config& cfg) {
     o.two_param.p_load = 0.9;
     o.two_param.p_rat = 0.9;
     o.two_param.sweep_window = window;
-    const auto r = core::run_statistical_insertion(net, model, o);
+    const auto r =
+        bench::expect_solved(core::solve_statistical_insertion(net, model, o));
     t.add_row({std::to_string(window), std::to_string(r.stats.peak_list_size),
                std::to_string(r.stats.candidates_pruned),
                analysis::fmt(r.stats.wall_seconds, 3),

@@ -469,11 +469,11 @@ void BM_DominanceSweep2P(benchmark::State& state) {
 void BM_DominanceSweep4P(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto sources = static_cast<std::size_t>(state.range(1));
-  const bool tiled = state.range(2) != 0;
   form_fixture fx(sources, 0, 0);
-  // Dense-resident candidates: the regime the automatic 4P moment-fill
-  // policy targets (for sparse forms the lazy O(nnz) walk wins and the
-  // automatic policy keeps it; see prune_four_param).
+  // Dense-resident candidates: the regime where a batched moment fill would
+  // have the best chance against the lazy per-form Var walk -- which still
+  // measured faster, so the 4P prune has no tiled path (see
+  // prune_four_param).
   stats::term_pool dense_pool;
   std::vector<core::stat_candidate> base;
   {
@@ -486,32 +486,39 @@ void BM_DominanceSweep4P(benchmark::State& state) {
       base.push_back(std::move(d));
     }
   }
-  prune_mode_guard guard{tiled};
-  core::prune_scratch scratch;
   core::dp_stats s;
   for (auto _ : state) {
     auto list = base;
     const auto t0 = std::chrono::steady_clock::now();
-    core::prune_four_param(core::four_param_rule{}, list, fx.space, s, 0,
-                           &scratch);
+    core::prune_four_param(core::four_param_rule{}, list, fx.space, s);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     benchmark::DoNotOptimize(list);
   }
-  report_tiled_counters(state, s);
 }
+
+constexpr std::int64_t kSweepSizes[] = {32, 128, 512};
+constexpr std::int64_t kSweepSources[] = {8, 64, 256};
 
 void dominance_args(benchmark::internal::Benchmark* b) {
   b->ArgNames({"k", "sources", "tiled"});
-  for (const std::int64_t k : {32, 128, 512}) {
-    for (const std::int64_t sources : {8, 64, 256}) {
+  for (const std::int64_t k : kSweepSizes) {
+    for (const std::int64_t sources : kSweepSources) {
       b->Args({k, sources, 0});
       b->Args({k, sources, 1});
     }
   }
 }
+
+// The 4P prune has no tiled path, so no pairwise/tiled axis.
+void dominance_args_4p(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"k", "sources"});
+  for (const std::int64_t k : kSweepSizes) {
+    for (const std::int64_t sources : kSweepSources) b->Args({k, sources});
+  }
+}
 BENCHMARK(BM_DominanceSweep2P)->Apply(dominance_args)->UseManualTime();
-BENCHMARK(BM_DominanceSweep4P)->Apply(dominance_args)->UseManualTime();
+BENCHMARK(BM_DominanceSweep4P)->Apply(dominance_args_4p)->UseManualTime();
 
 void BM_DetPrune(benchmark::State& state) {
   std::vector<core::det_candidate> base;

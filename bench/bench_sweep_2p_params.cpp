@@ -29,7 +29,8 @@ int main() {
       o.driver_res_ohm = cfg.driver_res_ohm;
       o.two_param.p_load = p;
       o.two_param.p_rat = p;
-      const auto r = core::run_statistical_insertion(net, model, o);
+      const auto r = bench::expect_solved(
+          core::solve_statistical_insertion(net, model, o));
       if (p == 0.5) reference = r.root_rat.mean();
       const double delta =
           (r.root_rat.mean() - reference) / std::abs(reference);

@@ -88,14 +88,15 @@ int main(int argc, char** argv) {
     const auto lib = timing::make_parameterized_library(b);
 
     core::det_options det{cfg.wire, lib, cfg.driver_res_ohm};
-    const auto rd = core::run_van_ginneken(bnet, det);
+    const auto rd = bench::expect_solved(core::solve_van_ginneken(bnet, det));
 
     core::stat_options so =
         bench::make_stat_options(cfg, core::pruning_kind::two_param);
     so.library = lib;
     so.selection_percentile = 0.5;  // mean selection: the frontier regime
     auto model = bench::make_model(bspec, cfg, layout::wid_mode(), profile);
-    const auto rs = core::run_statistical_insertion(bnet, model, so);
+    const auto rs = bench::expect_solved(
+        core::solve_statistical_insertion(bnet, model, so));
 
     tb.add_row({std::to_string(b), std::to_string(rd.num_buffers),
                 analysis::fmt(rd.stats.wall_seconds, 3),

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/buffered_tree_model.hpp"
@@ -118,6 +120,26 @@ inline core::stat_options make_stat_options(
   return o;
 }
 
+/// What a failed typed solve leaves for the tables: an aborted dp_stats
+/// carrying the error (every counter zero), which they print as "-" and
+/// the perf gates skip.
+inline core::dp_stats aborted_stats(const core::solve_error& error) {
+  core::dp_stats s;
+  s.aborted = true;
+  s.abort_code = error.code;
+  s.abort_node = error.node;
+  s.abort_reason = error.detail;
+  return s;
+}
+
+/// The value of a typed solve the bench expects to succeed; a failure stops
+/// the bench with the error's message.
+template <class T>
+T expect_solved(core::solve_outcome<T>&& out) {
+  if (!out.ok()) throw std::runtime_error(out.error().message());
+  return std::move(out).value();
+}
+
 struct mode_run {
   timing::buffer_assignment assignment;
   core::dp_stats stats;
@@ -125,7 +147,8 @@ struct mode_run {
 };
 
 /// Optimizes `net` under one variation mode (NOM uses the deterministic
-/// engine, as in the paper).
+/// engine, as in the paper). A failed solve (e.g. a capped 4P run) comes
+/// back with aborted stats and an empty assignment.
 inline mode_run optimize(const tree::routing_tree& net,
                          const tree::benchmark_spec& spec,
                          const experiment_config& cfg,
@@ -133,22 +156,25 @@ inline mode_run optimize(const tree::routing_tree& net,
                          layout::spatial_profile profile,
                          core::pruning_kind rule = core::pruning_kind::two_param,
                          const core::stat_options* overrides = nullptr) {
-  mode_run out;
+  const auto take = [&net](auto&& solved) {
+    mode_run out;
+    if (!solved.ok()) {
+      out.assignment = timing::buffer_assignment(net.num_nodes());
+      out.stats = aborted_stats(solved.error());
+      return out;
+    }
+    out.assignment = std::move(solved->assignment);
+    out.stats = std::move(solved->stats);
+    out.num_buffers = solved->num_buffers;
+    return out;
+  };
   if (mode == layout::nom_mode()) {
     core::det_options o{cfg.wire, cfg.library, cfg.driver_res_ohm};
-    auto r = core::run_van_ginneken(net, o);
-    out.assignment = std::move(r.assignment);
-    out.stats = std::move(r.stats);
-    out.num_buffers = r.num_buffers;
-    return out;
+    return take(core::solve_van_ginneken(net, o));
   }
   auto model = make_model(spec, cfg, mode, profile);
   const core::stat_options o = make_stat_options(cfg, rule, overrides);
-  auto r = core::run_statistical_insertion(net, model, o);
-  out.assignment = std::move(r.assignment);
-  out.stats = std::move(r.stats);
-  out.num_buffers = r.num_buffers;
-  return out;
+  return take(core::solve_statistical_insertion(net, model, o));
 }
 
 /// Root RAT canonical form of a fixed design under the full evaluation model.

@@ -39,11 +39,12 @@ int main(int argc, char** argv) {
   core::stat_options opts;
   opts.library = timing::standard_library();
   opts.driver_res_ohm = 100.0;
-  const auto result = core::run_statistical_insertion(net, model, opts);
-  if (!result.ok()) {
-    std::cerr << "aborted: " << result.stats.abort_reason << "\n";
+  const auto solved = core::solve_statistical_insertion(net, model, opts);
+  if (!solved.ok()) {
+    std::cerr << "failed: " << solved.error().message() << "\n";
     return 1;
   }
+  const core::stat_result& result = *solved;
 
   const auto& space = model.space();
   std::cout << "buffers inserted: " << result.num_buffers << "\n";

@@ -56,11 +56,12 @@ int main() {
   core::stat_options opts;
   opts.library = fitted_lib;
   opts.driver_res_ohm = 150.0;
-  const auto result = core::run_statistical_insertion(net, model, opts);
-  if (!result.ok()) {
-    std::cerr << "aborted: " << result.stats.abort_reason << "\n";
+  const auto solved = core::solve_statistical_insertion(net, model, opts);
+  if (!solved.ok()) {
+    std::cerr << "failed: " << solved.error().message() << "\n";
     return 1;
   }
+  const core::stat_result& result = *solved;
   std::cout << "inserted " << result.num_buffers
             << " fitted buffers; root RAT mean " << result.root_rat.mean()
             << " ps, sigma " << result.root_rat.stddev(model.space())

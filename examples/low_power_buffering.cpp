@@ -26,7 +26,12 @@ int main() {
   // Area-like costs: bigger buffers are pricier.
   opts.buffer_costs = {1.0, 2.0, 4.0};
 
-  const auto r = core::run_cost_bounded_insertion(net, opts);
+  const auto solved = core::solve_cost_bounded_insertion(net, opts);
+  if (!solved.ok()) {
+    std::cerr << "failed: " << solved.error().message() << "\n";
+    return 1;
+  }
+  const core::cost_bounded_result& r = *solved;
   std::cout << "net: " << net.num_sinks() << " sinks; frontier has "
             << r.frontier.size() << " points ("
             << r.stats.candidates_created << " candidates, "

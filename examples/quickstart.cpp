@@ -32,11 +32,12 @@ int main() {
   core::stat_options opts;
   opts.library = timing::standard_library();
   opts.driver_res_ohm = 150.0;
-  const auto result = core::run_statistical_insertion(net, model, opts);
-  if (!result.ok()) {
-    std::cerr << "optimization aborted: " << result.stats.abort_reason << "\n";
+  const auto solved = core::solve_statistical_insertion(net, model, opts);
+  if (!solved.ok()) {
+    std::cerr << "optimization failed: " << solved.error().message() << "\n";
     return 1;
   }
+  const core::stat_result& result = *solved;
 
   // 4. Report.
   const auto& space = model.space();

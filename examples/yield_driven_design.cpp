@@ -43,8 +43,9 @@ int main() {
   };
 
   // --- optimize three ways -------------------------------------------------
+  // value() throws if a solve fails; these fixed inputs always solve.
   core::det_options det{wire, lib, rd};
-  const auto nom = core::run_van_ginneken(net, det).assignment;
+  const auto nom = core::solve_van_ginneken(net, det).value().assignment;
 
   const auto run_stat = [&](layout::variation_mode mode) {
     auto model = make_model(mode);
@@ -55,8 +56,7 @@ int main() {
     // Optimize the paper's figure of merit: the 95%-yield RAT.
     o.root_percentile = 0.05;
     o.selection_percentile = 0.05;
-    const auto r = core::run_statistical_insertion(net, model, o);
-    return r.assignment;
+    return core::solve_statistical_insertion(net, model, o).value().assignment;
   };
   const auto d2d = run_stat(layout::d2d_mode());
   const auto wid = run_stat(layout::wid_mode());

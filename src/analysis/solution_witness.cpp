@@ -137,7 +137,8 @@ witness_report audit_solution(const tree::routing_tree& tree,
   // does it: base wire width only and no term dropping (the fallback ignores
   // term_prune_rel_eps).
   const double eps = unbuffered ? 0.0 : options.term_prune_rel_eps;
-  const timing::wire_menu menu = core::detail::make_wire_menu(options);
+  const timing::wire_menu menu =
+      timing::make_wire_menu(options.wire, options.wire_width_multipliers);
   const stats::variation_space& space = model.space();
   stats::term_pool pool;
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <new>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 namespace vabi::core {
@@ -73,35 +73,14 @@ void prune_3d(cand_list& list, dp_stats& stats) {
   list = std::move(kept);
 }
 
-}  // namespace
-
-std::optional<cost_rat_point> cost_bounded_result::cheapest_meeting(
-    double target_rat_ps) const {
-  for (const auto& p : frontier) {
-    if (p.root_rat_ps >= target_rat_ps) return p;
-  }
-  return std::nullopt;
-}
-
-cost_bounded_result run_cost_bounded_insertion(
-    const tree::routing_tree& tree, const cost_bounded_options& options) {
+cost_bounded_result run_cost_bounded(const tree::routing_tree& tree,
+                                     const cost_bounded_options& options) {
   const det_options& base = options.base;
-  if (base.library.empty()) {
-    throw std::invalid_argument("run_cost_bounded_insertion: empty library");
-  }
-  base.wire.validate();
-  if (!options.buffer_costs.empty() &&
-      options.buffer_costs.size() != base.library.size()) {
-    throw std::invalid_argument(
-        "run_cost_bounded_insertion: buffer_costs size mismatch");
-  }
   const auto cost_of = [&](timing::buffer_index b) {
     return options.buffer_costs.empty() ? 1.0 : options.buffer_costs[b];
   };
   const timing::wire_menu menu =
-      base.wire_width_multipliers.size() <= 1
-          ? timing::wire_menu{base.wire}
-          : timing::wire_menu{base.wire, base.wire_width_multipliers};
+      timing::make_wire_menu(base.wire, base.wire_width_multipliers);
 
   const auto t_start = std::chrono::steady_clock::now();
   cost_bounded_result result;
@@ -192,7 +171,7 @@ cost_bounded_result run_cost_bounded_insertion(
   // Root frontier: apply the driver, then keep the (cost, rat) Pareto curve.
   cand_list& root = lists[tree.root()];
   if (root.empty()) {
-    throw std::logic_error("run_cost_bounded_insertion: empty root list");
+    throw std::logic_error("empty root list");
   }
   std::sort(root.begin(), root.end(),
             [&](const cost_candidate& a, const cost_candidate& b) {
@@ -218,24 +197,26 @@ cost_bounded_result run_cost_bounded_insertion(
   return result;
 }
 
+}  // namespace
+
+std::optional<cost_rat_point> cost_bounded_result::cheapest_meeting(
+    double target_rat_ps) const {
+  for (const auto& p : frontier) {
+    if (p.root_rat_ps >= target_rat_ps) return p;
+  }
+  return std::nullopt;
+}
+
 solve_outcome<cost_bounded_result> solve_cost_bounded_insertion(
     const tree::routing_tree& tree, const cost_bounded_options& options) {
-  try {
-    tree.validate();
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
+  std::optional<solve_error> bad = detail::check_det_options(options.base);
+  if (!bad && !options.buffer_costs.empty() &&
+      options.buffer_costs.size() != options.base.library.size()) {
+    bad = solve_error{solve_code::invalid_options, tree::invalid_node,
+                      "buffer_costs: size differs from the library's"};
   }
-  try {
-    return run_cost_bounded_insertion(tree, options);
-  } catch (const std::invalid_argument& e) {
-    return solve_error{solve_code::invalid_options, tree::invalid_node,
-                       e.what()};
-  } catch (const std::bad_alloc&) {
-    return solve_error{solve_code::memory_cap, tree::invalid_node,
-                       "allocation failed"};
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::internal, tree::invalid_node, e.what()};
-  }
+  return detail::guarded_solve<cost_bounded_result>(
+      tree, std::move(bad), [&] { return run_cost_bounded(tree, options); });
 }
 
 }  // namespace vabi::core

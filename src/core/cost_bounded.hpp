@@ -49,14 +49,9 @@ struct cost_bounded_result {
   std::optional<cost_rat_point> cheapest_meeting(double target_rat_ps) const;
 };
 
-/// Computes the full cost/RAT frontier at the root. Legacy shim: throws
-/// std::invalid_argument on bad options; new code should call
-/// solve_cost_bounded_insertion.
-cost_bounded_result run_cost_bounded_insertion(
-    const tree::routing_tree& tree, const cost_bounded_options& options);
-
-/// Typed entry point: validates the tree and options and maps every failure
-/// into the solve_code taxonomy instead of throwing.
+/// Computes the full cost/RAT frontier at the root. Validates the tree and
+/// options (buffer_costs must be empty or one per library type) and maps
+/// every failure into the solve_code taxonomy instead of throwing.
 solve_outcome<cost_bounded_result> solve_cost_bounded_insertion(
     const tree::routing_tree& tree, const cost_bounded_options& options);
 

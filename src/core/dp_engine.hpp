@@ -1,13 +1,13 @@
 // Internal engine of the variation-aware DP (shared by the serial and the
 // parallel drivers -- see statistical_dp.cpp and parallel.cpp).
 //
-// The per-node computation of run_statistical_insertion lives here as
+// The per-node computation of every statistical solve lives here as
 // dp_worker::solve_node: given the (already solved) candidate lists of a
 // node's children it produces the node's own pruned candidate list. The
-// serial driver calls it in postorder on one thread; the parallel driver
-// schedules one task per node on a work-stealing pool, which is sound
-// because a node's list depends only on its children's lists and the
-// statistical merge is a pure function of the two inputs.
+// serial driver (run_serial) calls it in postorder on one thread; the
+// parallel driver schedules one task per node on a work-stealing pool, which
+// is sound because a node's list depends only on its children's lists and
+// the statistical merge is a pure function of the two inputs.
 //
 // Bit-identical parallelism rests on three invariants kept here:
 //   1. child lists are merged in the tree's child order (never in completion
@@ -36,11 +36,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/solution.hpp"
@@ -178,11 +180,32 @@ class worker_arena {
 };
 
 /// Supplies the characterized device forms for buffering at (node, type).
-/// The serial engine characterizes lazily through the process model; the
-/// parallel engine reads a pre-built device_cache. Either way the function is
-/// called exactly once per (node, type) evaluated.
+/// The one-shot serial engine characterizes lazily through the process model;
+/// the parallel engine reads a pre-built device_cache and sessions their
+/// device memo. Either way the function is called exactly once per (node,
+/// type) evaluated.
 using device_fn =
     std::function<layout::device_variation(tree::node_id, timing::buffer_index)>;
+
+/// Characterizes library type `type` at node `id` through `model` -- the one
+/// place a buffer instance gets its variation forms, in whatever order the
+/// caller walks (serial lazy, device_cache and the session memo all follow
+/// postorder, types ascending, so source ids match), and where the
+/// device_nan fault point poisons them.
+layout::device_variation characterize_device(layout::process_model& model,
+                                             const tree::routing_tree& tree,
+                                             tree::node_id id,
+                                             const timing::buffer_type& type);
+
+/// The drivers' Li-Shi gate (stat_options::li_shi): the frontier serves only
+/// the total-order regime -- the 2P mean rule with mean selection, where
+/// Lemma 4 makes mean order the P-order -- and only when the mode asks for it.
+inline bool li_shi_engaged(const stat_options& options) {
+  return li_shi_enabled(options.li_shi, options.library.size()) &&
+         options.rule == pruning_kind::two_param &&
+         options.two_param.is_mean_rule() &&
+         options.selection_percentile == 0.5;
+}
 
 /// Li-Shi per-type frontier state of one worker (li_shi.hpp). The frontier
 /// itself is built once per run by the driver and is read-only (shareable
@@ -336,9 +359,8 @@ struct dp_worker {
   worker_arena& pool;
   dp_stats& dps;
   resource_guard guard;
-  /// Non-null only when the driver enabled the Li-Shi frontier for this run
-  /// (2P mean rule with mean selection; see stat_options::li_shi). Defaulted
-  /// so the existing aggregate-initialization sites stay valid.
+  /// Non-null only when li_shi_engaged(options) held for this run (so the
+  /// rule is the 2P mean rule with mean selection).
   li_shi_state* li_shi = nullptr;
 
   bool over_budget(std::size_t list_size) { return guard.over_budget(list_size); }
@@ -429,8 +451,7 @@ struct dp_worker {
         prune_four_param(options.four_param, list, space, dps,
                          options.max_list_size == 0
                              ? 0
-                             : 50 * options.max_list_size,
-                         &pool.pruning_scratch());
+                             : 50 * options.max_list_size);
         break;
       case pruning_kind::corner:
         prune_corner(options.corner, list, space, dps);
@@ -516,7 +537,7 @@ struct dp_worker {
     const bool mean_rule = options.rule == pruning_kind::two_param &&
                            options.two_param.is_mean_rule() &&
                            options.selection_percentile == 0.5;
-    if (mean_rule && li_shi != nullptr) {
+    if (li_shi != nullptr) {
       // Li-Shi frontier (li_shi.hpp): one monotone divide-and-conquer pass
       // over the mean keys replaces the per-type scans. Devices are gathered
       // b-ascending first (the characterization order allocates source ids,
@@ -658,9 +679,7 @@ struct dp_worker {
         pool.retire_block(std::move(lists[child].slab));
         lists[child] = node_list{};
         propagate_wire(up, child, tree.node(child).parent_wire_um);
-        if (li_shi != nullptr && !menu.sizing_enabled() &&
-            options.rule == pruning_kind::two_param &&
-            options.two_param.is_mean_rule()) {
+        if (li_shi != nullptr && !menu.sizing_enabled()) {
           // Li-Shi path, single-width wires: the propagation shifts every
           // mean load by the same wire cap, so the child's pruned (sorted)
           // list is still sorted -- only the window-1 sweep is needed.
@@ -719,10 +738,13 @@ struct dp_worker {
 
   /// Picks the winning root candidate and backtracks it into a design.
   /// Requires a completed (non-aborted) run; throws on an empty root list.
+  /// When no key is orderable (NaN or -inf everywhere, e.g. a poisoned device
+  /// with check_nonfinite off) it trips nonfinite_value at the root and
+  /// returns an empty result.
   stat_result select_root(const node_list& root) {
     const cand_list& root_list = root.cands;
     if (root_list.empty()) {
-      throw std::logic_error("run_statistical_insertion: empty root list");
+      throw std::logic_error("empty root list");
     }
     stat_result result;
     const stat_candidate* best = nullptr;
@@ -739,6 +761,12 @@ struct dp_worker {
         best_rat = std::move(root_rat);
       }
     }
+    if (best == nullptr) {
+      guard.current_node = tree.root();
+      guard.trip(solve_code::nonfinite_value,
+                 "no root candidate has an orderable selection key");
+      return result;
+    }
     // The winner may still borrow the root list's slab (e.g. when the driver
     // load is deterministic); the caller's result must outlive it.
     best_rat.own_terms();
@@ -751,46 +779,40 @@ struct dp_worker {
   }
 };
 
-/// Shared option validation of the legacy (throwing) serial and parallel
-/// entry points.
-void validate_stat_options(const stat_options& options);
+struct session_state;
 
-/// Structured option validation of the typed entry points: nullopt when the
-/// options are valid, otherwise an invalid_options error whose detail names
-/// the offending field.
-std::optional<solve_error> check_stat_options(const stat_options& options);
+/// Session (ECO) mode of a driver run: only nodes with marked[id] != 0 are
+/// solved -- the rest were adopted from the slab cache, their lists
+/// pre-filled -- every solved node counts as a cache miss, and with `store`
+/// its sealed list is cloned into the cache before the parent consumes it.
+struct session_pass {
+  session_state& state;
+  const std::vector<std::uint8_t>& marked;
+  bool store = false;
+};
 
-/// Translates an aborted run's dp_stats into its typed solve_error.
-solve_error error_from_stats(const dp_stats& stats);
+/// The serial postorder driver of every statistical solve (one-shot, session
+/// and a parallel session solve left with only the root to select): one
+/// dp_worker over `arena` / `mem` solves the nodes into `lists`, then picks
+/// the root. `t_start` anchors max_wall_seconds and wall_seconds.
+stat_result run_serial(const tree::routing_tree& tree,
+                       const stats::variation_space& space,
+                       const stat_options& options, device_fn devices,
+                       decision_arena& arena, worker_arena& mem,
+                       std::vector<node_list>& lists,
+                       const session_pass* session, const cancel_token* cancel,
+                       dp_clock::time_point t_start);
 
-/// The serial DP without entry validation: shared core of the legacy shim
-/// and the typed entry point.
-stat_result run_statistical_impl(const tree::routing_tree& tree,
-                                 layout::process_model& model,
-                                 const stat_options& options,
-                                 const cancel_token* cancel);
-
-/// Last-resort evaluation of the tree with no buffers inserted
-/// (degrade_policy::best_partial): one value-semantics postorder pass over
-/// the statistical wire/merge operations. Never trips a cap and never
-/// throws for taxonomy failures.
-stat_result evaluate_unbuffered(const tree::routing_tree& tree,
-                                layout::process_model& model,
-                                const stat_options& options);
-
-/// Applies options.degrade to a failed solve: retries with the deterministic
-/// corner rule (serial engine, fresh wall budget), then -- for best_partial
-/// -- falls back to evaluate_unbuffered. Returns `err` unchanged when the
-/// policy is none, the code is not degradable (only candidate_cap,
-/// memory_cap and deadline_exceeded are), or every fallback failed too.
-solve_outcome<stat_result> degrade_or_error(const tree::routing_tree& tree,
-                                            layout::process_model& model,
-                                            const stat_options& options,
-                                            const cancel_token* cancel,
-                                            solve_error&& err);
-
-/// Builds the width menu implied by the options (single width disables
-/// sizing).
-timing::wire_menu make_wire_menu(const stat_options& options);
+/// Entry policy of the statistical solve_* functions: guarded_solve
+/// (solve_status.hpp) over `run` with the options checked field by field,
+/// then options.degrade on a cap, deadline or memory failure -- a corner-rule
+/// retry on the serial engine, then (best_partial) an unbuffered evaluation.
+/// Degraded retries run serially, so a fallback result is identical for any
+/// thread count and never touches a session's cache.
+solve_outcome<stat_result> stat_entry(const tree::routing_tree& tree,
+                                      layout::process_model& model,
+                                      const stat_options& options,
+                                      const cancel_token* cancel,
+                                      const std::function<stat_result()>& run);
 
 }  // namespace vabi::core::detail

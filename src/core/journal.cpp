@@ -278,28 +278,6 @@ solve_error corrupt(std::string detail) {
 // Hashes.
 // ---------------------------------------------------------------------------
 
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t h) {
-  return fnv1a(&v, sizeof(v), h);
-}
-
-std::uint64_t fnv1a_f64(double v, std::uint64_t h) {
-  return fnv1a_u64(std::bit_cast<std::uint64_t>(v), h);
-}
-
-std::uint64_t fnv1a_str(const std::string& s, std::uint64_t h) {
-  h = fnv1a_u64(s.size(), h);
-  return fnv1a(s.data(), s.size(), h);
-}
-
 std::uint32_t crc32(const void* data, std::size_t size) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};

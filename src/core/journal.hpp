@@ -50,6 +50,7 @@
 
 #include "core/solve_status.hpp"
 #include "core/statistical_dp.hpp"
+#include "stats/fnv1a.hpp"
 
 namespace vabi::core {
 
@@ -57,15 +58,13 @@ namespace vabi::core {
 // Hashes.
 // ---------------------------------------------------------------------------
 
-inline constexpr std::uint64_t fnv1a_seed = 14695981039346656037ull;
-
-/// FNV-1a over a byte range (chainable via `h`).
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t h = fnv1a_seed);
-
-std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t h);
-std::uint64_t fnv1a_f64(double v, std::uint64_t h);  // raw bit pattern
-std::uint64_t fnv1a_str(const std::string& s, std::uint64_t h);
+// FNV-1a (stats/fnv1a.hpp), re-exported for the journal's fingerprints and
+// its callers.
+using stats::fnv1a;
+using stats::fnv1a_f64;
+using stats::fnv1a_seed;
+using stats::fnv1a_str;
+using stats::fnv1a_u64;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte range.
 std::uint32_t crc32(const void* data, std::size_t size);

@@ -1,18 +1,19 @@
 #include "core/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <latch>
-#include <limits>
 #include <mutex>
 #include <new>
 #include <stdexcept>
 #include <thread>
 
 #include "core/dp_engine.hpp"
+#include "core/fingerprint.hpp"
 #include "core/journal.hpp"
 #include "core/slab_cache_impl.hpp"
 #include "stats/rng.hpp"
@@ -189,15 +190,8 @@ device_cache::device_cache(const tree::routing_tree& tree,
     const auto& n = tree.node(id);
     if (n.is_source()) continue;
     for (timing::buffer_index b = 0; b < lib_size_; ++b) {
-      const auto& type = library[b];
-      layout::device_variation dv =
-          model.characterize(n.location, type.cap_pf, type.delay_ps);
-      // Same injection point as the serial engine's lazy device_fn, so a
-      // poisoned (node, type) poisons both engines identically.
-      if (testing::should_fire(testing::fault_point::device_nan, id)) {
-        dv.delay += std::numeric_limits<double>::quiet_NaN();
-      }
-      devices_[static_cast<std::size_t>(id) * lib_size_ + b] = std::move(dv);
+      devices_[static_cast<std::size_t>(id) * lib_size_ + b] =
+          detail::characterize_device(model, tree, id, library[b]);
     }
   }
 }
@@ -216,29 +210,23 @@ struct parallel_run {
   const tree::routing_tree& tree;
   const stat_options& options;
   const stats::variation_space& space;
-  const timing::wire_menu& menu;
+  const timing::wire_menu menu;
   const device_cache* cache;  ///< one-shot mode; null in session mode
   thread_pool& pool;
   const cancel_token* cancel;
-
   /// Session (ECO) mode: devices come from the session memo, decisions and
   /// term storage from the session-owned worker arenas (they must outlive
-  /// this run -- cached candidates keep borrowing them), and only nodes with
-  /// marked[id] != 0 are scheduled (the rest were adopted from the slab
-  /// cache; their lists are pre-filled). With store set, every solved node's
-  /// sealed list is cloned into the cache.
-  detail::session_state* session = nullptr;
-  const std::vector<std::uint8_t>* marked = nullptr;
-  bool store_entries = false;
+  /// this run -- cached candidates keep borrowing them), and only the nodes
+  /// the pass marks are scheduled; see detail::session_pass.
+  const detail::session_pass* session;
 
   std::vector<worker_state> states;
   std::vector<detail::node_list> lists;
   std::vector<std::atomic<std::uint32_t>> pending;
   detail::shared_budget budget;
   /// Li-Shi type frontier, built once and read-only afterwards -- safe to
-  /// share across workers. frontier_on mirrors the serial driver's gate.
+  /// share across workers.
   buffer_frontier frontier;
-  bool frontier_on = false;
   std::latch done{1};
 
   stat_result root_result;
@@ -246,69 +234,58 @@ struct parallel_run {
   std::mutex error_mu;
   std::exception_ptr error;
 
+  /// `lists` holds the adopted subtree roots' lists in session mode (empty
+  /// lists otherwise); `t_start` anchors the wall cap.
   parallel_run(const tree::routing_tree& t, const stat_options& o,
-               const stats::variation_space& sp, const timing::wire_menu& m,
-               const device_cache* c, thread_pool& p,
-               const cancel_token* ct)
+               const stats::variation_space& sp, const device_cache* c,
+               thread_pool& p, const cancel_token* ct,
+               const detail::session_pass* s,
+               std::vector<detail::node_list>&& l,
+               detail::dp_clock::time_point t_start)
       : tree(t),
         options(o),
         space(sp),
-        menu(m),
+        menu(timing::make_wire_menu(o.wire, o.wire_width_multipliers)),
         cache(c),
         pool(p),
         cancel(ct),
+        session(s),
         states(p.size()),
-        lists(t.num_nodes()),
+        lists(std::move(l)),
         pending(t.num_nodes()) {
+    // A node waits for its scheduled children only: an adopted (unmarked)
+    // child never runs a task, so it must not hold its parent's counter.
     for (tree::node_id id = 0; id < tree.num_nodes(); ++id) {
-      pending[id].store(
-          static_cast<std::uint32_t>(tree.node(id).children.size()),
-          std::memory_order_relaxed);
+      std::uint32_t n = 0;
+      for (const tree::node_id c : tree.node(id).children) {
+        n += scheduled(c) ? 1u : 0u;
+      }
+      pending[id].store(n, std::memory_order_relaxed);
     }
-    budget.t_start = detail::dp_clock::now();
-    if (li_shi_enabled(options.li_shi, options.library.size()) &&
-        options.rule == pruning_kind::two_param &&
-        options.two_param.is_mean_rule() &&
-        options.selection_percentile == 0.5) {
+    budget.t_start = t_start;
+    if (detail::li_shi_engaged(options)) {
       frontier = buffer_frontier{options.library};
-      frontier_on = true;
       for (auto& st : states) st.li_shi.frontier = &frontier;
     }
   }
 
-  /// Switches the run into session mode. Must be called before run(): lists
-  /// for adopted subtree roots are expected pre-filled, and the pending
-  /// counters are re-derived to count *marked* children only (an adopted
-  /// child never runs a task, so it must not hold its parent's counter).
-  void setup_session(detail::session_state& ss,
-                     const std::vector<std::uint8_t>& marks, bool store,
-                     detail::dp_clock::time_point t_start) {
-    session = &ss;
-    marked = &marks;
-    store_entries = store;
-    budget.t_start = t_start;
-    for (tree::node_id id = 0; id < tree.num_nodes(); ++id) {
-      std::uint32_t n = 0;
-      for (const tree::node_id c : tree.node(id).children) {
-        n += marks[c] != 0 ? 1u : 0u;
-      }
-      pending[id].store(n, std::memory_order_relaxed);
-    }
+  bool scheduled(tree::node_id id) const {
+    return session == nullptr || session->marked[id] != 0;
   }
 
   detail::dp_worker make_worker(int w) {
     worker_state& st = states[w];
     decision_arena& arena =
-        session != nullptr ? session->workers[w]->arena : st.arena;
+        session != nullptr ? session->state.workers[w]->arena : st.arena;
     detail::worker_arena& mem =
-        session != nullptr ? session->workers[w]->mem : st.mem;
+        session != nullptr ? session->state.workers[w]->mem : st.mem;
     return detail::dp_worker{
         tree,
         space,
         options,
         menu,
         [this](tree::node_id id, timing::buffer_index b) {
-          return session != nullptr ? session->device(id, b)
+          return session != nullptr ? session->state.device(id, b)
                                     : cache->get(id, b);
         },
         arena,
@@ -316,7 +293,7 @@ struct parallel_run {
         st.dps,
         detail::resource_guard{options, st.dps, st.published, &budget, cancel,
                                {}},
-        frontier_on ? &st.li_shi : nullptr};
+        st.li_shi.frontier != nullptr ? &st.li_shi : nullptr};
   }
 
   void fail(std::exception_ptr e) {
@@ -340,8 +317,8 @@ struct parallel_run {
             ++states[w].dps.cache_misses;
             // Clone into the cache before the parent consumes the list; a
             // tripped node (or its never-solved ancestors) stores nothing.
-            if (store_entries) {
-              session->store(id, tree.subtree_hash(id), here);
+            if (session->store) {
+              session->state.store(id, tree.subtree_hash(id), here);
             }
           }
           lists[id] = std::move(here);
@@ -378,19 +355,14 @@ struct parallel_run {
     // parent's counter to zero (and submit it) while this loop is still
     // walking, and a second submission of the same node corrupts the run.
     for (tree::node_id id : tree.postorder()) {
-      if (marked != nullptr && (*marked)[id] == 0) continue;
+      if (!scheduled(id)) continue;
       // Structural leaves of the scheduled DAG: no children in one-shot
       // mode, no *marked* children in session mode (adopted children are
       // data, not tasks). Static info only -- testing the live pending
       // counters here would race the cascade.
-      bool has_marked_child = false;
-      for (const tree::node_id c : tree.node(id).children) {
-        if (marked == nullptr || (*marked)[c] != 0) {
-          has_marked_child = true;
-          break;
-        }
-      }
-      if (!has_marked_child) {
+      const auto& kids = tree.node(id).children;
+      if (std::none_of(kids.begin(), kids.end(),
+                       [this](tree::node_id c) { return scheduled(c); })) {
         pool.submit([this, id] { run_node(id); });
       }
     }
@@ -450,9 +422,10 @@ stat_result run_parallel_impl(const tree::routing_tree& tree,
                               layout::process_model& model,
                               const stat_options& options, thread_pool& pool,
                               const cancel_token* cancel) {
-  const timing::wire_menu menu = detail::make_wire_menu(options);
   const device_cache cache(tree, model, options.library);
-  parallel_run run{tree, options, model.space(), menu, &cache, pool, cancel};
+  parallel_run run{tree, options, model.space(), &cache, pool, cancel, nullptr,
+                   std::vector<detail::node_list>(tree.num_nodes()),
+                   detail::dp_clock::now()};
   return run.run();
 }
 
@@ -460,99 +433,33 @@ stat_result run_parallel_impl(const tree::routing_tree& tree,
 
 namespace detail {
 
-stat_result session_solve_parallel(session_state& ss,
+stat_result session_solve_parallel(const session_pass& pass,
                                    const tree::routing_tree& tree,
                                    const stat_options& options,
                                    thread_pool& pool,
                                    const cancel_token* cancel,
-                                   bool use_cache) {
-  const timing::wire_menu menu = make_wire_menu(options);
-  const dp_clock::time_point t_start = dp_clock::now();
-
-  ss.prepare(tree, options);
-  std::vector<node_list> lists(tree.num_nodes());
-  const auto marks = ss.mark(tree, lists, use_cache);
-
+                                   std::vector<node_list>&& lists,
+                                   dp_clock::time_point t_start) {
+  session_state& ss = pass.state;
   while (ss.workers.size() < pool.size()) {
     ss.workers.push_back(std::make_unique<session_worker>());
   }
   for (auto& w : ss.workers) w->mem.begin_run();
-
-  stat_result result;
-  dp_stats total;
-  if (marks.marked[tree.root()] == 0) {
-    // Full hit: the whole tree (root included) was adopted; nothing to
-    // schedule, only the root selection runs -- serially, like the one-task
-    // DAG it replaces.
-    ss.mem.begin_run();
-    std::size_t published = 0;
-    dp_worker worker{tree,
-                     ss.model->space(),
-                     options,
-                     menu,
-                     [&ss](tree::node_id id, timing::buffer_index b) {
-                       return ss.device(id, b);
-                     },
-                     ss.arena,
-                     ss.mem,
-                     total,
-                     resource_guard{options, total, published, nullptr, cancel,
-                                    t_start}};
-    result = worker.select_root(lists[tree.root()]);
-  } else {
-    parallel_run run{tree,  options, ss.model->space(), menu,
-                     nullptr, pool,  cancel};
-    run.setup_session(ss, marks.marked, use_cache, t_start);
-    // Hand the run the adopted clones mark() filled in (it sized its own
-    // empty list vector in the constructor).
-    run.lists = std::move(lists);
-    result = run.run();
-    total = result.stats;
-  }
-  total.cache_hits = marks.hits;
-  total.nodes_reused = marks.reused;
-  total.wall_seconds =
-      std::chrono::duration<double>(dp_clock::now() - t_start).count();
-  result.stats = std::move(total);
-  return result;
+  parallel_run run{tree,  options, ss.model->space(), nullptr,
+                   pool,  cancel,  &pass,             std::move(lists),
+                   t_start};
+  return run.run();
 }
 
 }  // namespace detail
-
-stat_result run_parallel_insertion(const tree::routing_tree& tree,
-                                   layout::process_model& model,
-                                   const stat_options& options,
-                                   thread_pool& pool) {
-  detail::validate_stat_options(options);
-  return run_parallel_impl(tree, model, options, pool, nullptr);
-}
 
 solve_outcome<stat_result> solve_parallel_insertion(
     const tree::routing_tree& tree, layout::process_model& model,
     const stat_options& options, thread_pool& pool,
     const cancel_token* cancel) {
-  if (auto bad = detail::check_stat_options(options)) return std::move(*bad);
-  try {
-    tree.validate();
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
-  }
-
-  solve_error err;
-  try {
-    stat_result r = run_parallel_impl(tree, model, options, pool, cancel);
-    if (!r.stats.aborted) return r;
-    err = detail::error_from_stats(r.stats);
-  } catch (const std::bad_alloc&) {
-    err = solve_error{solve_code::memory_cap, tree::invalid_node,
-                      "term storage allocation failed"};
-  } catch (const std::exception& e) {
-    err = solve_error{solve_code::internal, tree::invalid_node, e.what()};
-  }
-  // Degraded retries run serially (corner rule / unbuffered evaluation), so
-  // a fallback result is identical for any thread count.
-  return detail::degrade_or_error(tree, model, options, cancel,
-                                  std::move(err));
+  return detail::stat_entry(tree, model, options, cancel, [&] {
+    return run_parallel_impl(tree, model, options, pool, cancel);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -568,8 +475,8 @@ std::size_t batch_solver::num_threads() const { return pool_.size(); }
 
 /// Shared by every batch path -- and by the serve daemon: resolves job i's
 /// net (generating from the derived per-job seed when asked) and builds its
-/// process model. Throws on an unusable job spec -- solve() forwards that,
-/// solve_outcomes captures it.
+/// process model. Throws on an unusable job spec; solve_batch_job captures
+/// that into the job's slot.
 prepared_job prepare_batch_job(const batch_job& job, std::size_t i,
                                const std::optional<std::uint64_t>& batch_seed) {
   if (testing::should_fire(testing::fault_point::batch_job_throw, i)) {
@@ -599,75 +506,57 @@ prepared_job prepare_batch_job(const batch_job& job, std::size_t i,
   return setup;
 }
 
-std::vector<batch_result> batch_solver::solve(
-    const std::vector<batch_job>& jobs) {
-  std::vector<std::optional<batch_result>> slots(jobs.size());
-  std::latch done{static_cast<std::ptrdiff_t>(jobs.size())};
-  std::mutex error_mu;
-  std::exception_ptr error;
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool_.submit([&, i] {
-      try {
-        prepared_job setup = prepare_batch_job(jobs[i], i, config_.batch_seed);
-        stat_result r =
-            run_statistical_insertion(*setup.net, *setup.model,
-                                      jobs[i].options);
-        slots[i].emplace(batch_result{std::move(r), std::move(*setup.model),
-                                      std::move(setup.generated)});
-      } catch (...) {
-        std::lock_guard lk(error_mu);
-        if (!error) error = std::current_exception();
-      }
-      done.count_down();
-    });
+solve_outcome<batch_result> solve_batch_job(
+    const batch_job& job, std::size_t i,
+    const std::optional<std::uint64_t>& batch_seed,
+    const cancel_token* cancel) {
+  try {
+    if (cancel != nullptr && cancel->stop_requested()) {
+      return solve_error{solve_code::cancelled, tree::invalid_node,
+                         "cancelled before start"};
+    }
+    prepared_job setup = prepare_batch_job(job, i, batch_seed);
+    auto solved = solve_statistical_insertion(*setup.net, *setup.model,
+                                              job.options, cancel);
+    if (!solved.ok()) return std::move(solved.error());
+    return batch_result{std::move(*solved), std::move(*setup.model),
+                        std::move(setup.generated)};
+  } catch (const std::bad_alloc&) {
+    return solve_error{solve_code::memory_cap, tree::invalid_node,
+                       "allocation failed preparing job"};
+  } catch (const std::exception& e) {
+    return solve_error{solve_code::internal, tree::invalid_node, e.what()};
+  } catch (...) {
+    return solve_error{solve_code::internal, tree::invalid_node,
+                       "unknown exception"};
   }
-  done.wait();
-  if (error) std::rethrow_exception(error);
+}
 
-  std::vector<batch_result> out;
-  out.reserve(jobs.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
+journal_record make_journal_record(std::size_t i, std::uint64_t fingerprint,
+                                   const solve_outcome<batch_result>& slot) {
+  journal_record rec;
+  rec.job_index = i;
+  rec.fingerprint = fingerprint;
+  rec.ok = slot.ok();
+  if (slot.ok()) {
+    rec.num_sources = slot->model.space().size();
+    rec.result = slot->result;
+    rec.result.root_rat.own_terms();
+  } else {
+    rec.code = slot.error().code;
+    rec.error_node = slot.error().node;
+    rec.detail = slot.error().detail;
+  }
+  return rec;
 }
 
 std::vector<solve_outcome<batch_result>> batch_solver::solve_outcomes(
     const std::vector<batch_job>& jobs, const cancel_token* cancel) {
   std::vector<std::optional<solve_outcome<batch_result>>> slots(jobs.size());
   std::latch done{static_cast<std::ptrdiff_t>(jobs.size())};
-
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     pool_.submit([&, i] {
-      // Everything a job can do wrong lands in its own slot: a typed error
-      // from the solver, a thrown exception from generation/model setup, or
-      // an injected fault. Nothing propagates out of the pool worker.
-      try {
-        if (cancel != nullptr && cancel->stop_requested()) {
-          slots[i].emplace(solve_error{solve_code::cancelled,
-                                       tree::invalid_node,
-                                       "cancelled before start"});
-        } else {
-          prepared_job setup = prepare_batch_job(jobs[i], i, config_.batch_seed);
-          solve_outcome<batch_result> out = [&]() -> solve_outcome<batch_result> {
-            auto solved = solve_statistical_insertion(
-                *setup.net, *setup.model, jobs[i].options, cancel);
-            if (!solved.ok()) return std::move(solved.error());
-            return batch_result{std::move(*solved), std::move(*setup.model),
-                                std::move(setup.generated)};
-          }();
-          slots[i].emplace(std::move(out));
-        }
-      } catch (const std::bad_alloc&) {
-        slots[i].emplace(solve_error{solve_code::memory_cap,
-                                     tree::invalid_node,
-                                     "allocation failed preparing job"});
-      } catch (const std::exception& e) {
-        slots[i].emplace(solve_error{solve_code::internal, tree::invalid_node,
-                                     e.what()});
-      } catch (...) {
-        slots[i].emplace(solve_error{solve_code::internal, tree::invalid_node,
-                                     "unknown exception"});
-      }
+      slots[i].emplace(solve_batch_job(jobs[i], i, config_.batch_seed, cancel));
       done.count_down();
     });
   }
@@ -684,40 +573,6 @@ std::vector<solve_outcome<batch_result>> batch_solver::solve_outcomes(
 // ---------------------------------------------------------------------------
 
 namespace {
-
-std::uint64_t hash_stat_options(const stat_options& o, std::uint64_t h) {
-  h = fnv1a_f64(o.wire.res_per_um, h);
-  h = fnv1a_f64(o.wire.cap_per_um, h);
-  h = fnv1a_u64(o.library.size(), h);
-  for (const auto& b : o.library.types()) {
-    h = fnv1a_str(b.name, h);
-    h = fnv1a_f64(b.cap_pf, h);
-    h = fnv1a_f64(b.delay_ps, h);
-    h = fnv1a_f64(b.res_ohm, h);
-  }
-  h = fnv1a_f64(o.driver_res_ohm, h);
-  h = fnv1a_u64(o.wire_width_multipliers.size(), h);
-  for (const double m : o.wire_width_multipliers) h = fnv1a_f64(m, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(o.rule), h);
-  h = fnv1a_f64(o.two_param.p_load, h);
-  h = fnv1a_f64(o.two_param.p_rat, h);
-  h = fnv1a_u64(o.two_param.sweep_window, h);
-  h = fnv1a_f64(o.four_param.alpha_lo, h);
-  h = fnv1a_f64(o.four_param.alpha_hi, h);
-  h = fnv1a_f64(o.four_param.beta_lo, h);
-  h = fnv1a_f64(o.four_param.beta_hi, h);
-  h = fnv1a_f64(o.corner.percentile, h);
-  h = fnv1a_f64(o.root_percentile, h);
-  h = fnv1a_f64(o.selection_percentile, h);
-  h = fnv1a_f64(o.term_prune_rel_eps, h);
-  h = fnv1a_u64(o.max_list_size, h);
-  h = fnv1a_u64(o.max_candidates, h);
-  h = fnv1a_f64(o.max_wall_seconds, h);
-  h = fnv1a_u64(o.max_arena_bytes, h);
-  h = fnv1a_u64(o.check_nonfinite ? 1 : 0, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(o.degrade), h);
-  return h;
-}
 
 std::uint64_t hash_model_config(const layout::process_model_config& c,
                                 std::uint64_t h) {
@@ -749,25 +604,6 @@ std::uint64_t hash_tree(const tree::routing_tree& t, std::uint64_t h) {
     h = fnv1a_f64(n.sink_rat_ps, h);
   }
   return h;
-}
-
-/// Builds the journal_record for slot i of a finished job.
-journal_record make_record(std::size_t i, std::uint64_t fingerprint,
-                           const solve_outcome<batch_result>& slot) {
-  journal_record rec;
-  rec.job_index = i;
-  rec.fingerprint = fingerprint;
-  rec.ok = slot.ok();
-  if (slot.ok()) {
-    rec.num_sources = slot->model.space().size();
-    rec.result = slot->result;
-    rec.result.root_rat.own_terms();
-  } else {
-    rec.code = slot.error().code;
-    rec.error_node = slot.error().node;
-    rec.detail = slot.error().detail;
-  }
-  return rec;
 }
 
 /// True when two results are bit-identical on every field of the determinism
@@ -831,20 +667,30 @@ std::uint64_t fingerprint_job(const batch_job& job, std::size_t index,
   return h;
 }
 
+batch_fingerprints fingerprint_batch(
+    const std::vector<batch_job>& jobs,
+    const std::optional<std::uint64_t>& batch_seed) {
+  batch_fingerprints out;
+  out.per_job.resize(jobs.size());
+  out.combined = fnv1a_u64(jobs.size(), fnv1a_seed);
+  if (batch_seed.has_value()) {
+    out.combined = fnv1a_u64(*batch_seed, out.combined);
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    out.per_job[i] = fingerprint_job(jobs[i], i, batch_seed);
+    out.combined = fnv1a_u64(out.per_job[i], out.combined);
+  }
+  return out;
+}
+
 solve_outcome<journaled_batch> batch_solver::solve_journaled(
     const std::vector<batch_job>& jobs, const batch_journal_options& journal,
     const cancel_token* cancel) {
   journaled_batch out;
 
-  std::vector<std::uint64_t> fingerprints(jobs.size());
-  std::uint64_t jobs_fp = fnv1a_u64(jobs.size(), fnv1a_seed);
-  if (config_.batch_seed.has_value()) {
-    jobs_fp = fnv1a_u64(*config_.batch_seed, jobs_fp);
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    fingerprints[i] = fingerprint_job(jobs[i], i, config_.batch_seed);
-    jobs_fp = fnv1a_u64(fingerprints[i], jobs_fp);
-  }
+  const batch_fingerprints fps = fingerprint_batch(jobs, config_.batch_seed);
+  const std::vector<std::uint64_t>& fingerprints = fps.per_job;
+  const std::uint64_t jobs_fp = fps.combined;
 
   journal_header header;
   header.has_batch_seed = config_.batch_seed.has_value();
@@ -955,38 +801,12 @@ solve_outcome<journaled_batch> batch_solver::solve_journaled(
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (slots[i].has_value()) continue;
     pool_.submit([&, i] {
-      try {
-        if (cancel != nullptr && cancel->stop_requested()) {
-          slots[i].emplace(solve_error{solve_code::cancelled,
-                                       tree::invalid_node,
-                                       "cancelled before start"});
-        } else {
-          prepared_job setup = prepare_batch_job(jobs[i], i, config_.batch_seed);
-          solve_outcome<batch_result> o = [&]() -> solve_outcome<batch_result> {
-            auto solved = solve_statistical_insertion(
-                *setup.net, *setup.model, jobs[i].options, cancel);
-            if (!solved.ok()) return std::move(solved.error());
-            return batch_result{std::move(*solved), std::move(*setup.model),
-                                std::move(setup.generated)};
-          }();
-          slots[i].emplace(std::move(o));
-        }
-      } catch (const std::bad_alloc&) {
-        slots[i].emplace(solve_error{solve_code::memory_cap,
-                                     tree::invalid_node,
-                                     "allocation failed preparing job"});
-      } catch (const std::exception& e) {
-        slots[i].emplace(solve_error{solve_code::internal, tree::invalid_node,
-                                     e.what()});
-      } catch (...) {
-        slots[i].emplace(solve_error{solve_code::internal, tree::invalid_node,
-                                     "unknown exception"});
-      }
+      slots[i].emplace(solve_batch_job(jobs[i], i, config_.batch_seed, cancel));
       // Journal the outcome -- except cancellations, which are not results:
       // a resumed run must re-solve those jobs.
       if (slots[i]->code() != solve_code::cancelled) {
         std::lock_guard lk(journal_mu);
-        writer.append(make_record(i, fingerprints[i], *slots[i]));
+        writer.append(make_journal_record(i, fingerprints[i], *slots[i]));
         if (testing::should_fire(testing::fault_point::crash_after_job, i)) {
           // Simulate the process dying the instant job i committed: no
           // drain, no final flush, no destructors. Exactly what SIGKILL
@@ -1018,21 +838,8 @@ solve_outcome<journaled_batch> batch_solver::solve_journaled(
     for (std::size_t k = 0; k < restored_jobs.size(); ++k) {
       pool_.submit([&, k] {
         const std::size_t i = restored_jobs[k];
-        try {
-          prepared_job setup = prepare_batch_job(jobs[i], i, config_.batch_seed);
-          auto solved = solve_statistical_insertion(*setup.net, *setup.model,
-                                                    jobs[i].options, nullptr);
-          if (solved.ok()) {
-            check[k].emplace(batch_result{std::move(*solved),
-                                          std::move(*setup.model),
-                                          std::nullopt});
-          } else {
-            check[k].emplace(std::move(solved.error()));
-          }
-        } catch (const std::exception& e) {
-          check[k].emplace(solve_error{solve_code::internal,
-                                       tree::invalid_node, e.what()});
-        }
+        check[k].emplace(
+            solve_batch_job(jobs[i], i, config_.batch_seed, nullptr));
         verified.count_down();
       });
     }

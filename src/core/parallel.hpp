@@ -7,14 +7,14 @@
 // parallelism: every job is independent, so throughput scales with cores.
 // Inside one large tree there is a second axis: sibling subtrees are
 // independent sub-problems joined only at the statistical merge, which is a
-// pure function of the two child candidate lists. run_parallel_insertion
+// pure function of the two child candidate lists. solve_parallel_insertion
 // schedules one task per tree node (a node runs when all of its children
 // have finished) on the same pool.
 //
 // Determinism contract: for runs that complete (no resource-cap abort), the
 // parallel drivers produce *bit-identical* results to
-// run_statistical_insertion -- same canonical root RAT form, same buffer and
-// wire assignments, same dp_stats counters -- for any thread count. This
+// solve_statistical_insertion -- same canonical root RAT form, same buffer
+// and wire assignments, same dp_stats counters -- for any thread count. This
 // holds because (a) child lists are merged in tree child order, never
 // completion order; (b) device forms are pre-characterized in the serial
 // engine's exact lazy order (device_cache), so variation-source ids match;
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/journal.hpp"
 #include "core/statistical_dp.hpp"
 #include "layout/process_model.hpp"
 #include "tree/generators.hpp"
@@ -106,21 +107,14 @@ class device_cache {
 };
 
 /// Variation-aware insertion on one tree with sibling subtrees solved
-/// concurrently on `pool`. Same contract as run_statistical_insertion, and
+/// concurrently on `pool`: same contract as solve_statistical_insertion
+/// (structured validation, typed resource trips, degradation policy), and
 /// bit-identical to it for completed runs (see the determinism contract
-/// above). Resource caps are honored, but *which* node trips a cap first is
-/// scheduling-dependent, so aborted runs may differ from serial in their
-/// abort_reason and partial counters.
-stat_result run_parallel_insertion(const tree::routing_tree& tree,
-                                   layout::process_model& model,
-                                   const stat_options& options,
-                                   thread_pool& pool);
-
-/// Typed entry point of the intra-tree parallel DP: same contract as
-/// solve_statistical_insertion (structured validation, typed resource trips,
-/// degradation policy), with `cancel` polled at node boundaries by every
-/// worker so sibling tasks stop promptly. Degraded retries run on the serial
-/// engine, keeping fallback results thread-count-invariant.
+/// above). `cancel` is polled at node boundaries by every worker so sibling
+/// tasks stop promptly. Resource caps are honored, but *which* node trips a
+/// cap first is scheduling-dependent, so the error of an aborted run may
+/// differ from serial in its node and detail. Degraded retries run on the
+/// serial engine, keeping fallback results thread-count-invariant.
 solve_outcome<stat_result> solve_parallel_insertion(
     const tree::routing_tree& tree, layout::process_model& model,
     const stat_options& options, thread_pool& pool,
@@ -204,6 +198,22 @@ struct prepared_job {
 prepared_job prepare_batch_job(const batch_job& job, std::size_t index,
                                const std::optional<std::uint64_t>& batch_seed);
 
+/// One batch job, start to finish: prepare_batch_job, then
+/// solve_statistical_insertion. Everything the job can do wrong -- a typed
+/// solver error, a thrown exception from generation or model setup, an
+/// injected fault, a `cancel` armed before it starts -- lands in the returned
+/// outcome; it never throws. Every batch path solves jobs through it:
+/// batch_solver, the serve daemon and the shard workers.
+solve_outcome<batch_result> solve_batch_job(
+    const batch_job& job, std::size_t index,
+    const std::optional<std::uint64_t>& batch_seed,
+    const cancel_token* cancel = nullptr);
+
+/// The journal record of job `index`'s outcome, `fingerprint` its
+/// fingerprint_job.
+journal_record make_journal_record(std::size_t index, std::uint64_t fingerprint,
+                                   const solve_outcome<batch_result>& slot);
+
 /// The fingerprint of one job's solve-relevant inputs, as journaled with
 /// every record: stat_options, model config, die, and the net (tree bytes,
 /// or generator options with the effective derive_seed(batch_seed, index)
@@ -212,11 +222,23 @@ prepared_job prepare_batch_job(const batch_job& job, std::size_t index,
 std::uint64_t fingerprint_job(const batch_job& job, std::size_t index,
                               const std::optional<std::uint64_t>& batch_seed);
 
+/// The batch fingerprint chain of every journaled path (solve_journaled, the
+/// serve daemon, shard headers): the per-job fingerprint_job values and the
+/// combined jobs fingerprint over (job count, batch seed, per-job values).
+struct batch_fingerprints {
+  std::vector<std::uint64_t> per_job;
+  std::uint64_t combined = 0;
+};
+
+batch_fingerprints fingerprint_batch(
+    const std::vector<batch_job>& jobs,
+    const std::optional<std::uint64_t>& batch_seed);
+
 /// Fans a vector of independent jobs across a work-stealing pool: multi-net
 /// throughput, the paper's thousands-of-nets-per-design regime. Job i's
 /// result lands in slot i; each job gets its own process model (and hence
 /// its own variation space), so results are identical to solving each job
-/// alone with run_statistical_insertion.
+/// alone with solve_statistical_insertion.
 class batch_solver {
  public:
   struct config {
@@ -230,12 +252,6 @@ class batch_solver {
 
   batch_solver() : batch_solver(config{}) {}
   explicit batch_solver(config cfg);
-
-  /// Solves all jobs; blocks until the batch completes. Throws (after the
-  /// batch drains) if any job threw, with the first error's message.
-  /// Legacy shim -- new code should call solve_outcomes, which never loses
-  /// the rest of the batch to one bad net.
-  std::vector<batch_result> solve(const std::vector<batch_job>& jobs);
 
   /// Per-net fault isolation: solves all jobs, capturing every failure --
   /// typed guard trips and escaped exceptions alike -- into that job's

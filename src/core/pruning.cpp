@@ -297,46 +297,6 @@ std::size_t batch_fill_variances(std::vector<stat_candidate>& list,
   return scr.rows.size();
 }
 
-/// The 4P moment fill: gathers ONLY the candidates whose Var cache is unset
-/// into `plane` and batch-fills them. Unlike the 2P sweep there is no
-/// downstream reuse of the gathered rows (the corner loop compares cached
-/// doubles), so the gather would have to pay for itself in the variance pass
-/// alone -- and measurement says it never does: the lazy walk is O(nnz) for
-/// sparse forms and already a single vectorized plane pass for dense ones,
-/// while the gather adds a full O(extent) copy per row (see the
-/// BM_DominanceSweep4P baseline). Automatic mode therefore always keeps the
-/// lazy walk; only forced tiled mode batches, which keeps the whole tiled 4P
-/// path alive under the differential suite and the VABI_FORCE_PRUNE=tiled CI
-/// lanes. Returns rows batched (0 = fall back to the lazy walk).
-template <typename GetForm, typename GetVar>
-std::size_t tiled_fill_4p_side(std::vector<stat_candidate>& list,
-                               stats::candidate_plane& plane,
-                               const stats::variation_space& space,
-                               prune_scratch& scr, bool forced,
-                               GetForm get_form, GetVar get_var) {
-  if (!forced) return 0;
-  scr.row_index.clear();
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (get_var(list[i]) < 0.0) scr.row_index.push_back(i);
-  }
-  if (scr.row_index.empty()) return 0;
-  plane.reset(space.size());
-  for (const std::size_t i : scr.row_index) plane.add_row(get_form(list[i]));
-  // Pointers only after the gather completes: add_row may grow the plane.
-  scr.rows.clear();
-  for (std::size_t j = 0; j < scr.row_index.size(); ++j) {
-    scr.rows.push_back(plane.row(j));
-  }
-  scr.out.resize(scr.rows.size());
-  stats::kernels::active().variance_rows(scr.rows.data(), scr.rows.size(),
-                                         space.sigma2_data(), plane.extent(),
-                                         scr.out.data());
-  for (std::size_t j = 0; j < scr.rows.size(); ++j) {
-    get_var(list[scr.row_index[j]]) = scr.out[j];
-  }
-  return scr.rows.size();
-}
-
 /// The tiled 2P sweep body (p > 0.5; `list` already mean-sorted). Produces
 /// exactly the pairwise sweep's surviving subsequence: per candidate the
 /// sweep-window verdict is the OR over the window of (load condition AND rat
@@ -677,36 +637,10 @@ bool dominates(const four_param_rule& rule, const stat_candidate& a,
 void prune_four_param(const four_param_rule& rule,
                       std::vector<stat_candidate>& list,
                       const stats::variation_space& space, dp_stats& stats,
-                      std::size_t max_comparisons, prune_scratch* scratch) {
+                      std::size_t max_comparisons) {
   const std::size_t n = list.size();
   if (n <= 1) return;
   std::size_t comparisons = 0;
-  // Tiled moment fill: batch the missing Var caches through the one-vs-many
-  // variance kernel before the corner pass walks them lazily. The corner
-  // values (and therefore the kept set and its order-dependent tie behavior)
-  // are bit-identical either way -- only who computes the variances changes.
-  if (use_tiled_prune(n, space.size())) {
-    prune_scratch& scr =
-        scratch != nullptr ? *scratch : fallback_prune_scratch();
-    const bool forced = force_prune_state() > 0;
-    std::size_t batched = 0;
-    batched += tiled_fill_4p_side(
-        list, scr.load_planes, space, scr, forced,
-        [](stat_candidate& cand) -> const stats::linear_form& {
-          return cand.load;
-        },
-        [](stat_candidate& cand) -> double& { return cand.var_load; });
-    batched += tiled_fill_4p_side(
-        list, scr.rat_planes, space, scr, forced,
-        [](stat_candidate& cand) -> const stats::linear_form& {
-          return cand.rat;
-        },
-        [](stat_candidate& cand) -> double& { return cand.var_rat; });
-    if (batched != 0) {
-      ++stats.tiled_prunes;
-      stats.pairs_batched += batched;
-    }
-  }
   // Cache the percentile corners; the pairwise pass then costs O(n^2)
   // comparisons of doubles rather than O(n^2) sigma evaluations.
   struct corners {

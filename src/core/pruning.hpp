@@ -43,8 +43,8 @@ namespace vabi::core {
 // Sweep-implementation policy (pairwise vs tiled).
 // ---------------------------------------------------------------------------
 //
-// The statistical prunes have two implementations producing bit-identical
-// surviving lists:
+// The 2P confidence-rule prune (p > 0.5) has two implementations producing
+// bit-identical surviving lists:
 //
 //   - pairwise: the seed's per-pair sweep; every dominance test runs its own
 //     sparse/dense one-vs-one moment reductions on demand.
@@ -243,19 +243,15 @@ bool dominates(const four_param_rule& rule, const stat_candidate& a,
 /// `max_comparisons` bounds the quadratic work (0 = unlimited): when the
 /// budget runs out the remaining candidates are kept unpruned (safe --
 /// pruning less never loses solutions) and `stats.aborted` is left untouched
-/// so the caller's resource caps decide the run's fate. Under *forced* tiled
-/// mode the percentile-corner moment precompute batches the missing Var
-/// caches through the one-vs-many variance kernel; automatic mode keeps the
-/// lazy per-form walk, which measures faster at every shape (no downstream
-/// reuse of a 4P gather -- see BM_DominanceSweep4P and the rationale in
-/// pruning.cpp). The comparison loop itself is kept in list order -- the 4P
-/// partial order's tie behavior is order-dependent, so it is shared verbatim
-/// between both modes.
+/// so the caller's resource caps decide the run's fate. The pairwise
+/// policy above does not apply: the percentile corners come from the lazy
+/// per-form Var caches, which measured faster than any batched gather (a 4P
+/// gather has no downstream reuse), and the comparison loop is kept in list
+/// order because the 4P partial order's tie behavior is order-dependent.
 void prune_four_param(const four_param_rule& rule,
                       std::vector<stat_candidate>& list,
                       const stats::variation_space& space, dp_stats& stats,
-                      std::size_t max_comparisons = 0,
-                      prune_scratch* scratch = nullptr);
+                      std::size_t max_comparisons = 0);
 
 // ---------------------------------------------------------------------------
 // Corner rule (1P).

@@ -2,14 +2,11 @@
 
 #include <chrono>
 #include <cstring>
-#include <limits>
-#include <new>
-#include <stdexcept>
 #include <utility>
 
+#include "core/fingerprint.hpp"
 #include "core/journal.hpp"
 #include "core/slab_cache_impl.hpp"
-#include "testing/fault_injection.hpp"
 
 namespace vabi::core {
 
@@ -52,56 +49,6 @@ node_list clone_node_list(const node_list& src) {
     c.rat.rebase_terms(old_base, used, new_base);
   }
   return out;
-}
-
-std::uint64_t fingerprint_stat_options(const stat_options& o) {
-  std::uint64_t h = fnv1a_seed;
-  h = fnv1a_f64(o.wire.res_per_um, h);
-  h = fnv1a_f64(o.wire.cap_per_um, h);
-  h = fnv1a_u64(o.library.size(), h);
-  for (const auto& b : o.library.types()) {
-    h = fnv1a_str(b.name, h);
-    h = fnv1a_f64(b.cap_pf, h);
-    h = fnv1a_f64(b.delay_ps, h);
-    h = fnv1a_f64(b.res_ohm, h);
-  }
-  h = fnv1a_f64(o.driver_res_ohm, h);
-  h = fnv1a_u64(o.wire_width_multipliers.size(), h);
-  for (const double m : o.wire_width_multipliers) h = fnv1a_f64(m, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(o.rule), h);
-  h = fnv1a_f64(o.two_param.p_load, h);
-  h = fnv1a_f64(o.two_param.p_rat, h);
-  h = fnv1a_u64(o.two_param.sweep_window, h);
-  h = fnv1a_f64(o.four_param.alpha_lo, h);
-  h = fnv1a_f64(o.four_param.alpha_hi, h);
-  h = fnv1a_f64(o.four_param.beta_lo, h);
-  h = fnv1a_f64(o.four_param.beta_hi, h);
-  h = fnv1a_f64(o.corner.percentile, h);
-  h = fnv1a_f64(o.root_percentile, h);
-  h = fnv1a_f64(o.selection_percentile, h);
-  h = fnv1a_f64(o.term_prune_rel_eps, h);
-  h = fnv1a_u64(o.max_list_size, h);
-  h = fnv1a_u64(o.max_candidates, h);
-  h = fnv1a_f64(o.max_wall_seconds, h);
-  h = fnv1a_u64(o.max_arena_bytes, h);
-  h = fnv1a_u64(o.check_nonfinite ? 1 : 0, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(o.degrade), h);
-  // li_shi changes neither the candidates nor the result, but it changes the
-  // per-node operation organization; fingerprint it too so a cached run is
-  // reproducible under exactly one configuration (conservative flush).
-  h = fnv1a_u64(static_cast<std::uint64_t>(o.li_shi), h);
-  return h;
-}
-
-std::uint64_t fingerprint_library(const timing::buffer_library& lib) {
-  std::uint64_t h = fnv1a_u64(lib.size(), fnv1a_seed);
-  for (const auto& b : lib.types()) {
-    h = fnv1a_str(b.name, h);
-    h = fnv1a_f64(b.cap_pf, h);
-    h = fnv1a_f64(b.delay_ps, h);
-    h = fnv1a_f64(b.res_ohm, h);
-  }
-  return h;
 }
 
 void session_state::flush_entries() {
@@ -152,8 +99,8 @@ void session_state::prepare(const tree::routing_tree& tree,
   }
   // Fill missing/moved entries in the serial engine's lazy order (postorder,
   // types ascending): on a fresh session the source-id allocation therefore
-  // matches run_statistical_insertion on a fresh model exactly, and every
-  // later solve -- serial, parallel, warm or cold -- reads the same memo.
+  // matches a one-shot solve on a fresh model exactly, and every later
+  // solve -- serial, parallel, warm or cold -- reads the same memo.
   for (const tree::node_id id : tree.postorder()) {
     const auto& n = tree.node(id);
     if (n.is_source()) continue;
@@ -167,14 +114,8 @@ void session_state::prepare(const tree::routing_tree& tree,
     }
     if (!fresh) continue;
     for (timing::buffer_index b = 0; b < lib; ++b) {
-      const auto& type = options.library[b];
-      layout::device_variation dv =
-          model->characterize(n.location, type.cap_pf, type.delay_ps);
-      if (testing::should_fire(testing::fault_point::device_nan, id)) {
-        dv.delay += std::numeric_limits<double>::quiet_NaN();
-      }
       auto& e = devices[static_cast<std::size_t>(id) * lib + b];
-      e.dv = std::move(dv);
+      e.dv = characterize_device(*model, tree, id, options.library[b]);
       e.loc = n.location;
       e.valid = true;
     }
@@ -211,73 +152,37 @@ void session_state::store(tree::node_id id, std::uint64_t hash,
   e.valid = true;
 }
 
-stat_result session_solve_serial(session_state& ss,
-                                 const tree::routing_tree& tree,
-                                 const stat_options& options,
-                                 const cancel_token* cancel, bool use_cache) {
-  const timing::wire_menu menu = make_wire_menu(options);
+stat_result session_solve(session_state& ss, const tree::routing_tree& tree,
+                          const stat_options& options, thread_pool* pool,
+                          const cancel_token* cancel, bool use_cache) {
   const dp_clock::time_point t_start = dp_clock::now();
-
   ss.prepare(tree, options);
   std::vector<node_list> lists(tree.num_nodes());
   const auto marks = ss.mark(tree, lists, use_cache);
-
-  // The session arena is never reset (cached `why` chains live there); the
-  // worker memory only recycles its scratch, which no sealed list borrows.
-  ss.mem.begin_run();
-
-  device_fn devices = [&ss](tree::node_id id, timing::buffer_index b) {
-    return ss.device(id, b);
-  };
-
-  dp_stats dps;
-  std::size_t published = 0;
-  dp_worker worker{tree,
-                   ss.model->space(),
-                   options,
-                   menu,
-                   std::move(devices),
-                   ss.arena,
-                   ss.mem,
-                   dps,
-                   resource_guard{options, dps, published, nullptr, cancel,
-                                  t_start}};
-
-  buffer_frontier frontier;
-  li_shi_state li_state;
-  if (li_shi_enabled(options.li_shi, options.library.size()) &&
-      options.rule == pruning_kind::two_param &&
-      options.two_param.is_mean_rule() &&
-      options.selection_percentile == 0.5) {
-    frontier = buffer_frontier{options.library};
-    li_state.frontier = &frontier;
-    worker.li_shi = &li_state;
-  }
-
-  for (const tree::node_id id : tree.postorder()) {
-    if (!marks.marked[id]) continue;  // adopted boundary or under one
-    if (dps.aborted) break;
-    node_list here = worker.solve_node(id, lists);
-    if (dps.aborted) break;
-    ++dps.cache_misses;
-    // Store before the parent consumes the list. An aborted node (and its
-    // never-solved ancestors) stores nothing -- the trip invalidates exactly
-    // the affected path while earlier sealed entries stay valid.
-    if (use_cache) ss.store(id, tree.subtree_hash(id), here);
-    lists[id] = std::move(here);
-  }
+  const session_pass pass{ss, marks.marked, use_cache};
 
   stat_result result;
-  if (!dps.aborted) {
-    result = worker.select_root(lists[tree.root()]);
+  if (pool != nullptr && marks.marked[tree.root()] != 0) {
+    result = session_solve_parallel(pass, tree, options, *pool, cancel,
+                                    std::move(lists), t_start);
   } else {
-    result.assignment = timing::buffer_assignment(tree.num_nodes());
+    // Serial solve, or a parallel one whose whole tree was adopted: only
+    // the root selection is left, which runs here like the one-task DAG it
+    // replaces. The session arena is never reset (cached `why` chains live
+    // there); the worker memory only recycles its scratch, which no sealed
+    // list borrows.
+    ss.mem.begin_run();
+    result = run_serial(
+        tree, ss.model->space(), options,
+        [&ss](tree::node_id id, timing::buffer_index b) {
+          return ss.device(id, b);
+        },
+        ss.arena, ss.mem, lists, &pass, cancel, t_start);
   }
-  dps.cache_hits = marks.hits;
-  dps.nodes_reused = marks.reused;
-  dps.wall_seconds =
+  result.stats.cache_hits = marks.hits;
+  result.stats.nodes_reused = marks.reused;
+  result.stats.wall_seconds =
       std::chrono::duration<double>(dp_clock::now() - t_start).count();
-  result.stats = dps;
   return result;
 }
 
@@ -290,35 +195,9 @@ solve_outcome<stat_result> session_entry(detail::session_state& ss,
                                          const stat_options& options,
                                          const cancel_token* cancel,
                                          thread_pool* pool, bool use_cache) {
-  if (auto bad = detail::check_stat_options(options)) return std::move(*bad);
-  try {
-    tree.validate();
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
-  }
-
-  solve_error err;
-  try {
-    stat_result r =
-        pool != nullptr
-            ? detail::session_solve_parallel(ss, tree, options, *pool, cancel,
-                                             use_cache)
-            : detail::session_solve_serial(ss, tree, options, cancel,
-                                           use_cache);
-    if (!r.stats.aborted) return r;
-    err = detail::error_from_stats(r.stats);
-  } catch (const std::bad_alloc&) {
-    err = solve_error{solve_code::memory_cap, tree::invalid_node,
-                      "term storage allocation failed"};
-  } catch (const std::exception& e) {
-    err = solve_error{solve_code::internal, tree::invalid_node, e.what()};
-  }
-  // The degraded retry runs the corner rule through the one-shot serial
-  // engine: it registers its own fresh variation sources in the model and
-  // never touches the cache, so the session's entries stay valid for the
-  // primary options.
-  return detail::degrade_or_error(tree, *ss.model, options, cancel,
-                                  std::move(err));
+  return detail::stat_entry(tree, *ss.model, options, cancel, [&] {
+    return detail::session_solve(ss, tree, options, pool, cancel, use_cache);
+  });
 }
 
 }  // namespace

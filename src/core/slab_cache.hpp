@@ -1,7 +1,8 @@
 // Session-oriented incremental re-solve (ECO mode).
 //
-// The one-shot entry points (run_statistical_insertion, run_van_ginneken,
-// solve_parallel_insertion) re-solve every node of the tree on every call.
+// The one-shot entry points (solve_statistical_insertion,
+// solve_parallel_insertion, solve_van_ginneken) re-solve every node of the
+// tree on every call.
 // Production buffering is iterative: an ECO moves one sink or resizes one
 // wire, and only the edited node's root path actually changes. A
 // solve_session keeps, across solves:

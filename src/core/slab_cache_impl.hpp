@@ -19,17 +19,6 @@ namespace vabi::core::detail {
 /// moments copy through. Bit-identical by construction.
 node_list clone_node_list(const node_list& src);
 
-/// Fingerprint over every solver-relevant stat_options field (rule params,
-/// caps, percentiles, library, wire, li_shi, check_nonfinite, degrade...).
-/// Any change flushes the slab cache: caps shape the prune/abort behaviour
-/// and everything else shapes the candidates themselves, so only an
-/// identical fingerprint may serve cached lists.
-std::uint64_t fingerprint_stat_options(const stat_options& options);
-
-/// Fingerprint of the buffer library alone; a change additionally flushes
-/// the device memo (entries are indexed by buffer type).
-std::uint64_t fingerprint_library(const timing::buffer_library& lib);
-
 struct cache_entry {
   std::uint64_t hash = 0;
   bool valid = false;
@@ -103,19 +92,23 @@ struct session_state {
   void reset_all();
 };
 
-/// Serial session solve (slab_cache.cpp). With use_cache false: adopts and
-/// stores nothing (the solve_cold reference path).
-stat_result session_solve_serial(session_state& ss,
-                                 const tree::routing_tree& tree,
-                                 const stat_options& options,
-                                 const cancel_token* cancel, bool use_cache);
+/// One session solve (slab_cache.cpp): refreshes the fingerprints and device
+/// memo, adopts every cached subtree (none with use_cache false, the
+/// solve_cold reference path), and solves the rest -- serially through
+/// run_serial, or with `pool` through session_solve_parallel.
+stat_result session_solve(session_state& ss, const tree::routing_tree& tree,
+                          const stat_options& options, thread_pool* pool,
+                          const cancel_token* cancel, bool use_cache);
 
-/// Pool-scheduled session solve (parallel.cpp); bit-identical to the serial
-/// session solve.
-stat_result session_solve_parallel(session_state& ss,
+/// Pool-scheduled part of a session solve (parallel.cpp): solves the nodes
+/// `pass` marks into `lists` on the session's per-worker arenas;
+/// bit-identical to the serial session solve.
+stat_result session_solve_parallel(const session_pass& pass,
                                    const tree::routing_tree& tree,
                                    const stat_options& options,
                                    thread_pool& pool,
-                                   const cancel_token* cancel, bool use_cache);
+                                   const cancel_token* cancel,
+                                   std::vector<node_list>&& lists,
+                                   dp_clock::time_point t_start);
 
 }  // namespace vabi::core::detail

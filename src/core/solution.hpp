@@ -203,14 +203,13 @@ struct dp_stats {
   std::size_t cache_misses = 0;
   std::size_t nodes_reused = 0;
   /// Tiled dominance engine traffic (core/pruning.cpp). tiled_prunes counts
-  /// prune calls that took the tiled sweep (or, for 4P, the tiled moment
-  /// fill); tile_prefilter_hits counts pair conditions the batched interval
-  /// prefilter decided without an exact sigma pass; pairs_batched counts rows
-  /// that flowed through the one-vs-many kernels (variance fills, prefilter
-  /// rows, exact fallbacks). Organization counters like dense_forms: they
-  /// depend on the VABI_FORCE_PRUNE policy and thresholds, never on results
-  /// (the surviving candidates are bit-identical; candidates_pruned matches
-  /// across modes).
+  /// prune calls that took the tiled sweep; tile_prefilter_hits counts pair
+  /// conditions the batched interval prefilter decided without an exact
+  /// sigma pass; pairs_batched counts rows that flowed through the
+  /// one-vs-many kernels (variance fills, prefilter rows, exact fallbacks).
+  /// Organization counters like dense_forms: they depend on the
+  /// VABI_FORCE_PRUNE policy and thresholds, never on results (the surviving
+  /// candidates are bit-identical; candidates_pruned matches across modes).
   std::size_t tiled_prunes = 0;
   std::size_t tile_prefilter_hits = 0;
   std::size_t pairs_batched = 0;

@@ -11,19 +11,22 @@
 //     human-readable detail string.
 //   - solve_outcome<T>: an expected-style sum of a result and a solve_error.
 //     The `solve_*` entry points of every driver (statistical_dp,
-//     van_ginneken, cost_bounded, parallel, batch_solver) return one of these
-//     and never throw; the legacy throwing/flag-setting `run_*` entry points
-//     remain as thin shims for existing callers.
+//     van_ginneken, cost_bounded, parallel, batch_solver, sessions) return
+//     one of these and never throw; they are the only way into the solvers.
 //   - cancel_token: a cooperative cancellation flag callers can pass into the
 //     drivers; workers poll it at node boundaries.
+//   - detail::guarded_solve: the entry policy all of them share.
 #pragma once
 
+#include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <exception>
+#include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
-
-#include <atomic>
 
 #include "tree/routing_tree.hpp"
 
@@ -150,5 +153,59 @@ class cancel_token {
  private:
   std::atomic<bool> stop_{false};
 };
+
+namespace detail {
+
+/// The first attached node whose solve inputs -- sink load and RAT, the wire
+/// above it -- are not finite. add_sink and retarget_rat accept NaN and
+/// routing_tree::validate checks structure only, but an unordered key would
+/// reach the engines' sorts and root selection.
+inline std::optional<solve_error> check_finite_inputs(
+    const tree::routing_tree& tree) {
+  for (const tree::tree_node& n : tree.nodes()) {
+    const bool finite = std::isfinite(n.parent_wire_um) &&
+                        (!n.is_sink() || (std::isfinite(n.sink_cap_pf) &&
+                                          std::isfinite(n.sink_rat_ps)));
+    if (!finite && !n.detached) {
+      return solve_error{solve_code::nonfinite_value, n.id,
+                         "non-finite sink load, sink RAT or wire length"};
+    }
+  }
+  return std::nullopt;
+}
+
+/// The entry policy every typed solve_* function shares: reject bad options
+/// (`bad_options`, from the driver's own check), a structurally invalid tree
+/// and non-finite tree inputs, run the solve, and translate everything that
+/// can go wrong inside it -- an aborted run's dp_stats, a failed allocation,
+/// an escaped exception -- into a solve_error. Never throws.
+template <class Result, class Run>
+solve_outcome<Result> guarded_solve(const tree::routing_tree& tree,
+                                    std::optional<solve_error> bad_options,
+                                    Run&& run) {
+  if (bad_options) return std::move(*bad_options);
+  try {
+    tree.validate();
+  } catch (const std::exception& e) {
+    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
+  }
+  if (auto bad = check_finite_inputs(tree)) return std::move(*bad);
+  try {
+    Result r = run();
+    if (!r.stats.aborted) return r;
+    const solve_code code = r.stats.abort_code == solve_code::ok
+                                ? solve_code::internal
+                                : r.stats.abort_code;
+    return solve_error{code, r.stats.abort_node,
+                       std::move(r.stats.abort_reason)};
+  } catch (const std::bad_alloc&) {
+    return solve_error{solve_code::memory_cap, tree::invalid_node,
+                       "allocation failed"};
+  } catch (const std::exception& e) {
+    return solve_error{solve_code::internal, tree::invalid_node, e.what()};
+  }
+}
+
+}  // namespace detail
 
 }  // namespace vabi::core

@@ -1,17 +1,14 @@
 #include "core/statistical_dp.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <exception>
 #include <limits>
-#include <new>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/dp_engine.hpp"
-#include "stats/normal.hpp"
+#include "core/slab_cache_impl.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace vabi::core {
@@ -54,27 +51,10 @@ const char* to_string(solve_path path) {
 
 namespace detail {
 
-void validate_stat_options(const stat_options& options) {
-  if (options.library.empty()) {
-    throw std::invalid_argument(
-        "run_statistical_insertion: empty buffer library");
-  }
-  options.wire.validate();
-  if (options.root_percentile <= 0.0 || options.root_percentile >= 1.0) {
-    throw std::invalid_argument(
-        "run_statistical_insertion: root_percentile must be in (0, 1)");
-  }
-  if (options.selection_percentile <= 0.0 ||
-      options.selection_percentile >= 1.0) {
-    throw std::invalid_argument(
-        "run_statistical_insertion: selection_percentile must be in (0, 1)");
-  }
-  if (options.term_prune_rel_eps < 0.0 || options.term_prune_rel_eps >= 1.0) {
-    throw std::invalid_argument(
-        "run_statistical_insertion: term_prune_rel_eps must be in [0, 1)");
-  }
-}
+namespace {
 
+/// nullopt when the options are valid, otherwise an invalid_options error
+/// whose detail names the offending field.
 std::optional<solve_error> check_stat_options(const stat_options& options) {
   const auto bad = [](std::string detail) {
     return solve_error{solve_code::invalid_options, tree::invalid_node,
@@ -143,91 +123,72 @@ std::optional<solve_error> check_stat_options(const stat_options& options) {
   return std::nullopt;
 }
 
-solve_error error_from_stats(const dp_stats& stats) {
-  solve_error err;
-  err.code = stats.abort_code == solve_code::ok ? solve_code::internal
-                                                : stats.abort_code;
-  err.node = stats.abort_node;
-  err.detail = stats.abort_reason;
-  return err;
+}  // namespace
+
+layout::device_variation characterize_device(layout::process_model& model,
+                                             const tree::routing_tree& tree,
+                                             tree::node_id id,
+                                             const timing::buffer_type& type) {
+  layout::device_variation dv = model.characterize(
+      tree.node(id).location, type.cap_pf, type.delay_ps);
+  if (testing::should_fire(testing::fault_point::device_nan, id)) {
+    dv.delay += std::numeric_limits<double>::quiet_NaN();
+  }
+  return dv;
 }
 
-timing::wire_menu make_wire_menu(const stat_options& options) {
-  return options.wire_width_multipliers.size() <= 1
-             ? timing::wire_menu{options.wire}
-             : timing::wire_menu{options.wire, options.wire_width_multipliers};
-}
-
-stat_result run_statistical_impl(const tree::routing_tree& tree,
-                                 layout::process_model& model,
-                                 const stat_options& options,
-                                 const cancel_token* cancel) {
-  const timing::wire_menu menu = make_wire_menu(options);
-
-  // Lazy characterization through the model, one call per (node, type), in
-  // postorder -- the source-id allocation order device_cache reproduces.
-  device_fn devices = [&model, &options, &tree](tree::node_id id,
-                                                timing::buffer_index b) {
-    const auto& type = options.library[b];
-    layout::device_variation dv = model.characterize(
-        tree.node(id).location, type.cap_pf, type.delay_ps);
-    if (testing::should_fire(testing::fault_point::device_nan, id)) {
-      dv.delay += std::numeric_limits<double>::quiet_NaN();
-    }
-    return dv;
-  };
-
-  // One arena set per thread, reused across runs: batch_solver fans nets
-  // across its pool threads, and each thread's scratch pool / decision slabs
-  // / recycled lists reach steady state after the first net (zero
-  // allocations per node from then on). reset()/begin_run() invalidate the
-  // previous run's storage, which is sound because results are materialized
-  // (own_terms, extract_design) before run_statistical_impl returns.
-  static thread_local decision_arena t_arena;
-  static thread_local worker_arena t_pool;
-  t_arena.reset();
-  t_pool.begin_run();
-
+stat_result run_serial(const tree::routing_tree& tree,
+                       const stats::variation_space& space,
+                       const stat_options& options, device_fn devices,
+                       decision_arena& arena, worker_arena& mem,
+                       std::vector<node_list>& lists,
+                       const session_pass* session, const cancel_token* cancel,
+                       dp_clock::time_point t_start) {
+  const timing::wire_menu menu =
+      timing::make_wire_menu(options.wire, options.wire_width_multipliers);
   dp_stats dps;
   std::size_t published = 0;
-  const dp_clock::time_point t_start = dp_clock::now();
   dp_worker worker{tree,
-                   model.space(),
+                   space,
                    options,
                    menu,
                    std::move(devices),
-                   t_arena,
-                   t_pool,
+                   arena,
+                   mem,
                    dps,
                    resource_guard{options, dps, published, nullptr, cancel,
                                   t_start}};
 
-  // Li-Shi per-type frontier (li_shi.hpp): engages only in the total-order
-  // regime the worker's mean fast path already recognizes; other rules /
-  // selection percentiles keep li_shi null and take the scan path.
+  // Li-Shi per-type frontier (li_shi.hpp); other regimes keep the worker's
+  // li_shi null and take the scan path.
   buffer_frontier frontier;
   li_shi_state li_state;
-  if (li_shi_enabled(options.li_shi, options.library.size()) &&
-      options.rule == pruning_kind::two_param &&
-      options.two_param.is_mean_rule() &&
-      options.selection_percentile == 0.5) {
+  if (li_shi_engaged(options)) {
     frontier = buffer_frontier{options.library};
     li_state.frontier = &frontier;
     worker.li_shi = &li_state;
   }
 
-  std::vector<node_list> lists(tree.num_nodes());
-  for (tree::node_id id : tree.postorder()) {
+  for (const tree::node_id id : tree.postorder()) {
+    if (session != nullptr && session->marked[id] == 0) continue;  // adopted
     if (dps.aborted) break;
     node_list here = worker.solve_node(id, lists);
     if (dps.aborted) break;
+    if (session != nullptr) {
+      ++dps.cache_misses;
+      // Store before the parent consumes the list. An aborted node (and its
+      // never-solved ancestors) stores nothing -- the trip invalidates
+      // exactly the affected path while earlier sealed entries stay valid.
+      if (session->store) {
+        session->state.store(id, tree.subtree_hash(id), here);
+      }
+    }
     lists[id] = std::move(here);
   }
 
   stat_result result;
-  if (!dps.aborted) {
-    result = worker.select_root(lists[tree.root()]);
-  } else {
+  if (!dps.aborted) result = worker.select_root(lists[tree.root()]);
+  if (dps.aborted) {
     result.assignment = timing::buffer_assignment(tree.num_nodes());
   }
   dps.wall_seconds =
@@ -236,14 +197,46 @@ stat_result run_statistical_impl(const tree::routing_tree& tree,
   return result;
 }
 
+namespace {
+
+/// A one-shot serial solve without entry validation: this thread's reused
+/// arenas, devices characterized lazily through `model`.
+stat_result run_one_shot(const tree::routing_tree& tree,
+                         layout::process_model& model,
+                         const stat_options& options,
+                         const cancel_token* cancel) {
+  // One arena set per thread, reused across runs: batch_solver fans nets
+  // across its pool threads, and each thread's scratch pool / decision slabs
+  // / recycled lists reach steady state after the first net (zero
+  // allocations per node from then on). reset()/begin_run() invalidate the
+  // previous run's storage, which is sound because results are materialized
+  // (own_terms, extract_design) before the run returns.
+  static thread_local decision_arena t_arena;
+  static thread_local worker_arena t_pool;
+  t_arena.reset();
+  t_pool.begin_run();
+  std::vector<node_list> lists(tree.num_nodes());
+  // Lazy characterization, one call per (node, type) in postorder -- the
+  // source-id allocation order device_cache and the session memo reproduce.
+  return run_serial(
+      tree, model.space(), options,
+      [&model, &options, &tree](tree::node_id id, timing::buffer_index b) {
+        return characterize_device(model, tree, id, options.library[b]);
+      },
+      t_arena, t_pool, lists, nullptr, cancel, dp_clock::now());
+}
+
+/// Last-resort evaluation of the tree with no buffers inserted
+/// (degrade_policy::best_partial): one value-semantics postorder pass over
+/// the statistical wire and merge operations (eqs. 33-34, 37-38) -- no
+/// candidates, no arenas, no caps. Never fails.
 stat_result evaluate_unbuffered(const tree::routing_tree& tree,
                                 layout::process_model& model,
                                 const stat_options& options) {
   const stats::variation_space& space = model.space();
-  const timing::wire_model wire = make_wire_menu(options)[0];
+  const timing::wire_model wire =
+      timing::make_wire_menu(options.wire, options.wire_width_multipliers)[0];
 
-  // Value-semantics postorder pass over the statistical wire and merge
-  // operations only (eqs. 33-34, 37-38): no candidates, no arenas, no caps.
   std::vector<stats::linear_form> loads(tree.num_nodes());
   std::vector<stats::linear_form> rats(tree.num_nodes());
   for (tree::node_id id : tree.postorder()) {
@@ -285,6 +278,9 @@ stat_result evaluate_unbuffered(const tree::routing_tree& tree,
   return result;
 }
 
+/// Applies options.degrade to a failed solve. Returns `err` unchanged when
+/// the policy is none, the code is not degradable, or every fallback failed
+/// too.
 solve_outcome<stat_result> degrade_or_error(const tree::routing_tree& tree,
                                             layout::process_model& model,
                                             const stat_options& options,
@@ -305,7 +301,7 @@ solve_outcome<stat_result> degrade_or_error(const tree::routing_tree& tree,
   retry.rule = pruning_kind::corner;
   retry.degrade = degrade_policy::none;
   try {
-    stat_result r = run_statistical_impl(tree, model, retry, cancel);
+    stat_result r = run_one_shot(tree, model, retry, cancel);
     if (!r.stats.aborted) {
       r.path = solve_path::corner_fallback;
       return r;
@@ -323,38 +319,28 @@ solve_outcome<stat_result> degrade_or_error(const tree::routing_tree& tree,
   return std::move(err);
 }
 
-}  // namespace detail
+}  // namespace
 
-stat_result run_statistical_insertion(const tree::routing_tree& tree,
+solve_outcome<stat_result> stat_entry(const tree::routing_tree& tree,
                                       layout::process_model& model,
-                                      const stat_options& options) {
-  detail::validate_stat_options(options);
-  return detail::run_statistical_impl(tree, model, options, nullptr);
+                                      const stat_options& options,
+                                      const cancel_token* cancel,
+                                      const std::function<stat_result()>& run) {
+  solve_outcome<stat_result> out =
+      guarded_solve<stat_result>(tree, check_stat_options(options), run);
+  if (out.ok()) return out;
+  return degrade_or_error(tree, model, options, cancel,
+                          std::move(out.error()));
 }
+
+}  // namespace detail
 
 solve_outcome<stat_result> solve_statistical_insertion(
     const tree::routing_tree& tree, layout::process_model& model,
     const stat_options& options, const cancel_token* cancel) {
-  if (auto bad = detail::check_stat_options(options)) return std::move(*bad);
-  try {
-    tree.validate();
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
-  }
-
-  solve_error err;
-  try {
-    stat_result r = detail::run_statistical_impl(tree, model, options, cancel);
-    if (!r.stats.aborted) return r;
-    err = detail::error_from_stats(r.stats);
-  } catch (const std::bad_alloc&) {
-    err = solve_error{solve_code::memory_cap, tree::invalid_node,
-                      "term storage allocation failed"};
-  } catch (const std::exception& e) {
-    err = solve_error{solve_code::internal, tree::invalid_node, e.what()};
-  }
-  return detail::degrade_or_error(tree, model, options, cancel,
-                                  std::move(err));
+  return detail::stat_entry(tree, model, options, cancel, [&] {
+    return detail::run_one_shot(tree, model, options, cancel);
+  });
 }
 
 }  // namespace vabi::core

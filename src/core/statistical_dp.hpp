@@ -133,9 +133,7 @@ struct stat_options {
   bool check_nonfinite = true;
 #endif
 
-  /// Fallback behavior when a cap/deadline/memory trip aborts the run (only
-  /// consulted by the solve_* entry points; the legacy run_* shims always
-  /// report the abort as-is).
+  /// Fallback behavior when a cap/deadline/memory trip aborts the run.
   degrade_policy degrade = degrade_policy::none;
 };
 
@@ -156,18 +154,12 @@ struct stat_result {
 /// variation sources: one private random source is registered per evaluated
 /// (node, buffer type) device, shared by every candidate that buffers there.
 ///
-/// Legacy shim: throws std::invalid_argument / std::logic_error on bad
-/// inputs and reports resource trips only through result.stats.aborted.
-/// New code should call solve_statistical_insertion.
-stat_result run_statistical_insertion(const tree::routing_tree& tree,
-                                      layout::process_model& model,
-                                      const stat_options& options);
-
-/// Typed entry point: never throws for failures in the solve_code taxonomy.
-/// Validates options (naming the offending field) and the tree, classifies
-/// resource trips, honors `cancel` at node boundaries, and applies
-/// options.degrade on cap/deadline/memory failures (the returned result's
-/// `path` says which engine produced it).
+/// Never throws for failures in the solve_code taxonomy: validates options
+/// (naming the offending field) and the tree (non-finite sink loads, RATs or
+/// wire lengths are nonfinite_value), classifies resource trips, honors
+/// `cancel` at node boundaries, and applies options.degrade on
+/// cap/deadline/memory failures (the returned result's `path` says which
+/// engine produced it).
 solve_outcome<stat_result> solve_statistical_insertion(
     const tree::routing_tree& tree, layout::process_model& model,
     const stat_options& options, const cancel_token* cancel = nullptr);

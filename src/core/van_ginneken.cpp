@@ -4,11 +4,12 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <new>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "core/journal.hpp"
+#include "core/fingerprint.hpp"
 #include "core/pruning.hpp"
 #include "core/slab_cache.hpp"
 
@@ -101,26 +102,6 @@ cand_list merge_lists(const cand_list& a, const cand_list& b,
   return out;
 }
 
-/// Fingerprint over every solver-relevant det_options field; a change
-/// flushes the det_session cache (mirrors detail::fingerprint_stat_options).
-std::uint64_t fingerprint_det_options(const det_options& o) {
-  std::uint64_t h = fnv1a_seed;
-  h = fnv1a_f64(o.wire.res_per_um, h);
-  h = fnv1a_f64(o.wire.cap_per_um, h);
-  h = fnv1a_u64(o.library.size(), h);
-  for (const auto& b : o.library.types()) {
-    h = fnv1a_str(b.name, h);
-    h = fnv1a_f64(b.cap_pf, h);
-    h = fnv1a_f64(b.delay_ps, h);
-    h = fnv1a_f64(b.res_ohm, h);
-  }
-  h = fnv1a_f64(o.driver_res_ohm, h);
-  h = fnv1a_u64(o.wire_width_multipliers.size(), h);
-  for (const double m : o.wire_width_multipliers) h = fnv1a_f64(m, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(o.li_shi), h);
-  return h;
-}
-
 /// The shared postorder DP. With a session: subtrees whose content hash
 /// matches their cached entry are adopted (list copied, subtree skipped) and
 /// every freshly solved node's list is stored back; decisions go to the
@@ -128,14 +109,8 @@ std::uint64_t fingerprint_det_options(const det_options& o) {
 det_result run_vg_impl(const tree::routing_tree& tree,
                        const det_options& options, decision_arena& arena,
                        detail::det_session_state* session, bool use_cache) {
-  if (options.library.empty()) {
-    throw std::invalid_argument("run_van_ginneken: empty buffer library");
-  }
-  options.wire.validate();
   const timing::wire_menu menu =
-      options.wire_width_multipliers.size() <= 1
-          ? timing::wire_menu{options.wire}
-          : timing::wire_menu{options.wire, options.wire_width_multipliers};
+      timing::make_wire_menu(options.wire, options.wire_width_multipliers);
   const auto t_start = std::chrono::steady_clock::now();
 
   // Li-Shi per-type frontier (li_shi.hpp): type order built once per run,
@@ -290,7 +265,7 @@ det_result run_vg_impl(const tree::routing_tree& tree,
 
   const cand_list& root_list = lists[tree.root()];
   if (root_list.empty()) {
-    throw std::logic_error("run_van_ginneken: no candidate at root");
+    throw std::logic_error("no candidate at root");
   }
   const det_candidate* best = nullptr;
   double best_rat = -std::numeric_limits<double>::infinity();
@@ -300,6 +275,15 @@ det_result run_vg_impl(const tree::routing_tree& tree,
       best_rat = rat;
       best = &c;
     }
+  }
+  if (best == nullptr) {
+    // No key beat -inf: NaN or -inf reached every root candidate (e.g.
+    // through an infinite wire resistance).
+    result.stats.aborted = true;
+    result.stats.abort_code = solve_code::nonfinite_value;
+    result.stats.abort_node = tree.root();
+    result.stats.abort_reason = "no root candidate has an orderable RAT";
+    return result;
   }
   result.root_rat_ps = best_rat;
   design_choice design = extract_design(best->why, tree.num_nodes());
@@ -312,44 +296,38 @@ det_result run_vg_impl(const tree::routing_tree& tree,
   return result;
 }
 
-/// Shared typed-error wrapper of the deterministic entry points.
-template <typename Solve>
-solve_outcome<det_result> det_entry(const tree::routing_tree& tree,
-                                    Solve&& solve) {
-  try {
-    tree.validate();
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
-  }
-  try {
-    return solve();
-  } catch (const std::invalid_argument& e) {
-    return solve_error{solve_code::invalid_options, tree::invalid_node,
-                       e.what()};
-  } catch (const std::bad_alloc&) {
-    return solve_error{solve_code::memory_cap, tree::invalid_node,
-                       "allocation failed"};
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::internal, tree::invalid_node, e.what()};
-  }
-}
-
 }  // namespace
 
-det_result run_van_ginneken(const tree::routing_tree& tree,
-                            const det_options& options) {
-  // Reused across runs on this thread (batch_solver fans nets across pool
-  // threads): the chunked slabs reach steady state after the first net. Safe
-  // because the result is materialized (extract_design) before returning.
-  static thread_local decision_arena t_arena;
-  t_arena.reset();
-  return run_vg_impl(tree, options, t_arena, nullptr, false);
+namespace detail {
+
+std::optional<solve_error> check_det_options(const det_options& options) {
+  const auto bad = [](std::string detail) {
+    return solve_error{solve_code::invalid_options, tree::invalid_node,
+                       std::move(detail)};
+  };
+  if (options.library.empty()) return bad("library: empty buffer library");
+  try {
+    (void)timing::make_wire_menu(options.wire, options.wire_width_multipliers);
+  } catch (const std::exception& e) {
+    return bad(std::string("wire: ") + e.what());
+  }
+  return std::nullopt;
 }
+
+}  // namespace detail
 
 solve_outcome<det_result> solve_van_ginneken(const tree::routing_tree& tree,
                                              const det_options& options) {
-  return det_entry(tree,
-                   [&] { return run_van_ginneken(tree, options); });
+  return detail::guarded_solve<det_result>(
+      tree, detail::check_det_options(options), [&] {
+        // Reused across runs on this thread (batch paths fan nets across
+        // pool threads): the chunked slabs reach steady state after the
+        // first net. Safe because the result is materialized
+        // (extract_design) before returning.
+        static thread_local decision_arena t_arena;
+        t_arena.reset();
+        return run_vg_impl(tree, options, t_arena, nullptr, false);
+      });
 }
 
 det_session::det_session()
@@ -370,9 +348,9 @@ solve_outcome<det_result> det_session_entry(detail::det_session_state& ss,
   }
   ss.options_fp = fp;
   ss.has_options_fp = true;
-  return det_entry(tree, [&] {
-    return run_vg_impl(tree, options, ss.arena, &ss, use_cache);
-  });
+  return detail::guarded_solve<det_result>(
+      tree, detail::check_det_options(options),
+      [&] { return run_vg_impl(tree, options, ss.arena, &ss, use_cache); });
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 // engine follows.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/li_shi.hpp"
@@ -49,15 +50,19 @@ struct det_result {
   dp_stats stats;
 };
 
-/// Legacy shim: throws std::invalid_argument on bad options and
-/// std::logic_error on structural failures. New code should call
-/// solve_van_ginneken.
-det_result run_van_ginneken(const tree::routing_tree& tree,
-                            const det_options& options);
-
-/// Typed entry point: validates the tree and options and maps every failure
-/// into the solve_code taxonomy instead of throwing.
+/// Validates the options and the tree (non-finite sink loads, RATs or wire
+/// lengths are nonfinite_value) and maps every failure into the solve_code
+/// taxonomy instead of throwing.
 solve_outcome<det_result> solve_van_ginneken(const tree::routing_tree& tree,
                                              const det_options& options);
+
+namespace detail {
+
+/// Option validation shared by the deterministic entry points (van Ginneken,
+/// det_session, cost-bounded): an empty library or an unusable wire / width
+/// menu is invalid_options naming the field.
+std::optional<solve_error> check_det_options(const det_options& options);
+
+}  // namespace detail
 
 }  // namespace vabi::core

@@ -326,59 +326,27 @@ struct solver_daemon::impl {
   }
 
   /// Pool-worker body: solve job i of batch b and hand the outcome back.
-  /// Mirrors batch_solver::solve_outcomes' isolation guarantees -- nothing
-  /// the job does escapes the worker.
+  /// core::solve_batch_job gives batch_solver's isolation guarantees --
+  /// nothing the job does escapes the worker.
   void run_job(const std::shared_ptr<session_batch>& b, std::size_t i) {
     const clock_type::time_point t0 = clock_type::now();
-    core::journal_record rec;
-    rec.job_index = i;
-    rec.fingerprint = b->fingerprints[i];
+    const auto out =
+        core::solve_batch_job(b->jobs[i], i, b->batch_seed, &b->cancel);
+    const core::journal_record rec =
+        core::make_journal_record(i, b->fingerprints[i], out);
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t nodes_reused = 0;
     double yield = -1.0;  // < 0: no yield figure (failed/cancelled jobs)
-    try {
-      if (b->cancel.stop_requested()) {
-        rec.ok = false;
-        rec.code = core::solve_code::cancelled;
-        rec.detail = "cancelled before start";
-      } else {
-        core::prepared_job setup =
-            core::prepare_batch_job(b->jobs[i], i, b->batch_seed);
-        auto solved = core::solve_statistical_insertion(
-            *setup.net, *setup.model, b->jobs[i].options, &b->cancel);
-        if (solved.ok()) {
-          cache_hits = solved->stats.cache_hits;
-          cache_misses = solved->stats.cache_misses;
-          nodes_reused = solved->stats.nodes_reused;
-          rec.ok = true;
-          rec.num_sources = setup.model->space().size();
-          rec.result = std::move(*solved);
-          rec.result.root_rat.own_terms();
-          // Paper Section-5.3 yield convention, self-contained per job: the
-          // probability the root RAT clears its own mean relaxed by 10%.
-          yield = analysis::timing_yield(
-              rec.result.root_rat, setup.model->space(),
-              analysis::target_rat_from_mean(rec.result.root_rat.nominal()));
-        } else {
-          rec.ok = false;
-          rec.code = solved.error().code;
-          rec.error_node = solved.error().node;
-          rec.detail = solved.error().detail;
-        }
-      }
-    } catch (const std::bad_alloc&) {
-      rec.ok = false;
-      rec.code = core::solve_code::memory_cap;
-      rec.detail = "allocation failed preparing job";
-    } catch (const std::exception& e) {
-      rec.ok = false;
-      rec.code = core::solve_code::internal;
-      rec.detail = e.what();
-    } catch (...) {
-      rec.ok = false;
-      rec.code = core::solve_code::internal;
-      rec.detail = "unknown exception";
+    if (out.ok()) {
+      cache_hits = out->result.stats.cache_hits;
+      cache_misses = out->result.stats.cache_misses;
+      nodes_reused = out->result.stats.nodes_reused;
+      // Paper Section-5.3 yield convention, self-contained per job: the
+      // probability the root RAT clears its own mean relaxed by 10%.
+      yield = analysis::timing_yield(
+          rec.result.root_rat, out->model.space(),
+          analysis::target_rat_from_mean(rec.result.root_rat.nominal()));
     }
     const double latency_ms = seconds_since(t0) * 1e3;
 
@@ -495,14 +463,10 @@ struct solver_daemon::impl {
       b->jobs.push_back(std::move(job));
     }
 
-    b->fingerprints.resize(b->jobs.size());
-    std::uint64_t jobs_fp = core::fnv1a_u64(b->jobs.size(), core::fnv1a_seed);
-    jobs_fp = core::fnv1a_u64(*b->batch_seed, jobs_fp);
-    for (std::size_t i = 0; i < b->jobs.size(); ++i) {
-      b->fingerprints[i] =
-          core::fingerprint_job(b->jobs[i], i, b->batch_seed);
-      jobs_fp = core::fnv1a_u64(b->fingerprints[i], jobs_fp);
-    }
+    core::batch_fingerprints fps =
+        core::fingerprint_batch(b->jobs, b->batch_seed);
+    b->fingerprints = std::move(fps.per_job);
+    const std::uint64_t jobs_fp = fps.combined;
     core::journal_header header;
     header.has_batch_seed = true;
     header.batch_seed = *b->batch_seed;

@@ -105,56 +105,14 @@ core::solve_error options_error(std::string detail) {
                            tree::invalid_node, std::move(detail)};
 }
 
-/// journal_record for one finished job -- make_record's rules (parallel.cpp).
-core::journal_record record_for(std::uint64_t job, std::uint64_t fingerprint,
-                                core::solve_outcome<core::stat_result>&& solved,
-                                const layout::process_model& model) {
-  core::journal_record rec;
-  rec.job_index = job;
-  rec.fingerprint = fingerprint;
-  rec.ok = solved.ok();
-  if (solved.ok()) {
-    rec.num_sources = model.space().size();
-    rec.result = std::move(*solved);
-    rec.result.root_rat.own_terms();
-  } else {
-    rec.code = solved.error().code;
-    rec.error_node = solved.error().node;
-    rec.detail = solved.error().detail;
-  }
-  return rec;
-}
-
-core::journal_record error_record(std::uint64_t job, std::uint64_t fingerprint,
-                                  core::solve_code code, std::string detail) {
-  core::journal_record rec;
-  rec.job_index = job;
-  rec.fingerprint = fingerprint;
-  rec.ok = false;
-  rec.code = code;
-  rec.error_node = tree::invalid_node;
-  rec.detail = std::move(detail);
-  return rec;
-}
-
 /// Solves one job serially (workers parallelize across processes, not
 /// threads) and returns its durable record. Never throws.
 core::journal_record solve_one(const std::vector<core::batch_job>& jobs,
                                std::uint64_t job, std::uint64_t fingerprint,
                                const std::optional<std::uint64_t>& batch_seed) {
   const auto i = static_cast<std::size_t>(job);
-  try {
-    core::prepared_job setup = core::prepare_batch_job(jobs[i], i, batch_seed);
-    auto solved = core::solve_statistical_insertion(
-        *setup.net, *setup.model, jobs[i].options, nullptr);
-    return record_for(job, fingerprint, std::move(solved), *setup.model);
-  } catch (const std::bad_alloc&) {
-    return error_record(job, fingerprint, core::solve_code::memory_cap,
-                        "allocation failed preparing job");
-  } catch (const std::exception& e) {
-    return error_record(job, fingerprint, core::solve_code::internal,
-                        e.what());
-  }
+  return core::make_journal_record(
+      i, fingerprint, core::solve_batch_job(jobs[i], i, batch_seed));
 }
 
 // -- worker child body ------------------------------------------------------

@@ -17,22 +17,6 @@ core::solve_error shard_error(std::string detail) {
 
 }  // namespace
 
-batch_fingerprints fingerprint_batch(
-    const std::vector<core::batch_job>& jobs,
-    const std::optional<std::uint64_t>& batch_seed) {
-  batch_fingerprints out;
-  out.per_job.resize(jobs.size());
-  out.combined = core::fnv1a_u64(jobs.size(), core::fnv1a_seed);
-  if (batch_seed.has_value()) {
-    out.combined = core::fnv1a_u64(*batch_seed, out.combined);
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out.per_job[i] = core::fingerprint_job(jobs[i], i, batch_seed);
-    out.combined = core::fnv1a_u64(out.per_job[i], out.combined);
-  }
-  return out;
-}
-
 std::vector<std::string> list_shard_files(const std::string& dir) {
   std::vector<std::string> out;
   DIR* d = ::opendir(dir.c_str());

@@ -32,17 +32,10 @@
 
 namespace vabi::shard {
 
-/// The batch fingerprint chain, shared verbatim with solve_journaled: the
-/// per-job input fingerprints and the combined jobs fingerprint that shard
-/// headers carry as parent_fingerprint.
-struct batch_fingerprints {
-  std::vector<std::uint64_t> per_job;
-  std::uint64_t combined = 0;
-};
-
-batch_fingerprints fingerprint_batch(
-    const std::vector<core::batch_job>& jobs,
-    const std::optional<std::uint64_t>& batch_seed);
+/// The batch fingerprint chain (core/parallel.hpp); its combined value is
+/// what shard headers carry as parent_fingerprint.
+using core::batch_fingerprints;
+using core::fingerprint_batch;
 
 /// The `shard-*.vjl` files under `dir` (full paths, sorted; `.tmp` spill
 /// files from a checkpoint in progress are ignored).

@@ -30,6 +30,12 @@ wire_menu::wire_menu(const wire_model& base,
   }
 }
 
+wire_menu make_wire_menu(const wire_model& base,
+                         const std::vector<double>& multipliers) {
+  return multipliers.size() <= 1 ? wire_menu{base}
+                                 : wire_menu{base, multipliers};
+}
+
 std::size_t wire_assignment::count_nondefault() const {
   std::size_t n = 0;
   for (const width_index w : width_at_) {

@@ -43,6 +43,11 @@ class wire_menu {
   std::vector<double> multipliers_;
 };
 
+/// The menu a solver's wire_width_multipliers imply: one variant per
+/// multiplier, or just the base wire (sizing off) for a single entry or none.
+wire_menu make_wire_menu(const wire_model& base,
+                         const std::vector<double>& multipliers);
+
 /// Chosen width per tree edge (indexed by the edge's child node id).
 class wire_assignment {
  public:

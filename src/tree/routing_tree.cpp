@@ -1,40 +1,15 @@
 #include "tree/routing_tree.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "stats/fnv1a.hpp"
+
 namespace vabi::tree {
 
-namespace {
-
-// Local FNV-1a primitives. src/tree sits below src/core in the layering, so
-// the journal's helpers are off limits here; the constants are the standard
-// 64-bit FNV ones and the recipes match core/journal.hpp bit for bit.
-constexpr std::uint64_t k_fnv_seed = 14695981039346656037ull;
-constexpr std::uint64_t k_fnv_prime = 1099511628211ull;
-
-std::uint64_t fnv1a_bytes(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= k_fnv_prime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t h) {
-  return fnv1a_bytes(&v, sizeof(v), h);
-}
-
-std::uint64_t fnv1a_f64(double v, std::uint64_t h) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fnv1a_u64(bits, h);
-}
-
-}  // namespace
+using stats::fnv1a_f64;
+using stats::fnv1a_u64;
 
 const char* to_string(node_kind kind) {
   switch (kind) {
@@ -99,7 +74,7 @@ node_id routing_tree::add_steiner(node_id parent, layout::point loc,
 
 std::uint64_t routing_tree::compute_subtree_hash(node_id id) const {
   const tree_node& n = nodes_[id];
-  std::uint64_t h = k_fnv_seed;
+  std::uint64_t h = stats::fnv1a_seed;
   h = fnv1a_u64(static_cast<std::uint64_t>(n.kind), h);
   h = fnv1a_f64(n.location.x, h);
   h = fnv1a_f64(n.location.y, h);

@@ -4,9 +4,12 @@
 
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
+#include "../core/solved_test_util.hpp"
 
 namespace vabi::analysis {
 namespace {
+
+using vabi::core::testutil::solved;
 
 layout::process_model make_model(const tree::routing_tree& t,
                                  layout::variation_mode mode) {
@@ -25,7 +28,7 @@ struct fixture {
 
   fixture() : t(make_tree()) {
     core::det_options o{wire, lib, 150.0};
-    assignment = core::run_van_ginneken(t, o).assignment;
+    assignment = solved(core::solve_van_ginneken(t, o)).assignment;
   }
 
   static tree::routing_tree make_tree() {
@@ -80,7 +83,7 @@ TEST(BufferedTreeModel, SizedDesignEvaluationConsistent) {
   // Elmore evaluation, and MC sampling at zero deviation must match too.
   fixture f;
   core::det_options o{f.wire, f.lib, 150.0, {1.0, 2.0, 4.0}};
-  const auto sized = core::run_van_ginneken(f.t, o);
+  const auto sized = solved(core::solve_van_ginneken(f.t, o));
   const timing::wire_menu menu{f.wire, o.wire_width_multipliers};
 
   auto model = make_model(f.t, layout::wid_mode());

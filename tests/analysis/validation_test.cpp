@@ -8,9 +8,12 @@
 #include "analysis/reporting.hpp"
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
+#include "../core/solved_test_util.hpp"
 
 namespace vabi::analysis {
 namespace {
+
+using vabi::core::testutil::solved;
 
 TEST(Validation, ModelPdfMatchesMonteCarlo) {
   tree::random_tree_options to;
@@ -21,7 +24,7 @@ TEST(Validation, ModelPdfMatchesMonteCarlo) {
   timing::wire_model wire;
   const auto lib = timing::standard_library();
   core::det_options o{wire, lib, 150.0};
-  const auto assignment = core::run_van_ginneken(t, o).assignment;
+  const auto assignment = solved(core::solve_van_ginneken(t, o)).assignment;
 
   layout::process_model_config c;
   c.mode = layout::wid_mode();

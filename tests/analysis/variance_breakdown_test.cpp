@@ -4,9 +4,12 @@
 
 #include "core/statistical_dp.hpp"
 #include "tree/generators.hpp"
+#include "../core/solved_test_util.hpp"
 
 namespace vabi::analysis {
 namespace {
+
+using vabi::core::testutil::solved;
 
 TEST(VarianceBreakdown, SplitsExactlyByClass) {
   stats::variation_space space;
@@ -42,8 +45,7 @@ TEST(VarianceBreakdown, D2dDesignHasNoSpatialVariance) {
   core::stat_options o;
   o.library = timing::standard_library();
   o.driver_res_ohm = 150.0;
-  const auto r = core::run_statistical_insertion(t, model, o);
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(core::solve_statistical_insertion(t, model, o));
   const auto b = decompose_variance(r.root_rat, model.space());
   EXPECT_DOUBLE_EQ(b.spatial, 0.0);
   EXPECT_GT(b.random_device, 0.0);
@@ -67,8 +69,7 @@ TEST(VarianceBreakdown, InterDieDominatesDeepBufferChains) {
   core::stat_options o;
   o.library = timing::standard_library();
   o.driver_res_ohm = 150.0;
-  const auto r = core::run_statistical_insertion(t, model, o);
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(core::solve_statistical_insertion(t, model, o));
   ASSERT_GT(r.num_buffers, 4u);
   const auto b = decompose_variance(r.root_rat, model.space());
   EXPECT_GT(b.inter_die, b.random_device);

@@ -4,9 +4,12 @@
 #include "core/statistical_dp.hpp"
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 TEST(DecisionArena, LeafBufferMergeChain) {
   decision_arena arena;
@@ -65,8 +68,7 @@ TEST(Backtrace, StatisticalAssignmentReproducesRatMean) {
   stat_options o;
   o.library = timing::standard_library();
   o.driver_res_ohm = 150.0;
-  const auto r = run_statistical_insertion(t, model, o);
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(solve_statistical_insertion(t, model, o));
 
   // Nominal check: replay with the deterministic engine semantics.
   const auto eval = timing::evaluate_buffered_tree(

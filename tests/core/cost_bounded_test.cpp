@@ -4,9 +4,12 @@
 
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 cost_bounded_options make_options(timing::buffer_library lib) {
   cost_bounded_options o;
@@ -21,8 +24,8 @@ TEST(CostBounded, FrontierMonotone) {
   to.die_side_um = 8000.0;
   to.seed = 21;
   const auto t = tree::make_random_tree(to);
-  const auto r =
-      run_cost_bounded_insertion(t, make_options(timing::standard_library()));
+  const auto r = solved(solve_cost_bounded_insertion(
+      t, make_options(timing::standard_library())));
   ASSERT_FALSE(r.frontier.empty());
   for (std::size_t i = 1; i < r.frontier.size(); ++i) {
     EXPECT_LT(r.frontier[i - 1].cost, r.frontier[i].cost);
@@ -40,8 +43,8 @@ TEST(CostBounded, BestFrontierPointMatchesVanGinneken) {
   to.seed = 22;
   const auto t = tree::make_random_tree(to);
   const auto o = make_options(timing::standard_library());
-  const auto cb = run_cost_bounded_insertion(t, o);
-  const auto vg = run_van_ginneken(t, o.base);
+  const auto cb = solved(solve_cost_bounded_insertion(t, o));
+  const auto vg = solved(solve_van_ginneken(t, o.base));
   ASSERT_FALSE(cb.frontier.empty());
   EXPECT_NEAR(cb.frontier.back().root_rat_ps, vg.root_rat_ps, 1e-9);
 }
@@ -52,8 +55,8 @@ TEST(CostBounded, CheapestMeetingTarget) {
   to.die_side_um = 8000.0;
   to.seed = 23;
   const auto t = tree::make_random_tree(to);
-  const auto r =
-      run_cost_bounded_insertion(t, make_options(timing::standard_library()));
+  const auto r = solved(solve_cost_bounded_insertion(
+      t, make_options(timing::standard_library())));
   const double best = r.frontier.back().root_rat_ps;
   const double worst = r.frontier.front().root_rat_ps;
 
@@ -78,7 +81,7 @@ TEST(CostBounded, AssignmentsReproduceFrontierRats) {
   to.seed = 24;
   const auto t = tree::make_random_tree(to);
   const auto o = make_options(timing::standard_library());
-  const auto r = run_cost_bounded_insertion(t, o);
+  const auto r = solved(solve_cost_bounded_insertion(t, o));
   for (const auto& p : r.frontier) {
     const auto eval = timing::evaluate_buffered_tree(
         t, o.base.wire, o.base.library, p.assignment, o.base.driver_res_ohm);
@@ -95,7 +98,7 @@ TEST(CostBounded, CustomCostsRespectTypeWeights) {
   const auto t = tree::make_chain(co);
   auto o = make_options(timing::standard_library());
   o.buffer_costs = {1.0, 2.0, 4.0};  // area-like weights
-  const auto r = run_cost_bounded_insertion(t, o);
+  const auto r = solved(solve_cost_bounded_insertion(t, o));
   for (const auto& p : r.frontier) {
     double expected = 0.0;
     const auto h = p.assignment.histogram(o.base.library.size());
@@ -114,7 +117,7 @@ TEST(CostBounded, MaxCostCapsFrontier) {
   const auto t = tree::make_random_tree(to);
   auto o = make_options(timing::standard_library());
   o.max_cost = 5.0;
-  const auto r = run_cost_bounded_insertion(t, o);
+  const auto r = solved(solve_cost_bounded_insertion(t, o));
   for (const auto& p : r.frontier) {
     EXPECT_LE(p.cost, 5.0);
   }
@@ -123,10 +126,12 @@ TEST(CostBounded, MaxCostCapsFrontier) {
 TEST(CostBounded, RejectsBadInput) {
   const auto t = tree::make_chain({});
   cost_bounded_options o;
-  EXPECT_THROW(run_cost_bounded_insertion(t, o), std::invalid_argument);
+  EXPECT_EQ(solve_cost_bounded_insertion(t, o).code(),
+            solve_code::invalid_options);
   o.base.library = timing::standard_library();
   o.buffer_costs = {1.0};  // wrong size
-  EXPECT_THROW(run_cost_bounded_insertion(t, o), std::invalid_argument);
+  EXPECT_EQ(solve_cost_bounded_insertion(t, o).code(),
+            solve_code::invalid_options);
 }
 
 TEST(CostBounded, MarginalBuffersAreExposedByTheFrontier) {
@@ -139,7 +144,7 @@ TEST(CostBounded, MarginalBuffersAreExposedByTheFrontier) {
   to.seed = 26;
   const auto t = tree::make_random_tree(to);
   const auto o = make_options(timing::single_buffer_library());
-  const auto r = run_cost_bounded_insertion(t, o);
+  const auto r = solved(solve_cost_bounded_insertion(t, o));
   const double best = r.frontier.back().root_rat_ps;
   const auto near_opt = r.cheapest_meeting(best - 0.01 * std::abs(best));
   ASSERT_TRUE(near_opt.has_value());

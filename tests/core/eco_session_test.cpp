@@ -11,9 +11,12 @@
 #include "core/statistical_dp.hpp"
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 layout::process_model make_wid_model(const tree::routing_tree& t) {
   layout::process_model_config c;
@@ -138,8 +141,7 @@ TEST(EcoSession, FirstSolveMatchesOneShotEngine) {
   ASSERT_TRUE(s.ok());
 
   auto m2 = make_wid_model(t);
-  const auto one_shot = run_statistical_insertion(t, m2, options);
-  ASSERT_TRUE(one_shot.ok());
+  const auto one_shot = solved(solve_statistical_insertion(t, m2, options));
   expect_same_result(s.value(), one_shot);
   // One-shot entry points never touch a cache.
   EXPECT_EQ(one_shot.stats.cache_hits, 0u);
@@ -181,8 +183,7 @@ TEST(EcoSession, OptionChangeFlushesTheCache) {
   EXPECT_EQ(r.value().stats.cache_hits, 0u);  // fingerprint change = flush
 
   auto m2 = make_wid_model(t);
-  const auto fresh = run_statistical_insertion(t, m2, options);
-  ASSERT_TRUE(fresh.ok());
+  const auto fresh = solved(solve_statistical_insertion(t, m2, options));
   expect_same_result(r.value(), fresh);
 }
 
@@ -281,7 +282,7 @@ TEST(DetSession, WarmEqualsFreshVanGinneken) {
   }
 
   // And against the one-shot engine, which never touches a cache.
-  const auto fresh = run_van_ginneken(t, d);
+  const auto fresh = solved(solve_van_ginneken(t, d));
   EXPECT_EQ(warm.value().root_rat_ps, fresh.root_rat_ps);
   EXPECT_EQ(fresh.stats.cache_hits, 0u);
   EXPECT_EQ(fresh.stats.cache_misses, 0u);

@@ -8,9 +8,12 @@
 
 #include "core/statistical_dp.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 layout::process_model make_wid_model(const tree::routing_tree& t) {
   layout::process_model_config c;
@@ -41,13 +44,11 @@ TEST_P(RuleEquivalence, TwoParamMatchesFourParamOnSmallTrees) {
   const auto t = tree::make_random_tree(to);
 
   auto model_2p = make_wid_model(t);
-  const auto r2 = run_statistical_insertion(t, model_2p,
-                                            options_with(pruning_kind::two_param));
+  const auto r2 = solved(solve_statistical_insertion(
+      t, model_2p, options_with(pruning_kind::two_param)));
   auto model_4p = make_wid_model(t);
-  const auto r4 = run_statistical_insertion(
-      t, model_4p, options_with(pruning_kind::four_param));
-  ASSERT_TRUE(r2.ok());
-  ASSERT_TRUE(r4.ok());
+  const auto r4 = solved(solve_statistical_insertion(
+      t, model_4p, options_with(pruning_kind::four_param)));
   // 4P keeps a superset of candidates, so its chosen optimum can only be
   // equal or marginally different; require agreement within 2%.
   const double scale = std::max(1.0, std::abs(r4.root_rat.mean()));
@@ -62,10 +63,10 @@ TEST_P(RuleEquivalence, FourParamKeepsAtLeastAsManyCandidates) {
   const auto t = tree::make_random_tree(to);
   auto m2 = make_wid_model(t);
   auto m4 = make_wid_model(t);
-  const auto r2 = run_statistical_insertion(t, m2,
-                                            options_with(pruning_kind::two_param));
-  const auto r4 = run_statistical_insertion(
-      t, m4, options_with(pruning_kind::four_param));
+  const auto r2 = solved(solve_statistical_insertion(
+      t, m2, options_with(pruning_kind::two_param)));
+  const auto r4 = solved(solve_statistical_insertion(
+      t, m4, options_with(pruning_kind::four_param)));
   EXPECT_GE(r4.stats.peak_list_size, r2.stats.peak_list_size);
 }
 
@@ -85,8 +86,7 @@ TEST(ParamSweep, PbarBarelyChangesOptimizedRat) {
     auto options = options_with(pruning_kind::two_param);
     options.two_param.p_load = p;
     options.two_param.p_rat = p;
-    const auto r = run_statistical_insertion(t, model, options);
-    ASSERT_TRUE(r.ok()) << "p=" << p;
+    const auto r = solved(solve_statistical_insertion(t, model, options));
     if (first) {
       reference = r.root_rat.mean();
       first = false;
@@ -105,12 +105,10 @@ TEST(CornerRuleRun, ProducesComparableDesign) {
   const auto t = tree::make_random_tree(to);
   auto m1 = make_wid_model(t);
   auto m2 = make_wid_model(t);
-  const auto r2p =
-      run_statistical_insertion(t, m1, options_with(pruning_kind::two_param));
-  const auto r1p =
-      run_statistical_insertion(t, m2, options_with(pruning_kind::corner));
-  ASSERT_TRUE(r2p.ok());
-  ASSERT_TRUE(r1p.ok());
+  const auto r2p = solved(solve_statistical_insertion(
+      t, m1, options_with(pruning_kind::two_param)));
+  const auto r1p = solved(solve_statistical_insertion(
+      t, m2, options_with(pruning_kind::corner)));
   const double scale = std::abs(r2p.root_rat.mean());
   EXPECT_NEAR(r1p.root_rat.mean(), r2p.root_rat.mean(), 0.05 * scale);
 }

@@ -14,12 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "core/slab_cache.hpp"
 #include "core/statistical_dp.hpp"
+#include "core/van_ginneken.hpp"
 #include "testing/fault_injection.hpp"
+#include "tree/benchmarks.hpp"
 #include "tree/generators.hpp"
 
 namespace vabi::core {
@@ -206,6 +210,101 @@ TEST_F(FaultTolerance, MidWaveCancellationStopsSiblingWorkers) {
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, solve_code::cancelled);
   EXPECT_GE(fi::fired_count(fi::fault_point::cancel_wave), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite values check_nonfinite does not see (off in release builds):
+// every entry point must still come back nonfinite_value, never pick among
+// unordered root keys.
+// ---------------------------------------------------------------------------
+
+void expect_nonfinite(const solve_outcome<stat_result>& out) {
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, solve_code::nonfinite_value)
+      << out.error().message();
+}
+
+TEST_F(FaultTolerance, NanDeviceWithoutNonfiniteCheckIsTyped) {
+#ifndef NDEBUG
+  // Assertion builds stop a NaN sigma at stats::normal_percentile long
+  // before the root; their check_nonfinite default (on) reports the poison
+  // at its seal instead, see NanPoisonedDeviceTripsNonfiniteCheck.
+  GTEST_SKIP() << "release-build path: assertions compiled out";
+#endif
+  const auto net = tree::build_benchmark(*tree::find_benchmark("p1"));
+  thread_pool pool{4};
+  for (const double pbar : {0.5, 0.9}) {
+    SCOPED_TRACE(::testing::Message() << "pbar " << pbar);
+    auto opt = base_options();
+    opt.check_nonfinite = false;
+    opt.selection_percentile = 0.05;  // the benches' yield-driven selection
+    opt.two_param.p_load = pbar;
+    opt.two_param.p_rat = pbar;
+    fi::arm("device_nan:node=7");
+    auto serial_model = make_model(net);
+    expect_nonfinite(solve_statistical_insertion(net, serial_model, opt));
+    auto parallel_model = make_model(net);
+    expect_nonfinite(solve_parallel_insertion(net, parallel_model, opt, pool));
+    auto session_model = make_model(net);
+    solve_session session{session_model};
+    expect_nonfinite(session.solve(net, opt));
+    expect_nonfinite(session.solve_parallel(net, opt, pool));
+    fi::disarm();
+  }
+}
+
+TEST_F(FaultTolerance, NanSinkRatsAreTypedOnEveryEntryPoint) {
+  auto net = make_net(40, 7 + seed_);
+  auto opt = base_options();
+  opt.check_nonfinite = false;
+  auto session_model = make_model(net);
+  solve_session session{session_model};
+  ASSERT_TRUE(session.solve(net, opt).ok());
+  det_session det;
+  const det_options det_opt{opt.wire, opt.library, opt.driver_res_ohm};
+  ASSERT_TRUE(det.solve(net, det_opt).ok());
+
+  // An ECO edit stream may retarget any sink; nothing upstream rejects NaN.
+  for (const tree::node_id s : net.sinks()) {
+    net.apply_edit(tree::tree_edit::retarget_rat(
+        s, std::numeric_limits<double>::quiet_NaN()));
+  }
+  const auto expect_at_sink = [&](solve_code code, tree::node_id node) {
+    EXPECT_EQ(code, solve_code::nonfinite_value);
+    ASSERT_LT(node, net.num_nodes());
+    EXPECT_TRUE(net.node(node).is_sink());
+  };
+
+  auto serial_model = make_model(net);
+  auto out = solve_statistical_insertion(net, serial_model, opt);
+  ASSERT_FALSE(out.ok());
+  expect_at_sink(out.code(), out.error().node);
+  thread_pool pool{4};
+  auto parallel_model = make_model(net);
+  out = solve_parallel_insertion(net, parallel_model, opt, pool);
+  ASSERT_FALSE(out.ok());
+  expect_at_sink(out.code(), out.error().node);
+  out = session.solve(net, opt);
+  ASSERT_FALSE(out.ok());
+  expect_at_sink(out.code(), out.error().node);
+
+  auto det_out = solve_van_ginneken(net, det_opt);
+  ASSERT_FALSE(det_out.ok());
+  expect_at_sink(det_out.code(), det_out.error().node);
+  det_out = det.solve(net, det_opt);
+  ASSERT_FALSE(det_out.ok());
+  expect_at_sink(det_out.code(), det_out.error().node);
+}
+
+TEST_F(FaultTolerance, InfiniteWireResistanceIsTypedInVanGinneken) {
+  // Finite inputs, but every root RAT key is -inf: nothing to choose from.
+  const auto net = make_net(12, 3);
+  det_options o{timing::wire_model{}, timing::standard_library(), 150.0};
+  o.wire.res_per_um = std::numeric_limits<double>::infinity();
+  const auto out = solve_van_ginneken(net, o);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.code(), solve_code::nonfinite_value);
+  EXPECT_EQ(out.error().node, net.root());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@
 
 #include "core/statistical_dp.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 layout::process_model wid_model(const tree::routing_tree& t) {
   layout::process_model_config c;
@@ -32,8 +35,7 @@ TEST(FourParam, CompletesOnTinyTree) {
   auto model = wid_model(t);
   auto o = four_param_options();
   o.max_candidates = 5'000'000;
-  const auto r = run_statistical_insertion(t, model, o);
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(solve_statistical_insertion(t, model, o));
   EXPECT_GT(r.num_buffers, 0u);
 }
 
@@ -45,9 +47,10 @@ TEST(FourParam, ListCapAbortsCleanly) {
   auto model = wid_model(t);
   auto o = four_param_options();
   o.max_list_size = 64;
-  const auto r = run_statistical_insertion(t, model, o);
-  EXPECT_TRUE(r.stats.aborted);
-  EXPECT_EQ(r.stats.abort_reason, "candidate list exceeded max_list_size");
+  const auto r = solve_statistical_insertion(t, model, o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), solve_code::candidate_cap);
+  EXPECT_EQ(r.error().detail, "candidate list exceeded max_list_size");
 }
 
 TEST(FourParam, WallClockCapAborts) {
@@ -58,8 +61,9 @@ TEST(FourParam, WallClockCapAborts) {
   auto model = wid_model(t);
   auto o = four_param_options();
   o.max_wall_seconds = 1e-5;  // fires almost immediately
-  const auto r = run_statistical_insertion(t, model, o);
-  EXPECT_TRUE(r.stats.aborted);
+  const auto r = solve_statistical_insertion(t, model, o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), solve_code::deadline_exceeded);
 }
 
 TEST(FourParam, MergeCostQuadraticVersusTwoParamLinear) {
@@ -73,17 +77,15 @@ TEST(FourParam, MergeCostQuadraticVersusTwoParamLinear) {
   auto m2 = wid_model(t);
   stat_options o2 = four_param_options();
   o2.rule = pruning_kind::two_param;
-  const auto r2 = run_statistical_insertion(t, m2, o2);
+  const auto r2 = solved(solve_statistical_insertion(t, m2, o2));
 
   auto m4 = wid_model(t);
   auto o4 = four_param_options();
   o4.max_candidates = 10'000'000;
   o4.max_list_size = 50'000;
   o4.max_wall_seconds = 60.0;
-  const auto r4 = run_statistical_insertion(t, m4, o4);
+  const auto r4 = solved(solve_statistical_insertion(t, m4, o4));
 
-  ASSERT_TRUE(r2.ok());
-  ASSERT_TRUE(r4.ok());
   EXPECT_GT(r4.stats.merge_pairs, 2 * r2.stats.merge_pairs);
 }
 

@@ -30,9 +30,12 @@
 #include "layout/process_model.hpp"
 #include "timing/buffer_library.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 // ---------------------------------------------------------------------------
 // Type order.
@@ -211,8 +214,8 @@ TEST(LiShiDeterministic, MatchesScanAcrossLibrarySizes) {
       frontier.li_shi = li_shi_mode::always;
       det_options scan = make_det_options(lib);
       scan.li_shi = li_shi_mode::never;
-      const auto rf = run_van_ginneken(net, frontier);
-      const auto rs = run_van_ginneken(net, scan);
+      const auto rf = solved(solve_van_ginneken(net, frontier));
+      const auto rs = solved(solve_van_ginneken(net, scan));
       const std::string what =
           "b=" + std::to_string(b) + " seed=" + std::to_string(seed);
       expect_det_equal(rf, rs, what.c_str());
@@ -230,8 +233,8 @@ TEST(LiShiDeterministic, MatchesScanWithWireSizing) {
   frontier.li_shi = li_shi_mode::always;
   det_options scan = frontier;
   scan.li_shi = li_shi_mode::never;
-  const auto rf = run_van_ginneken(net, frontier);
-  const auto rs = run_van_ginneken(net, scan);
+  const auto rf = solved(solve_van_ginneken(net, frontier));
+  const auto rs = solved(solve_van_ginneken(net, scan));
   expect_det_equal(rf, rs, "sized");
   for (tree::node_id n = 0; n < net.num_nodes(); ++n) {
     EXPECT_EQ(rf.wires.width(n), rs.wires.width(n)) << "node " << n;
@@ -242,7 +245,7 @@ TEST(LiShiDeterministic, AutomaticEngagesOnlyAboveTwoTypes) {
   const auto net = make_net(3, 16);
   for (const std::size_t b : {1u, 2u, 3u, 8u}) {
     det_options o = make_det_options(timing::make_parameterized_library(b));
-    const auto r = run_van_ginneken(net, o);  // automatic
+    const auto r = solved(solve_van_ginneken(net, o));  // automatic
     if (b <= 2) {
       EXPECT_EQ(r.stats.li_shi_nodes, 0u) << "b=" << b;
     } else {
@@ -308,10 +311,10 @@ TEST(LiShiStatistical, MeanRuleMatchesScanAcrossLibrarySizes) {
     // Fresh model per run: characterization registers variation sources.
     auto m1 = make_model();
     auto m2 = make_model();
-    const auto rf = run_statistical_insertion(
-        net, m1, make_stat_options(lib, li_shi_mode::always));
-    const auto rs = run_statistical_insertion(
-        net, m2, make_stat_options(lib, li_shi_mode::never));
+    const auto rf = solved(solve_statistical_insertion(
+        net, m1, make_stat_options(lib, li_shi_mode::always)));
+    const auto rs = solved(solve_statistical_insertion(
+        net, m2, make_stat_options(lib, li_shi_mode::never)));
     const std::string what = "b=" + std::to_string(b);
     expect_stat_equal(rf, rs, what.c_str());
     EXPECT_GT(rf.stats.li_shi_nodes, 0u) << what;
@@ -323,14 +326,14 @@ TEST(LiShiStatistical, ParallelMatchesSerialAcrossThreadCounts) {
   const auto lib = timing::make_parameterized_library(32);
   const auto net = make_net(31, 48);
   auto serial_model = make_model();
-  const auto serial = run_statistical_insertion(
-      net, serial_model, make_stat_options(lib, li_shi_mode::automatic));
+  const auto serial = solved(solve_statistical_insertion(
+      net, serial_model, make_stat_options(lib, li_shi_mode::automatic)));
   ASSERT_GT(serial.stats.li_shi_nodes, 0u);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     thread_pool pool{threads};
     auto model = make_model();
-    const auto par = run_parallel_insertion(
-        net, model, make_stat_options(lib, li_shi_mode::automatic), pool);
+    const auto par = solved(solve_parallel_insertion(
+        net, model, make_stat_options(lib, li_shi_mode::automatic), pool));
     const std::string what = "threads=" + std::to_string(threads);
     expect_stat_equal(par, serial, what.c_str());
     EXPECT_EQ(par.stats.li_shi_nodes, serial.stats.li_shi_nodes) << what;
@@ -349,8 +352,8 @@ TEST(LiShiStatistical, StaysOffOutsideTheMeanRegime) {
     always.selection_percentile = 0.05;
     auto never = make_stat_options(lib, li_shi_mode::never);
     never.selection_percentile = 0.05;
-    const auto rf = run_statistical_insertion(net, m1, always);
-    const auto rs = run_statistical_insertion(net, m2, never);
+    const auto rf = solved(solve_statistical_insertion(net, m1, always));
+    const auto rs = solved(solve_statistical_insertion(net, m2, never));
     EXPECT_EQ(rf.stats.li_shi_nodes, 0u);
     expect_stat_equal(rf, rs, "p05");
   }
@@ -359,8 +362,7 @@ TEST(LiShiStatistical, StaysOffOutsideTheMeanRegime) {
     auto m = make_model();
     auto o = make_stat_options(lib, li_shi_mode::always);
     o.rule = pruning_kind::corner;
-    const auto r = run_statistical_insertion(net, m, o);
-    ASSERT_TRUE(r.ok());
+    const auto r = solved(solve_statistical_insertion(net, m, o));
     EXPECT_EQ(r.stats.li_shi_nodes, 0u);
   }
   // 4P rule: partial order, scan path only.
@@ -369,7 +371,7 @@ TEST(LiShiStatistical, StaysOffOutsideTheMeanRegime) {
     auto o = make_stat_options(lib, li_shi_mode::always);
     o.rule = pruning_kind::four_param;
     o.max_list_size = 4000;
-    const auto r = run_statistical_insertion(net, m, o);
+    const auto r = solved(solve_statistical_insertion(net, m, o));
     EXPECT_EQ(r.stats.li_shi_nodes, 0u);
   }
 }
@@ -397,9 +399,8 @@ std::uint64_t hash_small_lib_run(std::size_t b) {
                                 {"buf_x1", 0.020, 40.0, 400.0},
                                 {"buf_x4", 0.080, 33.0, 100.0},
                             }};
-  const auto r = run_statistical_insertion(
-      net, model, make_stat_options(lib, li_shi_mode::automatic));
-  EXPECT_TRUE(r.ok());
+  const auto r = solved(solve_statistical_insertion(
+      net, model, make_stat_options(lib, li_shi_mode::automatic)));
   EXPECT_EQ(r.stats.li_shi_nodes, 0u);
 
   std::uint64_t h = 1469598103934665603ull;

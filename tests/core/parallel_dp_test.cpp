@@ -2,7 +2,7 @@
 //
 // The contract of core/parallel.hpp: for completed runs, the parallel
 // drivers (intra-tree task DAG and multi-net batch) produce bit-identical
-// results to run_statistical_insertion -- identical canonical root RAT forms
+// results to solve_statistical_insertion -- identical canonical root RAT forms
 // (same variation-source ids, same coefficients, compared with operator==,
 // i.e. exact doubles), identical buffer and wire assignments, and identical
 // dp_stats work counters -- for every pruning rule and any thread count.
@@ -20,9 +20,12 @@
 #include "core/statistical_dp.hpp"
 #include "stats/rng.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 layout::bbox padded_die(const tree::routing_tree& t) {
   layout::bbox die = t.bounding_box();
@@ -55,6 +58,16 @@ stat_options rule_options(pruning_kind rule) {
   return o;
 }
 
+/// solve_outcomes with every job expected to succeed.
+std::vector<batch_result> solve_all(batch_solver& solver,
+                                    const std::vector<batch_job>& jobs) {
+  std::vector<batch_result> out;
+  for (auto& slot : solver.solve_outcomes(jobs)) {
+    out.push_back(solved(std::move(slot)));
+  }
+  return out;
+}
+
 void expect_identical(const stat_result& a, const stat_result& b) {
   ASSERT_EQ(a.ok(), b.ok());
   EXPECT_EQ(a.root_rat, b.root_rat);  // exact canonical forms, same ids
@@ -78,14 +91,15 @@ void expect_identical(const stat_result& a, const stat_result& b) {
 void check_rule_across_threads(const tree::routing_tree& net,
                                const stat_options& options) {
   auto serial_model = make_model(net, layout::wid_mode());
-  const auto serial = run_statistical_insertion(net, serial_model, options);
-  ASSERT_TRUE(serial.ok()) << serial.stats.abort_reason;
+  const auto serial =
+      solved(solve_statistical_insertion(net, serial_model, options));
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     thread_pool pool(threads);
     auto model = make_model(net, layout::wid_mode());
-    const auto parallel = run_parallel_insertion(net, model, options, pool);
+    const auto parallel =
+        solved(solve_parallel_insertion(net, model, options, pool));
     expect_identical(serial, parallel);
     // The variation spaces must have grown identically too (same device
     // characterization order), or the form comparison above would be
@@ -140,15 +154,13 @@ TEST(ParallelDp, ArenaCountersPopulated) {
   const auto net = make_net(100, 17);
   const auto o = rule_options(pruning_kind::two_param);
   auto serial_model = make_model(net, layout::wid_mode());
-  const auto serial = run_statistical_insertion(net, serial_model, o);
-  ASSERT_TRUE(serial.ok());
+  const auto serial = solved(solve_statistical_insertion(net, serial_model, o));
   EXPECT_GT(serial.stats.allocations, 0u);
   EXPECT_GT(serial.stats.peak_terms, 0u);
 
   thread_pool pool(4);
   auto model = make_model(net, layout::wid_mode());
-  const auto parallel = run_parallel_insertion(net, model, o, pool);
-  ASSERT_TRUE(parallel.ok());
+  const auto parallel = solved(solve_parallel_insertion(net, model, o, pool));
   EXPECT_GT(parallel.stats.allocations, 0u);
   EXPECT_GT(parallel.stats.peak_terms, 0u);
   // Same work => same candidate-list high-water mark in terms.
@@ -161,10 +173,10 @@ TEST(ParallelDp, ResourceCapStillAborts) {
   o.max_candidates = 2'000;  // the full run needs ~9'200
   thread_pool pool(4);
   auto model = make_model(net, layout::wid_mode());
-  const auto r = run_parallel_insertion(net, model, o, pool);
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.stats.abort_reason.empty());
-  EXPECT_EQ(r.num_buffers, 0u);
+  const auto r = solve_parallel_insertion(net, model, o, pool);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), solve_code::candidate_cap);
+  EXPECT_FALSE(r.error().detail.empty());
 }
 
 TEST(BatchSolver, MatchesIndividualSerialRuns) {
@@ -185,13 +197,14 @@ TEST(BatchSolver, MatchesIndividualSerialRuns) {
   batch_solver::config cfg;
   cfg.num_threads = 4;
   batch_solver solver{cfg};
-  const auto results = solver.solve(jobs);
+  const auto results = solve_all(solver, jobs);
   ASSERT_EQ(results.size(), jobs.size());
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "job " << i);
     layout::process_model model{padded_die(nets[i]), jobs[i].model};
-    const auto serial = run_statistical_insertion(nets[i], model, jobs[i].options);
+    const auto serial = solved(
+        solve_statistical_insertion(nets[i], model, jobs[i].options));
     expect_identical(serial, results[i].result);
     EXPECT_EQ(results[i].model.space().size(), model.space().size());
   }
@@ -212,7 +225,7 @@ TEST(BatchSolver, GeneratedJobsAreThreadCountInvariant) {
     cfg.num_threads = threads;
     cfg.batch_seed = 99;  // per-job stream = derive_seed(99, i)
     batch_solver solver{cfg};
-    return solver.solve(jobs);
+    return solve_all(solver, jobs);
   };
 
   const auto one = run_with(1);
@@ -233,8 +246,8 @@ TEST(BatchSolver, GeneratedJobsAreThreadCountInvariant) {
 }
 
 TEST(BatchSolver, WorkerArenasReusedAcrossWavesStayIdentical) {
-  // The solver keeps per-thread worker arenas alive between solve() calls
-  // (begin_run() rewinds epochs but keeps the recycled slabs). Two
+  // The solver keeps per-thread worker arenas alive between solve_outcomes()
+  // calls (begin_run() rewinds epochs but keeps the recycled slabs). Two
   // consecutive waves through the same solver -- with more jobs than
   // threads, so every worker solves several nets back-to-back on warm
   // arenas -- must produce the same results as a fresh solver. This is the
@@ -255,11 +268,11 @@ TEST(BatchSolver, WorkerArenasReusedAcrossWavesStayIdentical) {
   batch_solver::config cfg;
   cfg.num_threads = 2;  // 7 jobs on 2 threads => guaranteed arena reuse
   batch_solver reused{cfg};
-  const auto wave1 = reused.solve(jobs);
-  const auto wave2 = reused.solve(jobs);
+  const auto wave1 = solve_all(reused, jobs);
+  const auto wave2 = solve_all(reused, jobs);
 
   batch_solver fresh{cfg};
-  const auto reference = fresh.solve(jobs);
+  const auto reference = solve_all(fresh, jobs);
 
   ASSERT_EQ(wave1.size(), jobs.size());
   ASSERT_EQ(wave2.size(), jobs.size());
@@ -275,7 +288,11 @@ TEST(BatchSolver, PropagatesJobErrors) {
   batch_solver::config cfg;
   cfg.num_threads = 2;
   batch_solver solver{cfg};
-  EXPECT_THROW(solver.solve({bad}), std::invalid_argument);
+  const auto slots = solver.solve_outcomes({bad});
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(slots[0].code(), solve_code::internal);
+  EXPECT_EQ(slots[0].error().detail,
+            "batch_job: neither tree nor generate is set");
 }
 
 TEST(ThreadPool, RunsEverySubmittedTask) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/van_ginneken.hpp"
+#include "solved_test_util.hpp"
 #include "tree/generators.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 stat_options base_options(timing::buffer_library lib) {
   stat_options o;
@@ -32,14 +35,13 @@ TEST(StatisticalDp, ZeroVariationReproducesVanGinneken) {
   const auto t = tree::make_random_tree(to);
 
   det_options det = {timing::wire_model{}, timing::standard_library(), 150.0};
-  const auto vg = run_van_ginneken(t, det);
+  const auto vg = solved(solve_van_ginneken(t, det));
 
   auto model = make_model(t, layout::nom_mode());
   auto options = base_options(timing::standard_library());
   options.root_percentile = 0.5;  // mean == deterministic value here
-  const auto st = run_statistical_insertion(t, model, options);
+  const auto st = solved(solve_statistical_insertion(t, model, options));
 
-  ASSERT_TRUE(st.ok());
   EXPECT_NEAR(st.root_rat.mean(), vg.root_rat_ps, 1e-6);
   EXPECT_EQ(st.num_buffers, vg.num_buffers);
   EXPECT_TRUE(st.root_rat.is_deterministic());
@@ -51,9 +53,8 @@ TEST(StatisticalDp, WidRunProducesRandomRat) {
   to.seed = 3;
   const auto t = tree::make_random_tree(to);
   auto model = make_model(t, layout::wid_mode());
-  const auto r = run_statistical_insertion(
-      t, model, base_options(timing::standard_library()));
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(solve_statistical_insertion(
+      t, model, base_options(timing::standard_library())));
   EXPECT_GT(r.root_rat.stddev(model.space()), 0.0);
   EXPECT_GT(r.num_buffers, 0u);
   EXPECT_GT(r.stats.candidates_created, 0u);
@@ -66,9 +67,8 @@ TEST(StatisticalDp, AssignmentOnlyUsesLegalPositions) {
   to.seed = 3;
   const auto t = tree::make_random_tree(to);
   auto model = make_model(t, layout::wid_mode());
-  const auto r = run_statistical_insertion(
-      t, model, base_options(timing::standard_library()));
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(solve_statistical_insertion(
+      t, model, base_options(timing::standard_library())));
   EXPECT_FALSE(r.assignment.has_buffer(t.root()));
   EXPECT_EQ(r.assignment.count(), r.num_buffers);
 }
@@ -79,9 +79,8 @@ TEST(StatisticalDp, D2dIgnoresSpatialSources) {
   to.seed = 8;
   const auto t = tree::make_random_tree(to);
   auto model = make_model(t, layout::d2d_mode());
-  const auto r = run_statistical_insertion(
-      t, model, base_options(timing::standard_library()));
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(solve_statistical_insertion(
+      t, model, base_options(timing::standard_library())));
   for (const auto& term : r.root_rat.terms()) {
     EXPECT_NE(model.space().kind(term.id), stats::source_kind::spatial);
   }
@@ -95,10 +94,10 @@ TEST(StatisticalDp, CandidateCapAborts) {
   auto model = make_model(t, layout::wid_mode());
   auto options = base_options(timing::standard_library());
   options.max_candidates = 50;
-  const auto r = run_statistical_insertion(t, model, options);
-  EXPECT_TRUE(r.stats.aborted);
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.stats.abort_reason.empty());
+  const auto r = solve_statistical_insertion(t, model, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), solve_code::candidate_cap);
+  EXPECT_FALSE(r.error().detail.empty());
 }
 
 TEST(StatisticalDp, YieldDrivenSelectionAvoidsVariance) {
@@ -123,15 +122,14 @@ TEST(StatisticalDp, YieldDrivenSelectionAvoidsVariance) {
   auto opt_mean = base_options(timing::standard_library());
   opt_mean.selection_percentile = 0.5;
   layout::process_model m1{layout::square_die(to.die_side_um), c};
-  const auto r_mean = run_statistical_insertion(t, m1, opt_mean);
+  const auto r_mean = solved(solve_statistical_insertion(t, m1, opt_mean));
 
   auto opt_yield = base_options(timing::standard_library());
   opt_yield.selection_percentile = 0.05;
   layout::process_model m2{layout::square_die(to.die_side_um), c};
-  const auto r_yield = run_statistical_insertion(t, m2, opt_yield);
+  const auto r_yield =
+      solved(solve_statistical_insertion(t, m2, opt_yield));
 
-  ASSERT_TRUE(r_mean.ok());
-  ASSERT_TRUE(r_yield.ok());
   const double q_mean = stats::percentile(r_mean.root_rat, m1.space(), 0.05);
   const double q_yield = stats::percentile(r_yield.root_rat, m2.space(), 0.05);
   EXPECT_GE(q_yield, q_mean - 1e-6);
@@ -143,8 +141,8 @@ TEST(StatisticalDp, SelectionPercentileValidated) {
   auto model = make_model(t, layout::wid_mode());
   auto options = base_options(timing::standard_library());
   options.selection_percentile = 0.0;
-  EXPECT_THROW(run_statistical_insertion(t, model, options),
-               std::invalid_argument);
+  EXPECT_EQ(solve_statistical_insertion(t, model, options).code(),
+            solve_code::invalid_options);
 }
 
 TEST(StatisticalDp, RootPercentileValidated) {
@@ -152,18 +150,19 @@ TEST(StatisticalDp, RootPercentileValidated) {
   auto model = make_model(t, layout::wid_mode());
   auto options = base_options(timing::standard_library());
   options.root_percentile = 0.0;
-  EXPECT_THROW(run_statistical_insertion(t, model, options),
-               std::invalid_argument);
+  EXPECT_EQ(solve_statistical_insertion(t, model, options).code(),
+            solve_code::invalid_options);
   options.root_percentile = 1.0;
-  EXPECT_THROW(run_statistical_insertion(t, model, options),
-               std::invalid_argument);
+  EXPECT_EQ(solve_statistical_insertion(t, model, options).code(),
+            solve_code::invalid_options);
 }
 
 TEST(StatisticalDp, EmptyLibraryRejected) {
   const auto t = tree::make_chain({});
   auto model = make_model(t, layout::wid_mode());
   stat_options o;
-  EXPECT_THROW(run_statistical_insertion(t, model, o), std::invalid_argument);
+  EXPECT_EQ(solve_statistical_insertion(t, model, o).code(),
+            solve_code::invalid_options);
 }
 
 TEST(StatisticalDp, VariationAwareRunBeatsNominalDesignAtYield) {
@@ -178,9 +177,8 @@ TEST(StatisticalDp, VariationAwareRunBeatsNominalDesignAtYield) {
   to.sink_cap_max_pf = 0.09;
   const auto t = tree::make_random_tree(to);
   auto model = make_model(t, layout::wid_mode());
-  const auto wid = run_statistical_insertion(
-      t, model, base_options(timing::standard_library()));
-  ASSERT_TRUE(wid.ok());
+  const auto wid = solved(solve_statistical_insertion(
+      t, model, base_options(timing::standard_library())));
   const double wid_q05 =
       stats::percentile(wid.root_rat, model.space(), 0.05);
   EXPECT_GT(wid_q05, -1e18);

@@ -13,8 +13,9 @@
 //   1. kernel: the one-vs-many entries match their one-plane counterparts
 //      row for row, bit for bit, on every reachable ISA; prefilter verdicts
 //      implement the exact scalar branch order (NaN falls through to 2).
-//   2. prune: randomized lists through prune_two_param / prune_four_param
-//      under forced pairwise vs forced tiled.
+//   2. prune: randomized lists through prune_two_param under forced
+//      pairwise vs forced tiled. The 4P prune has no tiled path: forcing
+//      tiled must leave it bit-identical and untiled.
 //   3. engine: full serial + parallel solves (threads x li_shi) under both
 //      modes compare root RAT bits, assignments and work counters.
 #include "core/pruning.hpp"
@@ -39,9 +40,12 @@
 #include "stats/variation_space.hpp"
 #include "timing/buffer_library.hpp"
 #include "tree/benchmarks.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 namespace kernels = stats::kernels;
 
@@ -380,6 +384,8 @@ TEST(TiledDifferentialDense, TwoParamMatchesAcrossRepresentations) {
 }
 
 TEST(TiledDifferentialFourParam, MatchesPairwiseBitwise) {
+  // VABI_FORCE_PRUNE pins only the 2P sweep: a forced-tiled 4P prune runs
+  // the same corner loop as a forced-pairwise one on every ISA.
   const four_param_rule rule;
   for (const std::size_t num_sources : {24u, 64u}) {
     const auto space = make_space(num_sources, num_sources + 1);
@@ -398,7 +404,8 @@ TEST(TiledDifferentialFourParam, MatchesPairwiseBitwise) {
         prune_four_param(rule, b, space, sb);
       }
       EXPECT_EQ(sa.tiled_prunes, 0u);
-      EXPECT_EQ(sb.tiled_prunes, 1u);
+      EXPECT_EQ(sb.tiled_prunes, 0u);
+      EXPECT_EQ(sb.pairs_batched, 0u);
       EXPECT_EQ(sa.candidates_pruned, sb.candidates_pruned);
       expect_lists_bitwise_equal(a, b, kernels::to_string(isa));
     }
@@ -540,9 +547,11 @@ TEST_P(TiledEngineDifferential, SolveIsBitIdenticalAcrossPruneModes) {
   const auto solve = [&](int mode) {
     prune_guard guard{mode};
     layout::process_model model{layout::square_die(spec.die_side_um), pc};
-    if (ec.threads == 0) return run_statistical_insertion(net, model, o);
+    if (ec.threads == 0) {
+      return solved(solve_statistical_insertion(net, model, o));
+    }
     thread_pool pool{ec.threads};
-    return run_parallel_insertion(net, model, o, pool);
+    return solved(solve_parallel_insertion(net, model, o, pool));
   };
 
   const auto pairwise = solve(-1);
@@ -562,6 +571,9 @@ TEST_P(TiledEngineDifferential, SolveIsBitIdenticalAcrossPruneModes) {
     }
   }
   EXPECT_EQ(pairwise.stats.tiled_prunes, 0u);
+  if (ec.rule == pruning_kind::four_param) {
+    EXPECT_EQ(tiled.stats.tiled_prunes, 0u);  // the override is 2P-only
+  }
 }
 
 constexpr engine_case kEngineCases[] = {

@@ -4,9 +4,12 @@
 
 #include "core/brute_force.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 det_options small_options(timing::buffer_library lib) {
   det_options o;
@@ -23,7 +26,7 @@ TEST(VanGinneken, ChainMatchesBruteForce) {
   co.sink_cap_pf = 0.05;
   const auto t = tree::make_chain(co);
   const auto options = small_options(timing::single_buffer_library());
-  const auto dp = run_van_ginneken(t, options);
+  const auto dp = solved(solve_van_ginneken(t, options));
   const auto bf = brute_force_insertion(t, options);
   EXPECT_NEAR(dp.root_rat_ps, bf.root_rat_ps, 1e-9);
   EXPECT_GT(dp.num_buffers, 0u);  // 8 mm really needs repeaters
@@ -42,7 +45,7 @@ TEST(VanGinneken, SmallRandomTreeMatchesBruteForceMultiBuffer) {
       {"b2", 0.0468, 32.0, 500.0},
   }};
   const auto options = small_options(lib);
-  const auto dp = run_van_ginneken(t, options);
+  const auto dp = solved(solve_van_ginneken(t, options));
   const auto bf = brute_force_insertion(t, options);
   EXPECT_NEAR(dp.root_rat_ps, bf.root_rat_ps, 1e-9);
 }
@@ -58,7 +61,7 @@ TEST_P(VanGinnekenOptimality, MatchesBruteForceOnRandomTopologies) {
   to.sink_cap_max_pf = 0.06;
   const auto t = tree::make_random_tree(to);
   const auto options = small_options(timing::single_buffer_library());
-  const auto dp = run_van_ginneken(t, options);
+  const auto dp = solved(solve_van_ginneken(t, options));
   const auto bf = brute_force_insertion(t, options);
   EXPECT_NEAR(dp.root_rat_ps, bf.root_rat_ps, 1e-9) << "seed " << to.seed;
 }
@@ -72,7 +75,7 @@ TEST(VanGinneken, AssignmentReproducesReportedRat) {
   to.seed = 5;
   const auto t = tree::make_random_tree(to);
   const auto options = small_options(timing::standard_library());
-  const auto dp = run_van_ginneken(t, options);
+  const auto dp = solved(solve_van_ginneken(t, options));
   const auto eval = timing::evaluate_buffered_tree(
       t, options.wire, options.library, dp.assignment, options.driver_res_ohm);
   EXPECT_NEAR(eval.root_rat_ps, dp.root_rat_ps, 1e-6);
@@ -84,7 +87,7 @@ TEST(VanGinneken, BuffersImproveLongNets) {
   co.segments = 20;
   const auto t = tree::make_chain(co);
   const auto options = small_options(timing::single_buffer_library());
-  const auto dp = run_van_ginneken(t, options);
+  const auto dp = solved(solve_van_ginneken(t, options));
   timing::buffer_assignment none(t.num_nodes());
   const auto unbuffered = timing::evaluate_buffered_tree(
       t, options.wire, options.library, none, options.driver_res_ohm);
@@ -96,8 +99,10 @@ TEST(VanGinneken, MoreBufferTypesNeverHurt) {
   to.num_sinks = 60;
   to.seed = 9;
   const auto t = tree::make_random_tree(to);
-  const auto one = run_van_ginneken(t, small_options(timing::single_buffer_library()));
-  const auto three = run_van_ginneken(t, small_options(timing::standard_library()));
+  const auto one = solved(
+      solve_van_ginneken(t, small_options(timing::single_buffer_library())));
+  const auto three = solved(
+      solve_van_ginneken(t, small_options(timing::standard_library())));
   EXPECT_GE(three.root_rat_ps, one.root_rat_ps - 1e-9);
 }
 
@@ -106,7 +111,8 @@ TEST(VanGinneken, StatsArePopulated) {
   to.num_sinks = 50;
   to.seed = 2;
   const auto t = tree::make_random_tree(to);
-  const auto r = run_van_ginneken(t, small_options(timing::standard_library()));
+  const auto r = solved(
+      solve_van_ginneken(t, small_options(timing::standard_library())));
   EXPECT_GT(r.stats.candidates_created, 0u);
   EXPECT_GT(r.stats.peak_list_size, 0u);
   EXPECT_GT(r.stats.merge_pairs, 0u);
@@ -117,7 +123,7 @@ TEST(VanGinneken, StatsArePopulated) {
 TEST(VanGinneken, RejectsEmptyLibrary) {
   const auto t = tree::make_chain({});
   det_options o;
-  EXPECT_THROW(run_van_ginneken(t, o), std::invalid_argument);
+  EXPECT_EQ(solve_van_ginneken(t, o).code(), solve_code::invalid_options);
 }
 
 TEST(BruteForce, RejectsLargeTrees) {

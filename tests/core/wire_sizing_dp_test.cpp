@@ -6,9 +6,12 @@
 #include "core/statistical_dp.hpp"
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
+#include "solved_test_util.hpp"
 
 namespace vabi::core {
 namespace {
+
+using testutil::solved;
 
 const std::vector<double> k_widths{1.0, 2.0, 4.0};
 
@@ -71,7 +74,7 @@ TEST(WireSizingDp, ChainMatchesSizedBruteForce) {
   co.sink_cap_pf = 0.08;
   const auto t = tree::make_chain(co);
   const auto o = sized_options();
-  const auto dp = run_van_ginneken(t, o);
+  const auto dp = solved(solve_van_ginneken(t, o));
   const double oracle = brute_force_sized_rat(t, o);
   EXPECT_NEAR(dp.root_rat_ps, oracle, 1e-9);
 }
@@ -87,7 +90,7 @@ TEST_P(SizedOptimality, SmallRandomTreesMatchOracle) {
   to.sink_cap_max_pf = 0.09;
   const auto t = tree::make_random_tree(to);
   const auto o = sized_options();
-  const auto dp = run_van_ginneken(t, o);
+  const auto dp = solved(solve_van_ginneken(t, o));
   EXPECT_NEAR(dp.root_rat_ps, brute_force_sized_rat(t, o), 1e-9)
       << "seed " << to.seed;
 }
@@ -105,8 +108,8 @@ TEST(WireSizingDp, SizingNeverHurts) {
   plain.driver_res_ohm = 150.0;
   det_options sized = plain;
   sized.wire_width_multipliers = k_widths;
-  const auto r_plain = run_van_ginneken(t, plain);
-  const auto r_sized = run_van_ginneken(t, sized);
+  const auto r_plain = solved(solve_van_ginneken(t, plain));
+  const auto r_sized = solved(solve_van_ginneken(t, sized));
   EXPECT_GE(r_sized.root_rat_ps, r_plain.root_rat_ps - 1e-9);
 }
 
@@ -120,7 +123,7 @@ TEST(WireSizingDp, BacktraceReproducesReportedRat) {
   o.library = timing::standard_library();
   o.driver_res_ohm = 150.0;
   o.wire_width_multipliers = k_widths;
-  const auto dp = run_van_ginneken(t, o);
+  const auto dp = solved(solve_van_ginneken(t, o));
   const timing::wire_menu menu{o.wire, o.wire_width_multipliers};
   const auto eval = timing::evaluate_buffered_tree(
       t, menu, dp.wires, o.library, dp.assignment, o.driver_res_ohm);
@@ -148,11 +151,9 @@ TEST(WireSizingDp, StatisticalEngineSupportsSizing) {
   sized.wire_width_multipliers = k_widths;
 
   layout::process_model m1{die, c};
-  const auto r_plain = run_statistical_insertion(t, m1, plain);
+  const auto r_plain = solved(solve_statistical_insertion(t, m1, plain));
   layout::process_model m2{die, c};
-  const auto r_sized = run_statistical_insertion(t, m2, sized);
-  ASSERT_TRUE(r_plain.ok());
-  ASSERT_TRUE(r_sized.ok());
+  const auto r_sized = solved(solve_statistical_insertion(t, m2, sized));
   // Sizing widens the design space: the chosen percentile objective cannot
   // get worse (compare in each run's own space; means are comparable).
   EXPECT_GE(r_sized.root_rat.mean(), r_plain.root_rat.mean() - 1.0);
@@ -170,7 +171,7 @@ TEST(WireSizingDp, ZeroVariationSizedMatchesDeterministicSized) {
   det.library = timing::standard_library();
   det.driver_res_ohm = 150.0;
   det.wire_width_multipliers = k_widths;
-  const auto vg = run_van_ginneken(t, det);
+  const auto vg = solved(solve_van_ginneken(t, det));
 
   layout::process_model_config c;
   c.mode = layout::nom_mode();
@@ -182,8 +183,7 @@ TEST(WireSizingDp, ZeroVariationSizedMatchesDeterministicSized) {
   o.driver_res_ohm = 150.0;
   o.wire_width_multipliers = k_widths;
   o.root_percentile = 0.5;
-  const auto st = run_statistical_insertion(t, model, o);
-  ASSERT_TRUE(st.ok());
+  const auto st = solved(solve_statistical_insertion(t, model, o));
   EXPECT_NEAR(st.root_rat.mean(), vg.root_rat_ps, 1e-6);
 }
 

@@ -10,9 +10,12 @@
 #include "core/van_ginneken.hpp"
 #include "tree/benchmarks.hpp"
 #include "tree/generators.hpp"
+#include "../core/solved_test_util.hpp"
 
 namespace vabi {
 namespace {
+
+using vabi::core::testutil::solved;
 
 TEST(Determinism, StatisticalRunIsBitStable) {
   const auto spec = *tree::find_benchmark("r1");
@@ -24,7 +27,7 @@ TEST(Determinism, StatisticalRunIsBitStable) {
     core::stat_options o;
     o.library = timing::standard_library();
     o.driver_res_ohm = 150.0;
-    return core::run_statistical_insertion(net, model, o);
+    return solved(core::solve_statistical_insertion(net, model, o));
   };
   const auto a = run();
   const auto b = run();
@@ -59,7 +62,7 @@ TEST(Stress, VeryDeepChainDoesNotOverflow) {
   core::det_options o;
   o.library = timing::single_buffer_library();
   o.driver_res_ohm = 150.0;
-  const auto r = core::run_van_ginneken(t, o);
+  const auto r = solved(core::solve_van_ginneken(t, o));
   EXPECT_GT(r.num_buffers, 10u);
   const auto eval = timing::evaluate_buffered_tree(
       t, o.wire, o.library, r.assignment, o.driver_res_ohm);
@@ -77,8 +80,7 @@ TEST(Stress, MidSizeHTreeEndToEnd) {
   core::stat_options o;
   o.library = timing::standard_library();
   o.driver_res_ohm = 100.0;
-  const auto r = core::run_statistical_insertion(t, model, o);
-  ASSERT_TRUE(r.ok());
+  const auto r = solved(core::solve_statistical_insertion(t, model, o));
   EXPECT_GT(r.num_buffers, 100u);
   EXPECT_GT(r.root_rat.stddev(model.space()), 0.0);
 }

@@ -8,9 +8,12 @@
 #include "core/statistical_dp.hpp"
 #include "core/van_ginneken.hpp"
 #include "tree/benchmarks.hpp"
+#include "../core/solved_test_util.hpp"
 
 namespace vabi {
 namespace {
+
+using vabi::core::testutil::solved;
 
 struct pipeline {
   tree::routing_tree net;
@@ -42,15 +45,14 @@ struct pipeline {
                                      layout::spatial_profile profile) {
     if (mode == layout::nom_mode()) {
       core::det_options o{wire, lib, driver_res};
-      return core::run_van_ginneken(net, o).assignment;
+      return solved(core::solve_van_ginneken(net, o)).assignment;
     }
     auto m = model(mode, profile);
     core::stat_options o;
     o.wire = wire;
     o.library = lib;
     o.driver_res_ohm = driver_res;
-    const auto r = core::run_statistical_insertion(net, m, o);
-    EXPECT_TRUE(r.ok());
+    const auto r = solved(core::solve_statistical_insertion(net, m, o));
     return r.assignment;
   }
 };

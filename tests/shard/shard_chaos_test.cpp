@@ -69,13 +69,15 @@ std::string base_dir() {
   return ::testing::TempDir();
 }
 
-/// Shard directory that survives test failure for CI artifact upload.
+/// Shard directory that survives test failure for CI artifact upload. The
+/// pid suffix keeps concurrent test processes apart: `ctest -j` runs each
+/// matrix in its own process, and both time a reference run in "timing".
 struct chaos_dir {
   std::string path;
   explicit chaos_dir(const std::string& name) {
     std::string b = base_dir();
     if (!b.empty() && b.back() != '/') b += '/';
-    path = b + "shard_chaos_" + name;
+    path = b + "shard_chaos_" + name + "_" + std::to_string(::getpid());
     std::filesystem::remove_all(path);
     std::filesystem::create_directories(path);
   }
