@@ -6,7 +6,8 @@
 //     reported as a counter;
 //   - linear merge + sweep prune (2P) vs cross-product merge + pairwise
 //     prune (4P) on identical candidate lists -- Fig. 1 vs Section 2.2;
-//   - the Fig. 1 deterministic linear merge.
+//   - the Fig. 1 deterministic linear merge;
+//   - device characterization (eqs. 19-24) of one buffer position.
 //
 // Machine-readable output: run with
 //   --benchmark_format=json --benchmark_out=BENCH_micro_ops.json
@@ -23,16 +24,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/pruning.hpp"
 #include "json_out.hpp"
+#include "layout/process_model.hpp"
 #include "stats/kernels.hpp"
 #include "stats/linear_form.hpp"
 #include "stats/term_pool.hpp"
 #include "stats/rng.hpp"
+#include "timing/buffer_library.hpp"
 
 // Global allocation counter: every operator new in the process bumps it, so
 // the allocs_per_op counters below cover the term vectors, list buffers, and
@@ -519,6 +523,43 @@ void dominance_args_4p(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_DominanceSweep2P)->Apply(dominance_args)->UseManualTime();
 BENCHMARK(BM_DominanceSweep4P)->Apply(dominance_args_4p)->UseManualTime();
+
+void BM_CharacterizePosition(benchmark::State& state) {
+  // One op is one buffer position: every standard_library() type
+  // characterized at one location of a WID heterogeneous model, the way
+  // every engine walks a tree's positions. Each op then moves on, so the
+  // location memo serves the second and third types only. The model is
+  // rebuilt (untimed) every lap over the positions, which bounds the
+  // variation space that each call's fresh private source grows.
+  const timing::buffer_library lib = timing::standard_library();
+  const layout::bbox die = layout::square_die(10000.0);
+  layout::process_model_config config;
+  config.mode = layout::wid_mode();
+  config.spatial.profile = layout::spatial_profile::heterogeneous;
+  auto rng = stats::make_rng(31);
+  std::uniform_real_distribution<double> coord(0.0, 10000.0);
+  std::vector<layout::point> positions(256);
+  for (auto& p : positions) p = {coord(rng), coord(rng)};
+  std::optional<layout::process_model> model;
+  model.emplace(die, config);
+  std::size_t next = 0;
+  alloc_meter allocs;
+  for (auto _ : state) {
+    if (next == positions.size()) {
+      state.PauseTiming();
+      model.emplace(die, config);
+      next = 0;
+      state.ResumeTiming();
+    }
+    const layout::point& loc = positions[next++];
+    for (const auto& type : lib.types()) {
+      auto dv = model->characterize(loc, type.cap_pf, type.delay_ps);
+      benchmark::DoNotOptimize(dv);
+    }
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_CharacterizePosition);
 
 void BM_DetPrune(benchmark::State& state) {
   std::vector<core::det_candidate> base;

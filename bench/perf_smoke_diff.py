@@ -13,7 +13,11 @@ Understands two input shapes:
     the Li-Shi b-axis) gate CI exactly like the micro-ops do.
 
 Prints a table of ratios and emits a GitHub Actions `::warning::` annotation
-for every benchmark slower than --max-ratio times its baseline.
+for every benchmark slower than --max-ratio times its baseline. Only names
+present in both files can be compared: a benchmark of the current run that
+the baseline lacks is reported as an ungated `::warning::` (commit its
+baseline entry to gate it), and a baseline benchmark the run lacks as a
+missing one; both are counted in the summary line.
 
 With --fail-ratio set, the smoke *gates*: any benchmark slower than
 fail-ratio times its baseline emits a `::error::` annotation and the script
@@ -102,6 +106,7 @@ def main():
 
     shared = sorted(set(base) & set(cur))
     missing = sorted(set(base) - set(cur))
+    ungated = sorted(set(cur) - set(base))
     slow = []
     failed = []
     width = max((len(n) for n in shared), default=10)
@@ -125,9 +130,12 @@ def main():
     for name in missing:
         print(f"::warning::perf smoke: baseline benchmark {name} missing "
               f"from current run")
+    for name in ungated:
+        print(f"::warning::perf smoke: {name} has no baseline entry "
+              f"(ungated)")
     print(f"perf smoke: {len(shared)} compared, {len(slow)} above "
           f"{args.max_ratio}x, {len(failed)} above fail limit, "
-          f"{len(missing)} missing")
+          f"{len(missing)} missing, {len(ungated)} ungated")
     return 1 if failed else 0
 
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "layout/spatial_model.hpp"
 #include "stats/linear_form.hpp"
@@ -101,6 +102,14 @@ class process_model {
   /// die location `loc`. Each call registers a fresh private random source
   /// (when random variation is enabled); callers that can re-instantiate the
   /// same physical device must cache the result.
+  ///
+  /// Every engine characterizes all library types of one buffer position
+  /// back to back, so the location's normalized spatial weights and profile
+  /// factor are kept from the previous call and recomputed only when `loc`
+  /// changes. Each form is written in one ascending pass (G, the Y cells in
+  /// cell order, then the fresh X) into exactly-sized owned storage: one heap
+  /// allocation per form past the inline capacity. Terms and coefficients
+  /// are bit-identical to adding them one by one with linear_form::add_term.
   device_variation characterize(const point& loc, double cap0, double delay0);
 
   /// Global inter-die source (present even when disabled by mode; coefficient
@@ -108,10 +117,33 @@ class process_model {
   stats::source_id inter_die_source() const { return inter_die_source_; }
 
  private:
+  /// Per-class budget fractions of one characteristic (cap or delay).
+  struct form_budgets {
+    double random_device = 0.0;
+    double spatial = 0.0;
+    double inter_die = 0.0;
+  };
+
+  /// Refreshes the location memo for `loc` when it holds another point.
+  void locate(const point& loc);
+
+  /// One characteristic's canonical form around `nominal`, built in
+  /// ascending source-id order into `terms_`, then copied to owned storage.
+  stats::linear_form build_form(double nominal, const form_budgets& budget,
+                                std::optional<stats::source_id> random);
+
   process_model_config config_;
   stats::variation_space space_;
   std::unique_ptr<spatial_model> spatial_;
   stats::source_id inter_die_source_ = 0;
+
+  // Location memo of the last spatial characterization.
+  bool located_ = false;
+  point loc_;
+  std::vector<stats::lf_term> weights_;  ///< normalized_weights(loc_)
+  double profile_ = 0.0;                 ///< profile_factor(loc_)
+
+  std::vector<stats::lf_term> terms_;  ///< build_form scratch
 };
 
 }  // namespace vabi::layout

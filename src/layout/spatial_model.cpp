@@ -64,15 +64,6 @@ double spatial_model::profile_factor(const point& p) const {
   return 2.0 * u;
 }
 
-void spatial_model::add_spatial_terms(stats::linear_form& form, const point& p,
-                                      double sigma_budget) const {
-  const double sigma_local = sigma_budget * profile_factor(p);
-  if (sigma_local == 0.0) return;
-  for (const auto& t : normalized_weights(p)) {
-    form.add_term(t.id, sigma_local * t.coeff);
-  }
-}
-
 double spatial_model::location_correlation(const point& a,
                                            const point& b) const {
   const auto wa = normalized_weights(a);

@@ -64,11 +64,6 @@ class spatial_model {
   /// Relative budget multiplier g(p) of the profile; die-average is 1.
   double profile_factor(const point& p) const;
 
-  /// Adds the spatial contribution `sigma_local(p) * sum w_hat_i Y_i` to
-  /// `form`, where sigma_local(p) = sigma_budget * profile_factor(p).
-  void add_spatial_terms(stats::linear_form& form, const point& p,
-                         double sigma_budget) const;
-
   /// Spatial correlation between two die locations: the inner product of
   /// their normalized weight vectors (in [0, 1] for this isotropic kernel).
   double location_correlation(const point& a, const point& b) const;

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -495,7 +496,7 @@ bool wire_write_all(int fd, const void* buf, std::size_t n) {
     // Deliver half the bytes, then behave like the peer vanished.
     std::size_t half = n / 2;
     while (half > 0) {
-      const ssize_t put = ::write(fd, p, half);
+      const ssize_t put = ::send(fd, p, half, MSG_NOSIGNAL);
       if (put < 0) {
         if (errno == EINTR) continue;
         return false;
@@ -506,7 +507,7 @@ bool wire_write_all(int fd, const void* buf, std::size_t n) {
     return false;
   }
   while (left > 0) {
-    const ssize_t put = ::write(fd, p, left);
+    const ssize_t put = ::send(fd, p, left, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR) continue;
       return false;

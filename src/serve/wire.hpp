@@ -244,8 +244,10 @@ void dump_rejected_frame(const void* data, std::size_t size,
 /// exactly what a peer dying mid-frame looks like.
 ssize_t wire_read(int fd, void* buf, std::size_t n);
 
-/// Writes all of [buf, buf+n) (EINTR-safe). False on error or when the
-/// wire_short_write point fires (a truncated write followed by a dead peer).
+/// Writes all of [buf, buf+n) to socket `fd` (EINTR-safe). False on error,
+/// including a peer that closed the connection (MSG_NOSIGNAL: EPIPE, never
+/// SIGPIPE), or when the wire_short_write point fires (a truncated write
+/// followed by a dead peer).
 bool wire_write_all(int fd, const void* buf, std::size_t n);
 
 }  // namespace vabi::serve

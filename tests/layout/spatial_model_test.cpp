@@ -19,6 +19,13 @@ spatial_model_config default_config(spatial_profile profile =
   return c;
 }
 
+/// The spatial field at `p` for a unit budget: profile_factor(p) times the
+/// normalized weights, as a zero-mean form over the Y sources.
+stats::linear_form spatial_field(const spatial_model& m, const point& p) {
+  return stats::linear_form{0.0, m.normalized_weights(p)} *
+         m.profile_factor(p);
+}
+
 TEST(SpatialModel, RegistersOneSourcePerCell) {
   stats::variation_space space;
   spatial_model m{square_die(2000.0), default_config(), space};
@@ -36,6 +43,20 @@ TEST(SpatialModel, WeightsAreNormalized) {
     double sum_sq = 0.0;
     for (const auto& t : w) sum_sq += t.coeff * t.coeff;
     EXPECT_NEAR(sum_sq, 1.0, 1e-12);
+  }
+}
+
+TEST(SpatialModel, WeightsAscendBySourceId) {
+  // process_model::characterize appends these terms as they come, so the
+  // form it builds is sorted only if they ascend.
+  stats::variation_space space;
+  spatial_model m{square_die(6000.0), default_config(), space};
+  for (const point p : {point{0.0, 0.0}, point{3100.0, 2900.0},
+                        point{6000.0, 6000.0}, point{-800.0, 7000.0}}) {
+    const auto w = m.normalized_weights(p);
+    for (std::size_t i = 1; i < w.size(); ++i) {
+      EXPECT_LT(w[i - 1].id, w[i].id);
+    }
   }
 }
 
@@ -73,15 +94,6 @@ TEST(SpatialModel, CorrelationDecaysWithDistance) {
   EXPECT_LT(c3, 0.05);
 }
 
-TEST(SpatialModel, AddSpatialTermsGivesBudgetSigma) {
-  stats::variation_space space;
-  spatial_model m{square_die(4000.0), default_config(), space};
-  stats::linear_form f{10.0};
-  m.add_spatial_terms(f, {2000.0, 2000.0}, 0.5);
-  EXPECT_NEAR(f.stddev(space), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(f.mean(), 10.0);
-}
-
 TEST(SpatialModel, HomogeneousProfileIsFlat) {
   stats::variation_space space;
   spatial_model m{square_die(4000.0), default_config(), space};
@@ -108,10 +120,8 @@ TEST(SpatialModel, HeterogeneousSigmaGrowsAcrossDie) {
   stats::variation_space space;
   spatial_model m{square_die(4000.0),
                   default_config(spatial_profile::heterogeneous), space};
-  stats::linear_form sw{0.0};
-  stats::linear_form ne{0.0};
-  m.add_spatial_terms(sw, {500.0, 500.0}, 1.0);
-  m.add_spatial_terms(ne, {3500.0, 3500.0}, 1.0);
+  const stats::linear_form sw = spatial_field(m, {500.0, 500.0});
+  const stats::linear_form ne = spatial_field(m, {3500.0, 3500.0});
   EXPECT_LT(sw.stddev(space), ne.stddev(space));
 }
 
@@ -122,10 +132,8 @@ TEST(SpatialModel, EmpiricalCorrelationMatchesModel) {
   spatial_model m{square_die(6000.0), default_config(), space};
   const point a{2000.0, 3000.0};
   const point b{2800.0, 3200.0};
-  stats::linear_form fa{0.0};
-  stats::linear_form fb{0.0};
-  m.add_spatial_terms(fa, a, 1.0);
-  m.add_spatial_terms(fb, b, 1.0);
+  const stats::linear_form fa = spatial_field(m, a);
+  const stats::linear_form fb = spatial_field(m, b);
   const double model_rho = m.location_correlation(a, b);
   EXPECT_NEAR(stats::correlation(fa, fb, space), model_rho, 1e-12);
 

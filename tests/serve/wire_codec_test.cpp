@@ -355,6 +355,18 @@ TEST(WireCodec, ShortWriteInjectionReportsPeerGone) {
   ::close(fds[1]);
 }
 
+TEST(WireCodec, WriteToClosedPeerReturnsFalse) {
+  // A daemon that drops the connection must cost the client a failed write
+  // (and a reconnect), not the process: no SIGPIPE.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const std::vector<std::uint8_t> bytes(100, 0xef);
+  EXPECT_FALSE(wire_write_all(fds[0], bytes.data(), bytes.size()));
+  EXPECT_FALSE(wire_write_all(fds[0], bytes.data(), bytes.size()));
+  ::close(fds[0]);
+}
+
 TEST(WireCodec, RejectedFramesAreDumpedForCi) {
   const std::string dir =
       std::filesystem::temp_directory_path() /
