@@ -11,6 +11,7 @@
 //
 //   vabi_shard --nets 32 --sinks 12 --seed 7 --workers 4 --journal-dir /tmp/s
 //   vabi_shard ... --resume          # pick up after a kill -9
+//   (a rerun without --resume starts over: it removes the existing shards)
 //   vabi_shard ... --remote-socket /tmp/vabi.sock
 //
 // Exit codes: 0 merged ok, 1 usage, 2 coordinator/journal failure,
@@ -40,6 +41,7 @@ void usage() {
       "  --workers W           worker processes/sessions (default 2)\n"
       "  --journal-dir D       directory for shard journals (required)\n"
       "  --resume              recover jobs from existing shards first\n"
+      "                        (without it, existing shards are removed)\n"
       "  --kill-budget K       restarts per slot before retiring (default 3)\n"
       "  --heartbeat-ms MS     worker heartbeat interval (default 25)\n"
       "  --timeout-ms MS       silent-worker kill threshold (default 2000)\n"

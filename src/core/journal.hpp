@@ -3,9 +3,11 @@
 // A batch run that dies hours in -- OOM kill, preemption, SIGKILL -- must not
 // lose the nets it already solved. This module provides the storage layer:
 // an append-only log of per-net solve outcomes with enough fidelity that a
-// resumed run is *bit-identical* to one that was never interrupted (see
-// batch_solver::solve_journaled in core/parallel.hpp, which owns the resume
-// semantics).
+// resumed run is *bit-identical* to one that was never interrupted. The
+// resume rules -- which records may stand in for a solve, and how one is
+// restored -- are read_batch_journal and restore_journal_record in
+// core/parallel.hpp, shared by batch_solver::solve_journaled, the serve
+// daemon's session resume and the shard reader (src/shard).
 //
 // File format ("vabi journal v1", default extension .vjl):
 //

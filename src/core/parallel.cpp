@@ -683,121 +683,132 @@ batch_fingerprints fingerprint_batch(
   return out;
 }
 
+journal_header batch_journal_header(
+    const batch_fingerprints& fps,
+    const std::optional<std::uint64_t>& batch_seed) {
+  journal_header header;
+  header.has_batch_seed = batch_seed.has_value();
+  header.batch_seed = batch_seed.value_or(0);
+  header.num_jobs = fps.per_job.size();
+  header.jobs_fingerprint = fps.combined;
+  return header;
+}
+
+solve_outcome<journal_contents> read_batch_journal(
+    const std::string& path, const batch_fingerprints& fps,
+    const std::optional<std::uint64_t>& batch_seed) {
+  auto read = read_journal(path);
+  if (!read.ok() || !read->has_header) return read;
+  const journal_header& jh = read->header;
+  const std::size_t num_jobs = fps.per_job.size();
+  if (jh.num_jobs != num_jobs) {
+    return mismatch("journal has " + std::to_string(jh.num_jobs) +
+                    " jobs, resume batch has " + std::to_string(num_jobs));
+  }
+  if (jh.has_batch_seed != batch_seed.has_value() ||
+      jh.batch_seed != batch_seed.value_or(0)) {
+    return mismatch("journal batch_seed differs from resume batch");
+  }
+  if (jh.jobs_fingerprint != fps.combined) {
+    return mismatch(
+        "journal jobs fingerprint differs: the journal was written by a "
+        "run with different jobs or stat_options");
+  }
+  for (const journal_record& rec : read->records) {
+    if (rec.job_index >= num_jobs) {
+      return mismatch("journal record for out-of-range job " +
+                      std::to_string(rec.job_index));
+    }
+    if (rec.fingerprint != fps.per_job[rec.job_index]) {
+      return mismatch("journal record for job " +
+                      std::to_string(rec.job_index) +
+                      " does not fingerprint-match the job being resumed");
+    }
+  }
+  std::erase_if(read->records, [](const journal_record& rec) {
+    return !rec.ok && rec.code == solve_code::cancelled;
+  });
+  return read;
+}
+
+solve_outcome<solve_outcome<batch_result>> restore_journal_record(
+    const batch_job& job, std::size_t index,
+    const std::optional<std::uint64_t>& batch_seed, journal_record record) {
+  if (!record.ok) {
+    return solve_outcome<batch_result>{
+        solve_error{record.code, record.error_node, std::move(record.detail)}};
+  }
+  const std::string what = "journal record for job " + std::to_string(index);
+  try {
+    prepared_job setup = prepare_batch_job(job, index, batch_seed);
+    const std::size_t nodes = record.result.assignment.num_nodes();
+    if (nodes != 0 && nodes != setup.net->num_nodes()) {
+      return mismatch(what + " has an assignment over " +
+                      std::to_string(nodes) + " nodes; the job's tree has " +
+                      std::to_string(setup.net->num_nodes()));
+    }
+    layout::process_model& model = *setup.model;
+    if (record.num_sources < model.space().size()) {
+      return mismatch(what +
+                      " claims fewer variation sources than the model's "
+                      "deterministic prefix");
+    }
+    // The producing run's variation space was the deterministic prefix
+    // (inter-die + spatial grid) plus one unit-sigma private source per
+    // characterized device, in characterization order. Re-padding with
+    // unit random sources rebuilds a space in which the journaled forms
+    // mean exactly what they meant originally.
+    while (model.space().size() < record.num_sources) {
+      model.space().add_source(stats::source_kind::random_device, 1.0);
+    }
+    return solve_outcome<batch_result>{
+        batch_result{std::move(record.result), std::move(model),
+                     std::move(setup.generated)}};
+  } catch (const std::exception& e) {
+    // prepare_batch_job failing for a job the journal says *succeeded* is an
+    // input mismatch by definition (the fingerprint cannot see a caller's
+    // dangling tree pointer, say).
+    return mismatch("job " + std::to_string(index) +
+                    " cannot be re-prepared for restore: " + e.what());
+  }
+}
+
 solve_outcome<journaled_batch> batch_solver::solve_journaled(
     const std::vector<batch_job>& jobs, const batch_journal_options& journal,
     const cancel_token* cancel) {
   journaled_batch out;
-
   const batch_fingerprints fps = fingerprint_batch(jobs, config_.batch_seed);
-  const std::vector<std::uint64_t>& fingerprints = fps.per_job;
-  const std::uint64_t jobs_fp = fps.combined;
 
-  journal_header header;
-  header.has_batch_seed = config_.batch_seed.has_value();
-  header.batch_seed = config_.batch_seed.value_or(0);
-  header.num_jobs = jobs.size();
-  header.jobs_fingerprint = jobs_fp;
-
-  // -- resume: recover and validate already-journaled records ---------------
-  std::vector<std::optional<journal_record>> recovered(jobs.size());
-  std::vector<journal_record> recovered_order;  // original append order
+  // -- resume: the journaled records that may stand in for a solve ----------
+  std::vector<journal_record> accepted;
   if (journal.resume) {
-    auto read = read_journal(journal.path);
+    auto read = read_batch_journal(journal.path, fps, config_.batch_seed);
     if (!read.ok()) return std::move(read.error());
     out.dropped_tail_bytes = read->dropped_tail_bytes;
     out.duplicates_dropped = read->duplicates_dropped;
-    if (read->has_header) {
-      const journal_header& jh = read->header;
-      if (jh.num_jobs != jobs.size()) {
-        return mismatch("journal has " + std::to_string(jh.num_jobs) +
-                        " jobs, resume batch has " +
-                        std::to_string(jobs.size()));
-      }
-      if (jh.has_batch_seed != header.has_batch_seed ||
-          jh.batch_seed != header.batch_seed) {
-        return mismatch("journal batch_seed differs from resume batch");
-      }
-      if (jh.jobs_fingerprint != jobs_fp) {
-        return mismatch(
-            "journal jobs fingerprint differs: the journal was written by a "
-            "run with different jobs or stat_options");
-      }
-      for (auto& rec : read->records) {
-        if (rec.job_index >= jobs.size()) {
-          return mismatch("journal record for out-of-range job " +
-                          std::to_string(rec.job_index));
-        }
-        if (rec.fingerprint != fingerprints[rec.job_index]) {
-          return mismatch("journal record for job " +
-                          std::to_string(rec.job_index) +
-                          " does not fingerprint-match the job being resumed");
-        }
-        if (!rec.ok && rec.code == solve_code::cancelled) {
-          continue;  // cancellation is not a result; re-solve the job
-        }
-        recovered[rec.job_index] = rec;
-        recovered_order.push_back(std::move(rec));
-      }
-    }
+    accepted = std::move(read->records);
   }
 
-  journal_writer writer{journal.path, header, journal.checkpoint_every_jobs,
+  journal_writer writer{journal.path,
+                        batch_journal_header(fps, config_.batch_seed),
+                        journal.checkpoint_every_jobs,
                         journal.checkpoint_every_bytes};
-  for (const auto& rec : recovered_order) writer.restore(rec);
-
-  // -- restore recovered records into their slots ---------------------------
   std::vector<std::optional<solve_outcome<batch_result>>> slots(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!recovered[i].has_value()) continue;
-    journal_record& rec = *recovered[i];
-    if (!rec.ok) {
-      slots[i].emplace(solve_error{rec.code, rec.error_node, rec.detail});
-      ++out.restored;
-      continue;
-    }
-    try {
-      prepared_job setup = prepare_batch_job(jobs[i], i, config_.batch_seed);
-      if (rec.result.assignment.num_nodes() != 0 &&
-          rec.result.assignment.num_nodes() != setup.net->num_nodes()) {
-        return mismatch("journal record for job " + std::to_string(i) +
-                        " has an assignment over " +
-                        std::to_string(rec.result.assignment.num_nodes()) +
-                        " nodes; the job's tree has " +
-                        std::to_string(setup.net->num_nodes()));
-      }
-      layout::process_model& model = *setup.model;
-      if (rec.num_sources < model.space().size()) {
-        return mismatch("journal record for job " + std::to_string(i) +
-                        " claims fewer variation sources than the model's "
-                        "deterministic prefix");
-      }
-      // The producing run's variation space was the deterministic prefix
-      // (inter-die + spatial grid) plus one unit-sigma private source per
-      // characterized device, in characterization order. Re-padding with
-      // unit random sources rebuilds a space in which the journaled forms
-      // mean exactly what they meant originally.
-      while (model.space().size() < rec.num_sources) {
-        model.space().add_source(stats::source_kind::random_device, 1.0);
-      }
-      slots[i].emplace(batch_result{std::move(rec.result), std::move(model),
-                                    std::move(setup.generated)});
-      ++out.restored;
-    } catch (const std::exception& e) {
-      // prepare_job failing for a job the journal says *succeeded* is an
-      // input mismatch by definition (the fingerprint cannot see a caller's
-      // dangling tree pointer, say).
-      return mismatch("job " + std::to_string(i) +
-                      " cannot be re-prepared for restore: " + e.what());
-    }
+  std::vector<std::size_t> restored_jobs;  // restored jobs that succeeded
+  for (journal_record& rec : accepted) {
+    writer.restore(rec);
+    const auto i = static_cast<std::size_t>(rec.job_index);
+    auto restored = restore_journal_record(jobs[i], i, config_.batch_seed,
+                                           std::move(rec));
+    if (!restored.ok()) return std::move(restored.error());
+    if (restored->ok()) restored_jobs.push_back(i);
+    slots[i].emplace(std::move(*restored));
   }
+  out.restored = accepted.size();
 
   // -- solve what the journal did not cover ---------------------------------
   std::mutex journal_mu;
-  std::size_t to_solve = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!slots[i].has_value()) ++to_solve;
-  }
-  std::latch done{static_cast<std::ptrdiff_t>(to_solve)};
+  std::latch done{static_cast<std::ptrdiff_t>(jobs.size() - out.restored)};
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (slots[i].has_value()) continue;
     pool_.submit([&, i] {
@@ -806,7 +817,8 @@ solve_outcome<journaled_batch> batch_solver::solve_journaled(
       // a resumed run must re-solve those jobs.
       if (slots[i]->code() != solve_code::cancelled) {
         std::lock_guard lk(journal_mu);
-        writer.append(make_journal_record(i, fingerprints[i], *slots[i]));
+        writer.append(make_journal_record(i, fps.per_job[i], *slots[i]));
+        ++out.solved;
         if (testing::should_fire(testing::fault_point::crash_after_job, i)) {
           // Simulate the process dying the instant job i committed: no
           // drain, no final flush, no destructors. Exactly what SIGKILL
@@ -818,20 +830,10 @@ solve_outcome<journaled_batch> batch_solver::solve_journaled(
     });
   }
   done.wait();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!recovered[i].has_value() &&
-        slots[i]->code() != solve_code::cancelled) {
-      ++out.solved;
-    }
-  }
   writer.flush();
 
   // -- optional paranoid re-verification of every restored record -----------
-  if (journal.verify_restored && out.restored > 0) {
-    std::vector<std::size_t> restored_jobs;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (recovered[i].has_value() && slots[i]->ok()) restored_jobs.push_back(i);
-    }
+  if (journal.verify_restored && !restored_jobs.empty()) {
     std::vector<std::optional<solve_outcome<batch_result>>> check(
         restored_jobs.size());
     std::latch verified{static_cast<std::ptrdiff_t>(restored_jobs.size())};

@@ -209,11 +209,6 @@ solve_outcome<batch_result> solve_batch_job(
     const std::optional<std::uint64_t>& batch_seed,
     const cancel_token* cancel = nullptr);
 
-/// The journal record of job `index`'s outcome, `fingerprint` its
-/// fingerprint_job.
-journal_record make_journal_record(std::size_t index, std::uint64_t fingerprint,
-                                   const solve_outcome<batch_result>& slot);
-
 /// The fingerprint of one job's solve-relevant inputs, as journaled with
 /// every record: stat_options, model config, die, and the net (tree bytes,
 /// or generator options with the effective derive_seed(batch_seed, index)
@@ -233,6 +228,36 @@ struct batch_fingerprints {
 batch_fingerprints fingerprint_batch(
     const std::vector<batch_job>& jobs,
     const std::optional<std::uint64_t>& batch_seed);
+
+/// The header every journal of the batch carries: job count, batch seed and
+/// the combined fingerprint.
+journal_header batch_journal_header(
+    const batch_fingerprints& fps,
+    const std::optional<std::uint64_t>& batch_seed);
+
+/// The journal record of job `index`'s outcome, `fingerprint` its
+/// fingerprint_job.
+journal_record make_journal_record(std::size_t index, std::uint64_t fingerprint,
+                                   const solve_outcome<batch_result>& slot);
+
+/// The one acceptance rule for journaled results, shared by solve_journaled,
+/// the serve daemon's resume and the shard reader (src/shard): reads `path`
+/// with read_journal and checks the header and every record against the
+/// batch that `fps` and `batch_seed` describe. Keeps, in append order, the
+/// records that may stand in for a solve; cancellations are not results and
+/// are dropped. journal_corrupt or journal_mismatch otherwise.
+solve_outcome<journal_contents> read_batch_journal(
+    const std::string& path, const batch_fingerprints& fps,
+    const std::optional<std::uint64_t>& batch_seed);
+
+/// The inverse of make_journal_record for a kept record: job `index`'s slot.
+/// An ok record must fit the re-prepared job (its tree's node count, at
+/// least the model's deterministic variation sources), and the space is
+/// padded to its num_sources. The outer outcome is journal_mismatch when the
+/// record cannot belong to the job.
+solve_outcome<solve_outcome<batch_result>> restore_journal_record(
+    const batch_job& job, std::size_t index,
+    const std::optional<std::uint64_t>& batch_seed, journal_record record);
 
 /// Fans a vector of independent jobs across a work-stealing pool: multi-net
 /// throughput, the paper's thousands-of-nets-per-design regime. Job i's

@@ -58,8 +58,8 @@ bool valid_token(const std::string& token) {
   return true;
 }
 
-}  // namespace
-
+/// Deterministic wire_options -> solver-config mapping. Returns "" on
+/// success or a description of the invalid field.
 std::string map_wire_options(const wire_options& w, core::stat_options& out,
                              layout::process_model_config& model) {
   if (w.rule > 2) return "unknown pruning rule " + std::to_string(w.rule);
@@ -94,6 +94,46 @@ std::string map_wire_options(const wire_options& w, core::stat_options& out,
                               ? layout::spatial_profile::homogeneous
                               : layout::spatial_profile::heterogeneous;
   return "";
+}
+
+}  // namespace
+
+core::solve_outcome<wire_batch> make_batch_jobs(const submit_msg& submit) {
+  core::stat_options options;
+  layout::process_model_config model_config;
+  if (std::string err = map_wire_options(submit.options, options, model_config);
+      !err.empty()) {
+    return core::solve_error{core::solve_code::invalid_options,
+                             tree::invalid_node, std::move(err)};
+  }
+  wire_batch out;
+  out.jobs.reserve(submit.jobs.size());
+  for (std::size_t i = 0; i < submit.jobs.size(); ++i) {
+    const wire_job& wj = submit.jobs[i];
+    core::batch_job job;
+    job.options = options;
+    job.model = model_config;
+    if (wj.has_tree) {
+      try {
+        out.trees.push_back(std::make_unique<tree::routing_tree>(
+            tree::read_tree_from_string(wj.tree_text)));
+      } catch (const std::exception& e) {
+        return core::solve_error{core::solve_code::invalid_tree,
+                                 tree::invalid_node,
+                                 "job " + std::to_string(i) + ": " + e.what()};
+      }
+      job.tree = out.trees.back().get();
+    } else {
+      tree::random_tree_options g;
+      g.num_sinks = static_cast<std::size_t>(wj.num_sinks);
+      g.die_side_um = wj.die_side_um;
+      g.criticality_balance = wj.criticality_balance;
+      g.seed = 0;  // re-derived from batch_seed at prepare/fingerprint time
+      job.generate = g;
+    }
+    out.jobs.push_back(std::move(job));
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -429,98 +469,47 @@ struct solver_daemon::impl {
     b->batch_seed = m.batch_seed;
     b->started = clock_type::now();
 
-    core::stat_options options;
-    layout::process_model_config model_config;
-    if (std::string err = map_wire_options(m.options, options, model_config);
-        !err.empty()) {
-      reply_error_locked(s, core::solve_code::invalid_options, std::move(err));
+    auto mapped = make_batch_jobs(m);
+    if (!mapped.ok()) {
+      reply_error_locked(s, mapped.error().code,
+                         std::move(mapped.error().detail));
       return;
     }
-    b->jobs.reserve(m.jobs.size());
-    for (std::size_t i = 0; i < m.jobs.size(); ++i) {
-      const wire_job& wj = m.jobs[i];
-      core::batch_job job;
-      job.options = options;
-      job.model = model_config;
-      if (wj.has_tree) {
-        try {
-          b->owned_trees.push_back(std::make_unique<tree::routing_tree>(
-              tree::read_tree_from_string(wj.tree_text)));
-        } catch (const std::exception& e) {
-          reply_error_locked(s, core::solve_code::invalid_tree,
-                             "job " + std::to_string(i) + ": " + e.what());
-          return;
-        }
-        job.tree = b->owned_trees.back().get();
-      } else {
-        tree::random_tree_options g;
-        g.num_sinks = static_cast<std::size_t>(wj.num_sinks);
-        g.die_side_um = wj.die_side_um;
-        g.criticality_balance = wj.criticality_balance;
-        g.seed = 0;  // re-derived from batch_seed at prepare/fingerprint time
-        job.generate = g;
-      }
-      b->jobs.push_back(std::move(job));
-    }
-
-    core::batch_fingerprints fps =
+    b->jobs = std::move(mapped->jobs);
+    b->owned_trees = std::move(mapped->trees);
+    const core::batch_fingerprints fps =
         core::fingerprint_batch(b->jobs, b->batch_seed);
-    b->fingerprints = std::move(fps.per_job);
-    const std::uint64_t jobs_fp = fps.combined;
-    core::journal_header header;
-    header.has_batch_seed = true;
-    header.batch_seed = *b->batch_seed;
-    header.num_jobs = b->jobs.size();
-    header.jobs_fingerprint = jobs_fp;
+    b->fingerprints = fps.per_job;
 
-    // -- resume: recover journaled results, validation mirroring
-    // batch_solver::solve_journaled's --
-    std::vector<std::optional<core::journal_record>> recovered(b->jobs.size());
-    std::vector<core::journal_record> recovered_order;
+    // -- resume: the journaled results that may stand in for a solve, under
+    // the rules solve_journaled applies. The restored slots are only
+    // checked: what a client receives is the journal's bytes, verbatim --
+    std::vector<core::journal_record> restored;
     const std::string jpath = journal_path_for(s.token);
     if (s.resume_requested && !jpath.empty()) {
-      auto read = core::read_journal(jpath);
+      auto read = core::read_batch_journal(jpath, fps, b->batch_seed);
       if (!read.ok()) {
-        reply_error_locked(s, read.error().code, read.error().detail);
+        reply_error_locked(s, read.error().code,
+                           std::move(read.error().detail));
         return;
       }
-      if (read->has_header) {
-        const core::journal_header& jh = read->header;
-        std::string err;
-        if (jh.num_jobs != b->jobs.size()) {
-          err = "journal has " + std::to_string(jh.num_jobs) +
-                " jobs, resume batch has " + std::to_string(b->jobs.size());
-        } else if (!jh.has_batch_seed || jh.batch_seed != *b->batch_seed) {
-          err = "journal batch_seed differs from resume batch";
-        } else if (jh.jobs_fingerprint != jobs_fp) {
-          err =
-              "journal jobs fingerprint differs: the journal was written by "
-              "a run with different jobs or options";
-        }
-        for (auto& rec : read->records) {
-          if (!err.empty()) break;
-          if (rec.job_index >= b->jobs.size()) {
-            err = "journal record for out-of-range job " +
-                  std::to_string(rec.job_index);
-          } else if (rec.fingerprint != b->fingerprints[rec.job_index]) {
-            err = "journal record for job " + std::to_string(rec.job_index) +
-                  " does not fingerprint-match the job being resumed";
-          } else if (rec.ok || rec.code != core::solve_code::cancelled) {
-            recovered[rec.job_index] = rec;
-            recovered_order.push_back(std::move(rec));
-          }
-        }
-        if (!err.empty()) {
-          reply_error_locked(s, core::solve_code::journal_mismatch,
-                             std::move(err));
+      for (const core::journal_record& rec : read->records) {
+        const auto i = static_cast<std::size_t>(rec.job_index);
+        auto slot =
+            core::restore_journal_record(b->jobs[i], i, b->batch_seed, rec);
+        if (!slot.ok()) {
+          reply_error_locked(s, slot.error().code,
+                             std::move(slot.error().detail));
           return;
         }
       }
+      restored = std::move(read->records);
     }
     if (!jpath.empty()) {
       b->writer = std::make_unique<core::journal_writer>(
-          jpath, header, opts.checkpoint_every_jobs);
-      for (const auto& rec : recovered_order) b->writer->restore(rec);
+          jpath, core::batch_journal_header(fps, b->batch_seed),
+          opts.checkpoint_every_jobs);
+      for (const auto& rec : restored) b->writer->restore(rec);
     }
 
     // -- admit --------------------------------------------------------------
@@ -538,21 +527,23 @@ struct solver_daemon::impl {
 
     accepted_msg acc;
     acc.num_jobs = b->jobs.size();
-    acc.restored = recovered_order.size();
+    acc.restored = restored.size();
     send_locked(s, message{acc});
 
     // Stream restored results first (in original journal append order --
     // the bytes are the journal's, verbatim), then queue the remainder.
-    b->restored = recovered_order.size();
-    if (!recovered_order.empty()) {
-      stats.on_resume(s.token, recovered_order.size());
-      for (const auto& rec : recovered_order) {
+    b->restored = restored.size();
+    std::vector<bool> is_restored(b->jobs.size(), false);
+    if (!restored.empty()) {
+      stats.on_resume(s.token, restored.size());
+      for (const auto& rec : restored) {
+        is_restored[rec.job_index] = true;
         deliver_result_locked(b, rec, true, 0, 0, 0);
       }
     }
     b->remaining = 0;
     for (std::size_t i = 0; i < b->jobs.size(); ++i) {
-      if (recovered[i].has_value()) continue;
+      if (is_restored[i]) continue;
       ++b->remaining;
       pending.push(pending_job{b->priority, next_seq++, b, i});
     }

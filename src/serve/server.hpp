@@ -50,7 +50,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/parallel.hpp"
 #include "core/statistical_dp.hpp"
 #include "layout/process_model.hpp"
 #include "serve/stats_store.hpp"
@@ -58,13 +60,21 @@
 
 namespace vabi::serve {
 
-/// Deterministic wire_options -> solver-config mapping, mirroring
-/// examples/vabi_cli.cpp's make_stat_options so a daemon-solved net matches
-/// a CLI-solved one option-for-option -- and, because the journal
-/// fingerprints cover the mapped options, journal-for-journal. Returns ""
-/// on success or a description of the invalid field.
-std::string map_wire_options(const wire_options& w, core::stat_options& out,
-                             layout::process_model_config& model);
+/// A submit's jobs as solver jobs, with the trees explicit-tree jobs borrow.
+struct wire_batch {
+  std::vector<core::batch_job> jobs;
+  std::vector<std::unique_ptr<tree::routing_tree>> trees;
+};
+
+/// The one wire_job -> batch_job mapping, for the daemon and every caller
+/// that must agree with it bit for bit. The wire options map onto solver
+/// options exactly as examples/vabi_cli.cpp's make_stat_options maps its
+/// flags, so a daemon-solved net matches a CLI-solved one option for option
+/// -- and, because the journal fingerprints cover the mapped options,
+/// journal for journal. Tree texts are parsed; generator seeds are left 0
+/// for prepare/fingerprint to re-derive from submit_msg::batch_seed.
+/// invalid_options / invalid_tree (naming the field or job) otherwise.
+core::solve_outcome<wire_batch> make_batch_jobs(const submit_msg& submit);
 
 struct serve_options {
   /// Unix-domain listener path ("" = none). An existing socket file at this

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -93,11 +94,6 @@ std::string shard_path_for(const std::string& dir, std::uint32_t index) {
   char name[32];
   std::snprintf(name, sizeof name, "shard-%05u.vjl", index);
   return dir + "/" + name;
-}
-
-core::solve_error shard_error(std::string detail) {
-  return core::solve_error{core::solve_code::shard_mismatch,
-                           tree::invalid_node, std::move(detail)};
 }
 
 core::solve_error options_error(std::string detail) {
@@ -199,7 +195,6 @@ struct slot_state {
   std::uint64_t in_flight = k_no_job;
   clock_type::time_point last_beat;
   clock_type::time_point backoff_until;
-  std::deque<std::uint64_t> queue;
   std::string shard_path;  ///< current incarnation's shard
   worker_stats stats;
   std::vector<std::uint8_t> carry;  ///< partial event-pipe bytes
@@ -212,6 +207,133 @@ void close_fd(int& fd) {
   }
 }
 
+/// What both coordinator modes share about one sharded batch.
+struct shard_batch {
+  const std::vector<core::batch_job>* jobs = nullptr;
+  std::optional<std::uint64_t> batch_seed;
+  const coordinator_options* opts = nullptr;
+  batch_fingerprints fps;
+  core::journal_header header;
+  std::vector<bool> done;  ///< job durable in a shard (recovered on resume)
+  /// Pending jobs per slot: job i starts on slot fingerprint(i) % slots.
+  std::vector<std::deque<std::uint64_t>> queues;
+  /// Slot that claimed each job; repair un-claims jobs whose records never
+  /// became durable.
+  std::vector<int> claimed_by;
+  std::uint32_t next_shard_index = 0;
+  coordinator_report report;
+  clock_type::time_point t0 = clock_type::now();
+
+  core::shard_info shard(std::uint32_t index) const {
+    core::shard_info si;
+    si.shard_index = index;
+    si.shard_count = static_cast<std::uint32_t>(opts->num_workers);
+    si.parent_fingerprint = fps.combined;
+    return si;
+  }
+};
+
+/// Opens the batch under opts.journal_dir. With resume, every job a shard
+/// on disk already holds counts as recovered and new shards are numbered
+/// past the old ones. Without, the shards an earlier run left are removed
+/// first, so this run's merge sees only its own.
+core::solve_outcome<shard_batch> open_batch(
+    const std::vector<core::batch_job>& jobs,
+    const std::optional<std::uint64_t>& batch_seed,
+    const coordinator_options& opts) {
+  if (opts.journal_dir.empty()) {
+    return options_error("shard_coordinator: journal_dir is required");
+  }
+  shard_batch b;
+  b.jobs = &jobs;
+  b.batch_seed = batch_seed;
+  b.opts = &opts;
+  b.fps = fingerprint_batch(jobs, batch_seed);
+  b.header = core::batch_journal_header(b.fps, batch_seed);
+  b.done.assign(jobs.size(), false);
+  b.claimed_by.assign(jobs.size(), -1);
+  b.report.jobs_total = jobs.size();
+  b.report.workers.resize(opts.num_workers);
+  if (opts.resume) {
+    auto scan = scan_shards(opts.journal_dir, b.fps, batch_seed);
+    if (!scan.ok()) return std::move(scan.error());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      b.done[i] = scan->records[i].has_value();
+    }
+    b.report.jobs_recovered = scan->records_read;
+    b.next_shard_index = scan->next_shard_index;
+  } else {
+    for (const std::string& path : list_shard_files(opts.journal_dir)) {
+      std::remove(path.c_str());
+    }
+  }
+  b.queues.resize(opts.num_workers);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!b.done[i]) b.queues[b.fps.per_job[i] % opts.num_workers].push_back(i);
+  }
+  return b;
+}
+
+/// Slot w's next queued job: the front of its own queue, else the back of
+/// the longest sibling queue (work stealing, so the victim's own dispatch
+/// order is undisturbed). k_no_job when every queue is empty.
+std::uint64_t pop_job(std::vector<std::deque<std::uint64_t>>& queues,
+                      std::size_t w) {
+  if (!queues[w].empty()) {
+    const std::uint64_t j = queues[w].front();
+    queues[w].pop_front();
+    return j;
+  }
+  auto& victim = *std::max_element(
+      queues.begin(), queues.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  if (victim.empty()) return k_no_job;
+  const std::uint64_t j = victim.back();
+  victim.pop_back();
+  return j;
+}
+
+/// Coverage repair, then the merge. An event or an append proves a worker
+/// wrote a record, not that it is durable (shard_write_short tears a
+/// checkpoint after the fact): completion is what the shards on disk hold.
+/// Jobs they miss are un-claimed from the slot that claimed them and solved
+/// inline into one repair shard -- also the terminal fallback when every
+/// slot retired with jobs still pending.
+core::solve_outcome<coordinator_report> repair_and_merge(shard_batch& b) {
+  const std::vector<core::batch_job>& jobs = *b.jobs;
+  const coordinator_options& opts = *b.opts;
+  coordinator_report& report = b.report;
+  auto scan = scan_shards(opts.journal_dir, b.fps, b.batch_seed);
+  if (!scan.ok()) return std::move(scan.error());
+  report.shards_on_disk = scan->shards_read;
+  std::optional<core::journal_writer> repair;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (scan->records[i].has_value()) continue;
+    if (b.claimed_by[i] >= 0) {
+      auto& ws = report.workers[static_cast<std::size_t>(b.claimed_by[i])];
+      if (ws.jobs_completed > 0) --ws.jobs_completed;
+      if (report.jobs_solved_by_workers > 0) --report.jobs_solved_by_workers;
+    }
+    if (!repair.has_value()) {
+      repair.emplace(shard_path_for(opts.journal_dir, b.next_shard_index),
+                     b.header, b.shard(b.next_shard_index),
+                     opts.checkpoint_every_jobs);
+      ++b.next_shard_index;
+      ++report.shards_on_disk;
+    }
+    repair->append(solve_one(jobs, i, b.fps.per_job[i], b.batch_seed));
+    ++report.jobs_solved_inline;
+  }
+  if (repair.has_value()) repair->flush();
+
+  auto merged = merge_shards(jobs, b.batch_seed, opts.journal_dir);
+  if (!merged.ok()) return std::move(merged.error());
+  report.merged = std::move(*merged);
+  report.wall_seconds =
+      std::chrono::duration<double>(clock_type::now() - b.t0).count();
+  return std::move(report);
+}
+
 }  // namespace
 
 shard_coordinator::shard_coordinator(coordinator_options opts)
@@ -221,73 +343,14 @@ shard_coordinator::shard_coordinator(coordinator_options opts)
 
 core::solve_outcome<coordinator_report> shard_coordinator::run(
     const std::vector<core::batch_job>& jobs, const observer& obs) {
-  const auto t0 = clock_type::now();
-  if (opts_.journal_dir.empty()) {
-    return options_error("shard_coordinator: journal_dir is required");
-  }
+  auto opened = open_batch(jobs, opts_.batch_seed, opts_);
+  if (!opened.ok()) return std::move(opened.error());
+  shard_batch& b = *opened;
+  coordinator_report& report = b.report;
+  std::vector<bool>& done = b.done;
 
-  coordinator_report report;
-  report.jobs_total = jobs.size();
-  report.workers.resize(opts_.num_workers);
-
-  const batch_fingerprints fps = fingerprint_batch(jobs, opts_.batch_seed);
-  core::journal_header header;
-  header.has_batch_seed = opts_.batch_seed.has_value();
-  header.batch_seed = opts_.batch_seed.value_or(0);
-  header.num_jobs = jobs.size();
-  header.jobs_fingerprint = fps.combined;
-
-  std::vector<bool> done(jobs.size(), false);
-  // Slot that claimed each job via a job_done event; repair un-claims jobs
-  // whose records later turn out torn on disk.
-  std::vector<int> claimed_by(jobs.size(), -1);
-  std::uint32_t next_shard_index = 0;
-
-  // -- resume: recover whatever shards a previous run left behind ----------
-  if (opts_.resume) {
-    for (const std::string& path : list_shard_files(opts_.journal_dir)) {
-      auto read = core::read_journal(path);
-      if (!read.ok()) {
-        read.error().detail = "shard '" + path + "': " + read.error().detail;
-        return std::move(read.error());
-      }
-      if (!read->has_header) continue;  // torn before the first checkpoint
-      if (!read->has_shard) {
-        return shard_error("'" + path +
-                           "' is a journal but carries no shard header");
-      }
-      if (read->shard.parent_fingerprint != fps.combined) {
-        return shard_error("shard '" + path +
-                           "' was written for a different batch (parent "
-                           "fingerprint mismatch)");
-      }
-      next_shard_index =
-          std::max(next_shard_index, read->shard.shard_index + 1);
-      for (const auto& rec : read->records) {
-        if (rec.job_index >= jobs.size() ||
-            rec.fingerprint != fps.per_job[rec.job_index]) {
-          return shard_error("shard '" + path +
-                             "' has a record that does not match the batch "
-                             "being resumed");
-        }
-        if (!rec.ok && rec.code == core::solve_code::cancelled) continue;
-        if (!done[rec.job_index]) {
-          done[rec.job_index] = true;
-          ++report.jobs_recovered;
-        }
-      }
-    }
-  }
-
-  // -- partition the fingerprint space, pending jobs only ------------------
   std::vector<slot_state> slots(opts_.num_workers);
   std::deque<std::uint64_t> overflow;  // retired slots' unfinished jobs
-  std::size_t jobs_pending = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (done[i]) continue;
-    slots[fps.per_job[i] % opts_.num_workers].queue.push_back(i);
-    ++jobs_pending;
-  }
 
   // Writes into a dead worker's command pipe must come back as EPIPE, not a
   // process-killing signal.
@@ -339,15 +402,15 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
     s.carry.clear();
     // Posthumous recovery: everything the dead worker made durable counts,
     // exactly once. The shard file is immutable now (the process is gone).
+    // A shard that fails the checks recovers nothing here; the merge
+    // reports it.
     if (!s.shard_path.empty()) {
-      auto read = core::read_journal(s.shard_path);
-      if (read.ok() && read->has_shard) {
+      auto read = read_shard(s.shard_path, b.fps, b.batch_seed);
+      if (read.ok()) {
         for (const auto& rec : read->records) {
-          if (rec.job_index >= done.size()) continue;
-          if (!rec.ok && rec.code == core::solve_code::cancelled) continue;
           if (!done[rec.job_index]) {
             done[rec.job_index] = true;
-            claimed_by[rec.job_index] = static_cast<int>(w);
+            b.claimed_by[rec.job_index] = static_cast<int>(w);
             ++s.stats.jobs_completed;
             ++report.jobs_solved_by_workers;
           }
@@ -355,7 +418,7 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
       }
     }
     if (s.in_flight != k_no_job) {
-      if (!done[s.in_flight]) s.queue.push_front(s.in_flight);
+      if (!done[s.in_flight]) b.queues[w].push_front(s.in_flight);
       s.in_flight = k_no_job;
     }
     if (s.stats.restarts < opts_.restart_budget) {
@@ -366,10 +429,8 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
     } else {
       s.ph = slot_state::phase::retired;
       ++report.workers_retired;
-      while (!s.queue.empty()) {
-        overflow.push_back(s.queue.front());
-        s.queue.pop_front();
-      }
+      overflow.insert(overflow.end(), b.queues[w].begin(), b.queues[w].end());
+      b.queues[w].clear();
       emit(coordinator_event::kind::retired, w, -1, 0);
     }
   };
@@ -395,12 +456,10 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
     args.ev_wr = ev[1];
     args.jobs = &jobs;
     args.batch_seed = opts_.batch_seed;
-    args.fingerprints = &fps.per_job;
-    args.header = header;
-    args.shard.shard_index = next_shard_index;
-    args.shard.shard_count = static_cast<std::uint32_t>(opts_.num_workers);
-    args.shard.parent_fingerprint = fps.combined;
-    args.shard_path = shard_path_for(opts_.journal_dir, next_shard_index);
+    args.fingerprints = &b.fps.per_job;
+    args.header = b.header;
+    args.shard = b.shard(b.next_shard_index);
+    args.shard_path = shard_path_for(opts_.journal_dir, b.next_shard_index);
     args.checkpoint_every_jobs = opts_.checkpoint_every_jobs;
     args.heartbeat_interval_ms = opts_.heartbeat_interval_ms;
 
@@ -434,35 +493,18 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
     s.ready = false;
     s.last_beat = clock_type::now();
     s.shard_path = args.shard_path;
-    ++next_shard_index;
+    ++b.next_shard_index;
     ++s.stats.shards_opened;
     emit(is_restart ? coordinator_event::kind::restarted
                     : coordinator_event::kind::spawned,
          w, pid, 0);
   };
 
-  // Pulls the next undone job for slot w: own queue first, then the longest
-  // sibling queue (work stealing), then the retired-slot overflow.
+  // Pulls the next undone job for slot w: pop_job, then the retired-slot
+  // overflow.
   const auto next_job_for = [&](std::size_t w) -> std::uint64_t {
-    slot_state& s = slots[w];
-    while (!s.queue.empty()) {
-      const std::uint64_t j = s.queue.front();
-      s.queue.pop_front();
-      if (!done[j]) return j;
-    }
-    for (;;) {
-      std::size_t victim = slots.size();
-      std::size_t best = 0;
-      for (std::size_t v = 0; v < slots.size(); ++v) {
-        if (v == w) continue;
-        if (slots[v].queue.size() > best) {
-          best = slots[v].queue.size();
-          victim = v;
-        }
-      }
-      if (victim == slots.size()) break;
-      const std::uint64_t j = slots[victim].queue.back();
-      slots[victim].queue.pop_back();
+    for (std::uint64_t j = pop_job(b.queues, w); j != k_no_job;
+         j = pop_job(b.queues, w)) {
       if (!done[j]) return j;
     }
     while (!overflow.empty()) {
@@ -483,30 +525,26 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
       if (!send_msg(s.cmd_wr, cmd_solve, j)) {
         // EPIPE: the worker died between events; requeue and let the
         // waitpid sweep run the death protocol.
-        s.queue.push_front(j);
+        b.queues[w].push_front(j);
         continue;
       }
       s.in_flight = j;
     }
   };
 
-  if (jobs_pending > 0) {
+  const auto all_done = [&] {
+    return std::find(done.begin(), done.end(), false) == done.end();
+  };
+  if (!all_done()) {
     for (std::size_t w = 0; w < slots.size(); ++w) spawn(w, false);
   }
 
   // -- the supervision loop (single-threaded; forks stay safe) -------------
-  const auto all_done = [&] {
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      if (!done[i]) return false;
-    }
-    return true;
-  };
   const auto heartbeat_timeout = std::chrono::duration_cast<
       clock_type::duration>(std::chrono::duration<double, std::milli>(
       opts_.heartbeat_timeout_ms));
 
-  while (jobs_pending > 0) {
-    if (all_done()) break;
+  while (!all_done()) {
     bool any_alive = false;
     for (const auto& s : slots) {
       if (s.ph == slot_state::phase::running ||
@@ -557,7 +595,7 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
         } else if (kind == ev_job_done) {
           if (arg < done.size() && !done[arg]) {
             done[arg] = true;
-            claimed_by[arg] = static_cast<int>(pfd_slot[k]);
+            b.claimed_by[arg] = static_cast<int>(pfd_slot[k]);
             ++s.stats.jobs_completed;
             ++report.jobs_solved_by_workers;
           }
@@ -627,63 +665,10 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
     s.ph = slot_state::phase::finished;
   }
 
-  // -- repair pass: re-derive durable coverage from the shards themselves --
-  // A job_done event proves the worker *appended* the record, not that the
-  // checkpoint survived (shard_write_short tears the image after the event).
-  // Completion is what's on disk; anything uncovered is re-solved inline
-  // into a repair shard. This is also the terminal fallback when every slot
-  // retired with jobs still pending.
-  {
-    std::vector<bool> covered(jobs.size(), false);
-    for (const std::string& path : list_shard_files(opts_.journal_dir)) {
-      auto read = core::read_journal(path);
-      if (!read.ok()) {
-        read.error().detail = "shard '" + path + "': " + read.error().detail;
-        return std::move(read.error());
-      }
-      if (!read->has_header || !read->has_shard) continue;
-      ++report.shards_on_disk;
-      for (const auto& rec : read->records) {
-        if (rec.job_index >= covered.size()) continue;
-        if (!rec.ok && rec.code == core::solve_code::cancelled) continue;
-        covered[rec.job_index] = true;
-      }
-    }
-    std::optional<core::journal_writer> repair;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (covered[i]) continue;
-      if (claimed_by[i] >= 0) {
-        // The record the event promised never became durable: un-claim it.
-        auto& ss = slots[static_cast<std::size_t>(claimed_by[i])].stats;
-        if (ss.jobs_completed > 0) --ss.jobs_completed;
-        if (report.jobs_solved_by_workers > 0) --report.jobs_solved_by_workers;
-      }
-      if (!repair.has_value()) {
-        core::shard_info si;
-        si.shard_index = next_shard_index;
-        si.shard_count = static_cast<std::uint32_t>(opts_.num_workers);
-        si.parent_fingerprint = fps.combined;
-        repair.emplace(shard_path_for(opts_.journal_dir, next_shard_index),
-                       header, si, opts_.checkpoint_every_jobs);
-        ++next_shard_index;
-        ++report.shards_on_disk;
-      }
-      repair->append(solve_one(jobs, i, fps.per_job[i], opts_.batch_seed));
-      ++report.jobs_solved_inline;
-    }
-    if (repair.has_value()) repair->flush();
-  }
-
   for (std::size_t w = 0; w < slots.size(); ++w) {
     report.workers[w] = slots[w].stats;
   }
-
-  auto merged = merge_shards(jobs, opts_.batch_seed, opts_.journal_dir);
-  if (!merged.ok()) return std::move(merged.error());
-  report.merged = std::move(*merged);
-  report.wall_seconds =
-      std::chrono::duration<double>(clock_type::now() - t0).count();
-  return report;
+  return repair_and_merge(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -692,121 +677,30 @@ core::solve_outcome<coordinator_report> shard_coordinator::run(
 
 core::solve_outcome<coordinator_report> shard_coordinator::run_remote(
     const serve::submit_msg& submit, const std::string& endpoint) {
-  const auto t0 = clock_type::now();
-  if (opts_.journal_dir.empty()) {
-    return options_error("shard_coordinator: journal_dir is required");
-  }
-
-  coordinator_report report;
-  report.jobs_total = submit.jobs.size();
-  report.workers.resize(opts_.num_workers);
-
   // Rebuild the batch exactly as the server would admit it, so the local
   // fingerprints (and hence the shard headers and the merge) describe the
   // same solve the remote workers perform.
-  core::stat_options options;
-  layout::process_model_config model_config;
-  if (std::string err =
-          serve::map_wire_options(submit.options, options, model_config);
-      !err.empty()) {
-    return options_error(std::move(err));
-  }
-  std::deque<tree::routing_tree> owned_trees;
-  std::vector<core::batch_job> jobs;
-  jobs.reserve(submit.jobs.size());
-  for (const serve::wire_job& wj : submit.jobs) {
-    core::batch_job job;
-    job.options = options;
-    job.model = model_config;
-    if (wj.has_tree) {
-      try {
-        owned_trees.push_back(tree::read_tree_from_string(wj.tree_text));
-      } catch (const std::exception& e) {
-        return core::solve_error{core::solve_code::invalid_tree,
-                                 tree::invalid_node, e.what()};
-      }
-      job.tree = &owned_trees.back();
-    } else {
-      tree::random_tree_options g;
-      g.num_sinks = static_cast<std::size_t>(wj.num_sinks);
-      g.die_side_um = wj.die_side_um;
-      g.criticality_balance = wj.criticality_balance;
-      g.seed = 0;  // re-derived from batch_seed, like the server does
-      job.generate = g;
-    }
-    jobs.push_back(std::move(job));
-  }
-  const std::optional<std::uint64_t> batch_seed = submit.batch_seed;
-  const batch_fingerprints fps = fingerprint_batch(jobs, batch_seed);
+  auto mapped = serve::make_batch_jobs(submit);
+  if (!mapped.ok()) return std::move(mapped.error());
+  const std::vector<core::batch_job>& jobs = mapped->jobs;
+  auto opened = open_batch(jobs, submit.batch_seed, opts_);
+  if (!opened.ok()) return std::move(opened.error());
+  shard_batch& b = *opened;
+  coordinator_report& report = b.report;
 
-  core::journal_header header;
-  header.has_batch_seed = true;
-  header.batch_seed = submit.batch_seed;
-  header.num_jobs = jobs.size();
-  header.jobs_fingerprint = fps.combined;
-
-  std::vector<bool> done(jobs.size(), false);
-  std::uint32_t next_shard_index = 0;
-  if (opts_.resume) {
-    for (const std::string& path : list_shard_files(opts_.journal_dir)) {
-      auto read = core::read_journal(path);
-      if (!read.ok()) {
-        read.error().detail = "shard '" + path + "': " + read.error().detail;
-        return std::move(read.error());
-      }
-      if (!read->has_header) continue;
-      if (!read->has_shard ||
-          read->shard.parent_fingerprint != fps.combined) {
-        return shard_error("shard '" + path +
-                           "' does not belong to the batch being resumed");
-      }
-      next_shard_index =
-          std::max(next_shard_index, read->shard.shard_index + 1);
-      for (const auto& rec : read->records) {
-        if (rec.job_index >= jobs.size() ||
-            rec.fingerprint != fps.per_job[rec.job_index]) {
-          return shard_error("shard '" + path +
-                             "' has a record that does not match the batch "
-                             "being resumed");
-        }
-        if (!rec.ok && rec.code == core::solve_code::cancelled) continue;
-        if (!done[rec.job_index]) {
-          done[rec.job_index] = true;
-          ++report.jobs_recovered;
-        }
-      }
-    }
-  }
-
-  // Per-slot queues over the fingerprint space, stealing under one mutex.
-  std::vector<std::deque<std::uint64_t>> queues(opts_.num_workers);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!done[i]) queues[fps.per_job[i] % opts_.num_workers].push_back(i);
-  }
+  // The slot threads share the queues and claims under one mutex.
   std::mutex mu;
-  const auto take = [&](std::size_t w) -> std::uint64_t {
+  const auto take = [&](std::size_t w) {
     std::lock_guard lk(mu);
-    if (!queues[w].empty()) {
-      const std::uint64_t j = queues[w].front();
-      queues[w].pop_front();
-      return j;
-    }
-    std::size_t victim = queues.size();
-    std::size_t best = 0;
-    for (std::size_t v = 0; v < queues.size(); ++v) {
-      if (queues[v].size() > best) {
-        best = queues[v].size();
-        victim = v;
-      }
-    }
-    if (victim == queues.size()) return k_no_job;
-    const std::uint64_t j = queues[victim].back();
-    queues[victim].pop_back();
-    return j;
+    return pop_job(b.queues, w);
   };
   const auto give_back = [&](std::uint64_t j) {
     std::lock_guard lk(mu);
-    queues[j % queues.size()].push_front(j);
+    b.queues[j % b.queues.size()].push_front(j);
+  };
+  const auto claim = [&](std::uint64_t j, std::size_t w) {
+    std::lock_guard lk(mu);
+    b.claimed_by[j] = static_cast<int>(w);
   };
 
   serve::client_options copts;
@@ -819,18 +713,23 @@ core::solve_outcome<coordinator_report> shard_coordinator::run_remote(
   std::vector<std::thread> threads;
   threads.reserve(opts_.num_workers);
   for (std::size_t w = 0; w < opts_.num_workers; ++w) {
-    const std::uint32_t shard_index = next_shard_index++;
+    const std::uint32_t shard_index = b.next_shard_index++;
     threads.emplace_back([&, w, shard_index] {
-      core::shard_info si;
-      si.shard_index = shard_index;
-      si.shard_count = static_cast<std::uint32_t>(opts_.num_workers);
-      si.parent_fingerprint = fps.combined;
       core::journal_writer writer{
-          shard_path_for(opts_.journal_dir, shard_index), header, si,
-          opts_.checkpoint_every_jobs};
+          shard_path_for(opts_.journal_dir, shard_index), b.header,
+          b.shard(shard_index), opts_.checkpoint_every_jobs};
       ++report.workers[w].shards_opened;
       serve::client_options wopts = copts;
       serve::serve_client client{wopts};
+      // Journals job j's record under its batch-global identity: the remote
+      // solve was a single-job batch with its own indices.
+      const auto commit = [&](core::journal_record rec, std::uint64_t j) {
+        rec.job_index = j;
+        rec.fingerprint = b.fps.per_job[j];
+        writer.append(rec);
+        claim(j, w);
+        ++report.workers[w].jobs_completed;
+      };
       for (;;) {
         const std::uint64_t j = take(w);
         if (j == k_no_job) break;
@@ -845,17 +744,14 @@ core::solve_outcome<coordinator_report> shard_coordinator::run_remote(
         wj.has_tree = true;
         try {
           core::prepared_job setup =
-              core::prepare_batch_job(jobs[i], i, batch_seed);
+              core::prepare_batch_job(jobs[i], i, b.batch_seed);
           wj.tree_text = tree::write_tree_to_string(*setup.net);
         } catch (const std::exception& e) {
           core::journal_record rec;
-          rec.job_index = j;
-          rec.fingerprint = fps.per_job[i];
           rec.ok = false;
           rec.code = core::solve_code::internal;
           rec.detail = e.what();
-          writer.append(rec);
-          ++report.workers[w].jobs_completed;
+          commit(std::move(rec), j);
           continue;
         }
         one.jobs.push_back(std::move(wj));
@@ -864,15 +760,12 @@ core::solve_outcome<coordinator_report> shard_coordinator::run_remote(
             one, [&](const serve::result_msg& m) { got = m.record; });
         if (!summary.complete || !got.has_value()) {
           give_back(j);  // survivors (or the inline fallback) pick it up
-          return;        // this slot's client budget is spent
+          break;         // this slot's client budget is spent
         }
-        // Rewrite to batch-global identity before journaling: the remote
-        // solve was a single-job batch with its own indices.
-        got->job_index = j;
-        got->fingerprint = fps.per_job[i];
-        writer.append(*got);
-        ++report.workers[w].jobs_completed;
+        commit(std::move(*got), j);
       }
+      // Every exit flushes: records appended since the last checkpoint are
+      // results this slot already counted.
       writer.flush();
     });
   }
@@ -880,49 +773,7 @@ core::solve_outcome<coordinator_report> shard_coordinator::run_remote(
   for (const auto& wst : report.workers) {
     report.jobs_solved_by_workers += wst.jobs_completed;
   }
-
-  // Coverage repair + inline fallback, shared semantics with fork mode.
-  {
-    std::vector<bool> covered(jobs.size(), false);
-    for (const std::string& path : list_shard_files(opts_.journal_dir)) {
-      auto read = core::read_journal(path);
-      if (!read.ok()) {
-        read.error().detail = "shard '" + path + "': " + read.error().detail;
-        return std::move(read.error());
-      }
-      if (!read->has_header || !read->has_shard) continue;
-      ++report.shards_on_disk;
-      for (const auto& rec : read->records) {
-        if (rec.job_index >= covered.size()) continue;
-        if (!rec.ok && rec.code == core::solve_code::cancelled) continue;
-        covered[rec.job_index] = true;
-      }
-    }
-    std::optional<core::journal_writer> repair;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (covered[i]) continue;
-      if (!repair.has_value()) {
-        core::shard_info si;
-        si.shard_index = next_shard_index;
-        si.shard_count = static_cast<std::uint32_t>(opts_.num_workers);
-        si.parent_fingerprint = fps.combined;
-        repair.emplace(shard_path_for(opts_.journal_dir, next_shard_index),
-                       header, si, opts_.checkpoint_every_jobs);
-        ++next_shard_index;
-        ++report.shards_on_disk;
-      }
-      repair->append(solve_one(jobs, i, fps.per_job[i], batch_seed));
-      ++report.jobs_solved_inline;
-    }
-    if (repair.has_value()) repair->flush();
-  }
-
-  auto merged = merge_shards(jobs, batch_seed, opts_.journal_dir);
-  if (!merged.ok()) return std::move(merged.error());
-  report.merged = std::move(*merged);
-  report.wall_seconds =
-      std::chrono::duration<double>(clock_type::now() - t0).count();
-  return report;
+  return repair_and_merge(b);
 }
 
 }  // namespace vabi::shard

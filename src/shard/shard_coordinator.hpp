@@ -31,7 +31,8 @@
 // survivors. If every slot retires, or a journaled-then-torn record left a
 // job uncovered on disk (shard_write_short), the coordinator solves the
 // remainder inline into a repair shard -- completion is guaranteed under any
-// chaos the fault points can produce.
+// chaos the fault points can produce. Remote mode shares this repair pass,
+// and every shard read goes through read_shard (shard_merge.hpp).
 //
 // On completion the coordinator runs merge_shards (shard_merge.hpp): the
 // merged slots are bit-identical to a single-process solve_journaled run of
@@ -61,6 +62,8 @@ struct coordinator_options {
   /// Per-job seeds derive from this exactly like batch_solver's.
   std::optional<std::uint64_t> batch_seed;
   /// Recover jobs from the shards a previous (killed) run left behind.
+  /// Without it the run starts over: the `shard-*.vjl` files already in
+  /// journal_dir are removed before the first worker starts.
   bool resume = false;
   /// Worker-side journal checkpoint interval. 1 (the default) makes every
   /// job durable the moment it finishes -- the exactly-once sweet spot.

@@ -304,6 +304,106 @@ TEST(JournalCorpus, ResumeFromCorruptJournalIsTypedNotSilent) {
   }
 }
 
+// --- the recovery rules, record by record -----------------------------------
+//
+// Journals whose header matches the resumed batch, rewritten from a genuine
+// run's records with one record changed: each change either makes the journal
+// unusable (journal_mismatch) or keeps its job from being restored.
+
+/// The genuine journal of tiny_batch(2) under seed 11, read back.
+journal_contents genuine_journal(const std::string& path) {
+  EXPECT_TRUE(run(tiny_batch(2), path, 11, false).ok());
+  auto read = read_journal(path);
+  EXPECT_TRUE(read.ok());
+  EXPECT_EQ(read->records.size(), 2u);
+  return std::move(*read);
+}
+
+/// Rewrites `path` as `journal`'s header followed by its records.
+void rewrite_journal(const std::string& path, const journal_contents& journal) {
+  journal_writer writer{path, journal.header};
+  for (const auto& rec : journal.records) writer.append(rec);
+  writer.flush();
+}
+
+journal_record* record_of_job(journal_contents& journal, std::uint64_t job) {
+  for (auto& rec : journal.records) {
+    if (rec.job_index == job) return &rec;
+  }
+  return nullptr;
+}
+
+TEST(JournalCorpus, ResumeRecordWithForeignFingerprintIsTypedMismatch) {
+  temp_journal tj{"record_fingerprint"};
+  journal_contents journal = genuine_journal(tj.path);
+  journal_record* rec = record_of_job(journal, 1);
+  ASSERT_NE(rec, nullptr);
+  rec->fingerprint ^= 1;  // the header still matches
+  rewrite_journal(tj.path, journal);
+  auto resumed = run(tiny_batch(2), tj.path, 11, true);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.error().code, solve_code::journal_mismatch);
+}
+
+TEST(JournalCorpus, ResumeRecordForOutOfRangeJobIsTypedMismatch) {
+  temp_journal tj{"record_out_of_range"};
+  journal_contents journal = genuine_journal(tj.path);
+  journal_record* rec = record_of_job(journal, 1);
+  ASSERT_NE(rec, nullptr);
+  rec->job_index = 2;  // the batch has jobs 0 and 1
+  rewrite_journal(tj.path, journal);
+  auto resumed = run(tiny_batch(2), tj.path, 11, true);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.error().code, solve_code::journal_mismatch);
+}
+
+TEST(JournalCorpus, JournaledCancellationIsReSolvedNotRestored) {
+  temp_journal tj{"record_cancelled"};
+  auto reference = run(tiny_batch(2), tj.path, 11, false);
+  ASSERT_TRUE(reference.ok());
+  journal_contents journal = genuine_journal(tj.path);
+  journal_record* rec = record_of_job(journal, 0);
+  ASSERT_NE(rec, nullptr);
+  rec->ok = false;
+  rec->code = solve_code::cancelled;
+  rec->detail = "cancelled before start";
+  rec->num_sources = 0;
+  rec->result = stat_result{};
+  rewrite_journal(tj.path, journal);
+
+  auto resumed = run(tiny_batch(2), tj.path, 11, true);
+  ASSERT_TRUE(resumed.ok()) << resumed.error().message();
+  EXPECT_EQ(resumed->restored, 1u);
+  EXPECT_EQ(resumed->solved, 1u);
+  ASSERT_TRUE(resumed->slots[0].ok()) << resumed->slots[0].error().message();
+  EXPECT_TRUE(resumed->slots[0]->result.root_rat ==
+              reference->slots[0]->result.root_rat);
+}
+
+TEST(JournalCorpus, RestoredRecordOverAnotherNodeCountIsTypedMismatch) {
+  temp_journal tj{"record_node_count"};
+  journal_contents journal = genuine_journal(tj.path);
+  journal_record* rec = record_of_job(journal, 0);
+  ASSERT_TRUE(rec != nullptr && rec->ok);
+  rec->result.assignment = timing::buffer_assignment{3};
+  rewrite_journal(tj.path, journal);
+  auto resumed = run(tiny_batch(2), tj.path, 11, true);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.error().code, solve_code::journal_mismatch);
+}
+
+TEST(JournalCorpus, RestoredRecordBelowTheDeterministicPrefixIsTypedMismatch) {
+  temp_journal tj{"record_num_sources"};
+  journal_contents journal = genuine_journal(tj.path);
+  journal_record* rec = record_of_job(journal, 0);
+  ASSERT_TRUE(rec != nullptr && rec->ok);
+  rec->num_sources = 0;  // WID: inter-die + spatial sources precede devices
+  rewrite_journal(tj.path, journal);
+  auto resumed = run(tiny_batch(2), tj.path, 11, true);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.error().code, solve_code::journal_mismatch);
+}
+
 // --- fault-injected writer damage ------------------------------------------
 
 TEST(JournalCorpus, ShortCheckpointWriteLosesTailNotSoundness) {

@@ -9,6 +9,7 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,20 +109,9 @@ class ServeTest : public ::testing::Test {
   /// mapping + prepare + solve pipeline the daemon runs, executed locally.
   static core::solve_outcome<core::stat_result> solve_direct(
       const submit_msg& m, std::size_t index, std::uint64_t* num_sources) {
-    core::stat_options options;
-    layout::process_model_config model_config;
-    const std::string err =
-        map_wire_options(m.options, options, model_config);
-    EXPECT_EQ(err, "");
-    core::batch_job job;
-    job.options = options;
-    job.model = model_config;
-    tree::random_tree_options g;
-    g.num_sinks = static_cast<std::size_t>(m.jobs[index].num_sinks);
-    g.die_side_um = m.jobs[index].die_side_um;
-    g.criticality_balance = m.jobs[index].criticality_balance;
-    g.seed = 0;
-    job.generate = g;
+    auto batch = make_batch_jobs(m);
+    EXPECT_TRUE(batch.ok()) << batch.error().message();
+    const core::batch_job& job = batch->jobs[index];
     core::prepared_job setup =
         core::prepare_batch_job(job, index, m.batch_seed);
     auto solved = core::solve_statistical_insertion(*setup.net, *setup.model,
@@ -244,6 +235,62 @@ TEST_F(ServeTest, DroppedSessionReconnectsWithZeroCompletedJobsReSolved) {
     EXPECT_TRUE(identical(results.at(j).record.result, *direct))
         << "job " << j;
   }
+}
+
+TEST_F(ServeTest, ResumeUnderAnotherBatchSeedIsTypedMismatchAndSolvesNothing) {
+  start_daemon(base_options());
+  {
+    serve_client first(client_opts("reseeded"));
+    ASSERT_TRUE(first.connect()) << first.last_error();
+    const batch_summary done =
+        first.run_batch(make_submit(3, /*sinks=*/10, /*seed=*/7));
+    ASSERT_TRUE(done.complete) << done.error;
+  }
+  const std::uint64_t solved = daemon_->stats().jobs_completed();
+  ASSERT_EQ(solved, 3u);
+
+  // Same token and jobs, resumed under seed 8: the session journal was
+  // written under seed 7, so none of its records may stand in for a solve.
+  // A raw socket, because the typed code of the reply is what is checked.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = dir_ + "/serve.sock";
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  hello_msg hello;
+  hello.token = "reseeded";
+  hello.resume = true;
+  auto frame = encode_frame(message{hello});
+  ASSERT_TRUE(wire_write_all(fd, frame.data(), frame.size()));
+  frame = encode_frame(message{make_submit(3, /*sinks=*/10, /*seed=*/8)});
+  ASSERT_TRUE(wire_write_all(fd, frame.data(), frame.size()));
+
+  frame_splitter in;
+  std::optional<session_error_msg> reply;
+  bool admitted = false;
+  while (!reply.has_value()) {
+    pollfd p{fd, POLLIN, 0};
+    ASSERT_GT(::poll(&p, 1, 20000), 0) << "no reply to the resumed submit";
+    std::uint8_t buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    ASSERT_GT(n, 0) << "daemon closed the session without a reply";
+    in.feed(buf, static_cast<std::size_t>(n));
+    message m;
+    std::string err;
+    while (in.next(m, err) == decode_status::ok) {
+      if (auto* e = std::get_if<session_error_msg>(&m)) reply = *e;
+      if (std::get_if<accepted_msg>(&m) != nullptr) admitted = true;
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(reply->code,
+            static_cast<std::uint8_t>(core::solve_code::journal_mismatch))
+      << reply->detail;
+  EXPECT_FALSE(admitted);
+  EXPECT_EQ(daemon_->stats().jobs_completed(), solved);
+  EXPECT_EQ(daemon_->queue_depth(), 0u);
 }
 
 // --- admission control ------------------------------------------------------

@@ -48,6 +48,18 @@ std::uint64_t reference_hash(const std::vector<core::batch_job>& jobs) {
   return hash_outcomes(solver.solve_outcomes(jobs));
 }
 
+/// The single-process reference of a remote-mode submit, built through the
+/// daemon's wire_job -> batch_job mapping.
+std::uint64_t remote_reference_hash(const serve::submit_msg& submit) {
+  auto batch = serve::make_batch_jobs(submit);
+  EXPECT_TRUE(batch.ok()) << batch.error().message();
+  core::batch_solver::config cfg;
+  cfg.num_threads = 1;
+  cfg.batch_seed = submit.batch_seed;
+  core::batch_solver solver{cfg};
+  return hash_outcomes(solver.solve_outcomes(batch->jobs));
+}
+
 class ShardCoordinatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -263,29 +275,69 @@ TEST_F(ShardCoordinatorTest, RemoteModeMatchesSingleProcess) {
   ASSERT_TRUE(out.ok()) << out.error().message();
   EXPECT_EQ(out->jobs_solved_by_workers, submit.jobs.size());
 
-  // Reference: the same submit solved locally through the same wire-option
-  // mapping, which is exactly what merge_shards validated against.
-  core::stat_options options;
-  layout::process_model_config model_config;
-  ASSERT_EQ(serve::map_wire_options(submit.options, options, model_config),
-            "");
-  std::vector<core::batch_job> jobs(submit.jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].options = options;
-    jobs[i].model = model_config;
-    tree::random_tree_options g;
-    g.num_sinks = static_cast<std::size_t>(submit.jobs[i].num_sinks);
-    g.die_side_um = submit.jobs[i].die_side_um;
-    g.criticality_balance = submit.jobs[i].criticality_balance;
-    g.seed = 0;
-    jobs[i].generate = g;
+  // Reference: the same submit solved locally through the daemon's own
+  // wire_job -> batch_job mapping, which is exactly what merge_shards
+  // validated against.
+  EXPECT_EQ(hash_outcomes(out->merged.slots), remote_reference_hash(submit));
+}
+
+TEST_F(ShardCoordinatorTest, RerunWithoutResumeStartsOverInTheSameDirectory) {
+  const auto jobs = small_jobs();
+  const std::uint64_t want = reference_hash(jobs);
+  {
+    shard_coordinator coord(base_options(3));
+    auto first = coord.run(jobs);
+    ASSERT_TRUE(first.ok()) << first.error().message();
+    // shard-00002 holds records, and a 2-worker rerun never rewrites it.
+    ASSERT_GE(first->workers[2].jobs_completed, 1u);
   }
-  core::batch_solver::config cfg;
-  cfg.num_threads = 1;
-  cfg.batch_seed = k_seed;
-  core::batch_solver solver{cfg};
-  EXPECT_EQ(hash_outcomes(out->merged.slots),
-            hash_outcomes(solver.solve_outcomes(jobs)));
+  // Without resume the earlier run's shards are not this run's: they must
+  // not reach its merge as overlapping (or, for another batch, foreign)
+  // shards.
+  shard_coordinator coord(base_options(2));
+  auto out = coord.run(jobs);
+  ASSERT_TRUE(out.ok()) << out.error().message();
+  EXPECT_EQ(out->jobs_recovered, 0u);
+  EXPECT_EQ(hash_outcomes(out->merged.slots), want);
+}
+
+TEST_F(ShardCoordinatorTest, RemoteSlotThatGivesUpFlushesItsShard) {
+  serve::serve_options so;
+  so.unix_socket_path = dir_ + "/serve.sock";
+  so.journal_dir = dir_ + "/serve-journals";
+  std::filesystem::create_directories(so.journal_dir);
+  serve::solver_daemon daemon(std::move(so));
+  ASSERT_EQ(daemon.start(), "");
+
+  serve::submit_msg submit;
+  submit.batch_seed = k_seed;
+  for (std::size_t i = 0; i < 8; ++i) {
+    serve::wire_job j;
+    j.num_sinks = 12;
+    submit.jobs.push_back(j);
+  }
+
+  const std::string shard_dir = dir_ + "/shards";
+  std::filesystem::create_directories(shard_dir);
+  auto opts = base_options(2);
+  opts.journal_dir = shard_dir;
+  opts.checkpoint_every_jobs = 100;  // nothing durable before a flush
+  // Three results arrive; every later delivery tears its session, and every
+  // connection after the two slots' first is refused. Both clients spend
+  // their budgets with appended, never-checkpointed records in their shards.
+  testing::arm("wire_drop_session:after=3;wire_accept_fail:after=2");
+  shard_coordinator coord(opts);
+  auto out = coord.run_remote(submit, dir_ + "/serve.sock");
+  testing::disarm();
+  ASSERT_TRUE(out.ok()) << out.error().message();
+
+  // Exactly once: what a slot counted is on disk, so repair re-solves only
+  // the rest.
+  std::uint64_t by_workers = 0;
+  for (const auto& w : out->workers) by_workers += w.jobs_completed;
+  EXPECT_EQ(out->jobs_recovered + by_workers + out->jobs_solved_inline,
+            out->jobs_total);
+  EXPECT_EQ(hash_outcomes(out->merged.slots), remote_reference_hash(submit));
 }
 
 }  // namespace

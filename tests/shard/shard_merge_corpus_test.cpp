@@ -214,6 +214,32 @@ TEST_F(ShardMergeCorpusTest, DuplicateShardIndexIsRejected) {
       << out.error().detail;
 }
 
+TEST_F(ShardMergeCorpusTest, RecordOverAnotherNodeCountIsShardMismatch) {
+  write_shard(0, shard(0), {0, 1, 2});
+  core::journal_record rec = solved_records()[3];
+  ASSERT_TRUE(rec.ok);
+  rec.result.assignment = timing::buffer_assignment{3};
+  core::journal_writer writer{dir_ + "/shard-00001.vjl", header(), shard(1)};
+  writer.append(rec);
+  writer.flush();
+  auto out = merge();
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, core::solve_code::shard_mismatch);
+}
+
+TEST_F(ShardMergeCorpusTest, RecordBelowTheDeterministicPrefixIsShardMismatch) {
+  write_shard(0, shard(0), {0, 1, 2});
+  core::journal_record rec = solved_records()[3];
+  ASSERT_TRUE(rec.ok);
+  rec.num_sources = 0;  // WID: inter-die + spatial sources precede devices
+  core::journal_writer writer{dir_ + "/shard-00001.vjl", header(), shard(1)};
+  writer.append(rec);
+  writer.flush();
+  auto out = merge();
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, core::solve_code::shard_mismatch);
+}
+
 TEST_F(ShardMergeCorpusTest, PlainJournalAmongShardsIsRejected) {
   write_shard(0, shard(0), {0, 1});
   // A shard-named file that is a valid *plain* journal (no shard frame):
