@@ -200,8 +200,6 @@ int main(int argc, char** argv) {
           .num("num_buffers",
                static_cast<std::uint64_t>(slot->result.num_buffers))
           .num("seconds", slot->result.stats.wall_seconds)
-          .num("dense_forms",
-               static_cast<std::uint64_t>(slot->result.stats.dense_forms))
           .num("terms_merged",
                static_cast<std::uint64_t>(slot->result.stats.terms_merged))
           .num("dominance_prefilter_hits",

@@ -12,8 +12,8 @@
 // Machine-readable output: run with
 //   --benchmark_format=json --benchmark_out=BENCH_micro_ops.json
 // The JSON carries ns/op, the allocs_per_op counter, the git sha and the
-// runtime-selected SIMD ISA (custom context), and -- on the Kernel*
-// dense-path benchmarks -- the dense-switch counters as per-op rates.
+// runtime-selected SIMD ISA (custom context), and -- on the Kernel* merge
+// benchmarks -- the terms merged per op.
 //
 // Convenience flag: --min-time=<seconds> is translated to google-benchmark's
 // --benchmark_min_time so CI and humans share one spelling.
@@ -182,81 +182,50 @@ void BM_PooledSubScaled(benchmark::State& state) {
 BENCHMARK(BM_PooledSubScaled)->Arg(8)->Arg(64)->Arg(512);
 
 // ---------------------------------------------------------------------------
-// Dense-vs-sparse kernel comparisons (the PR's adaptive representation).
+// Canonical-form kernels on saturated operands.
 //
-// Each BM_Kernel* benchmark runs twice per space size: once with the dense
-// representation forced off (the seed's sparse scalar path over sorted
-// (id, coeff) terms) and once forced on (contiguous coefficient planes fed to
-// the runtime-dispatched SIMD kernels). Forms are fully populated -- every
-// source carries a term -- which is exactly the saturated regime the adaptive
-// switch targets. Results are bit-identical by construction (the golden
-// tests prove it); only the time differs.
+// Each BM_Kernel* benchmark runs once per space size with fully populated
+// forms -- every source carries a term -- the regime deep trees push RAT
+// forms toward.
 // ---------------------------------------------------------------------------
-
-/// RAII toggle of the adaptive dense switch (+1 always / -1 never).
-struct dense_mode_guard {
-  explicit dense_mode_guard(bool dense) {
-    stats::set_force_dense(dense ? 1 : -1);
-  }
-  ~dense_mode_guard() { stats::set_force_dense(0); }
-};
 
 struct kernel_fixture {
   stats::variation_space space;
-  stats::term_pool setup_pool;  ///< holds the pre-densified operand forms
-  stats::linear_form a, b;      ///< fully populated operands (sparse or dense)
+  stats::linear_form a, b;  ///< fully populated operands
 
-  kernel_fixture(std::size_t num_sources, bool dense, std::uint64_t seed = 23) {
+  explicit kernel_fixture(std::size_t num_sources, std::uint64_t seed = 23) {
     for (std::size_t i = 0; i < num_sources; ++i) {
       space.add_source(stats::source_kind::random_device, 0.8 + 0.001 * i);
     }
     auto rng = stats::make_rng(seed);
     std::uniform_real_distribution<double> coeff(-1.0, 1.0);
-    stats::linear_form sa{12.5};
-    stats::linear_form sb{-7.25};
+    a = stats::linear_form{12.5};
+    b = stats::linear_form{-7.25};
     for (std::size_t i = 0; i < num_sources; ++i) {
-      sa.add_term(static_cast<stats::source_id>(i), coeff(rng));
-      sb.add_term(static_cast<stats::source_id>(i), coeff(rng));
+      a.add_term(static_cast<stats::source_id>(i), coeff(rng));
+      b.add_term(static_cast<stats::source_id>(i), coeff(rng));
     }
-    if (!dense) {
-      a = std::move(sa);
-      b = std::move(sb);
-      return;
-    }
-    // Materialize dense-resident operands: a pooled merge with the switch
-    // forced on yields plane-backed forms borrowing setup_pool.
-    dense_mode_guard guard{true};
-    const stats::linear_form zero{0.0};
-    a = stats::pooled_add(sa, zero, setup_pool);
-    b = stats::pooled_add(sb, zero, setup_pool);
   }
 };
 
-/// Reports the dense-switch counters accumulated across the timed loop.
-class dense_meter {
+/// Reports the pooled merge counter accumulated across the timed loop.
+class merge_meter {
  public:
-  dense_meter()
-      : forms0_(stats::dense_forms_produced()),
-        terms0_(stats::pooled_terms_merged()) {}
+  merge_meter() : terms0_(stats::pooled_terms_merged()) {}
   void report(benchmark::State& state) const {
     const double iters = static_cast<double>(state.iterations());
-    state.counters["dense_forms_per_op"] = benchmark::Counter(
-        static_cast<double>(stats::dense_forms_produced() - forms0_) / iters);
     state.counters["terms_merged_per_op"] = benchmark::Counter(
         static_cast<double>(stats::pooled_terms_merged() - terms0_) / iters);
   }
 
  private:
-  std::size_t forms0_;
   std::size_t terms0_;
 };
 
 void BM_KernelMerge(benchmark::State& state) {
-  const bool dense = state.range(1) != 0;
-  kernel_fixture fx(static_cast<std::size_t>(state.range(0)), dense);
-  dense_mode_guard guard{dense};
+  kernel_fixture fx(static_cast<std::size_t>(state.range(0)));
   stats::term_pool pool;
-  dense_meter meter;
+  merge_meter meter;
   for (auto _ : state) {
     pool.reset();
     auto r = stats::pooled_add(fx.a, fx.b, pool);
@@ -266,11 +235,9 @@ void BM_KernelMerge(benchmark::State& state) {
 }
 
 void BM_KernelBlend(benchmark::State& state) {
-  const bool dense = state.range(1) != 0;
-  kernel_fixture fx(static_cast<std::size_t>(state.range(0)), dense);
-  dense_mode_guard guard{dense};
+  kernel_fixture fx(static_cast<std::size_t>(state.range(0)));
   stats::term_pool pool;
-  dense_meter meter;
+  merge_meter meter;
   for (auto _ : state) {
     pool.reset();
     auto r = stats::pooled_blend(0.375, fx.a, 0.625, fx.b, pool);
@@ -280,11 +247,9 @@ void BM_KernelBlend(benchmark::State& state) {
 }
 
 void BM_KernelStatisticalMin(benchmark::State& state) {
-  const bool dense = state.range(1) != 0;
-  kernel_fixture fx(static_cast<std::size_t>(state.range(0)), dense);
-  dense_mode_guard guard{dense};
+  kernel_fixture fx(static_cast<std::size_t>(state.range(0)));
   stats::term_pool pool;
-  dense_meter meter;
+  merge_meter meter;
   for (auto _ : state) {
     pool.reset();
     auto r = stats::statistical_min(fx.a, fx.b, fx.space, pool);
@@ -294,24 +259,21 @@ void BM_KernelStatisticalMin(benchmark::State& state) {
 }
 
 void BM_KernelVariance(benchmark::State& state) {
-  const bool dense = state.range(1) != 0;
-  kernel_fixture fx(static_cast<std::size_t>(state.range(0)), dense);
+  kernel_fixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.a.variance(fx.space));
   }
 }
 
 void BM_KernelCovariance(benchmark::State& state) {
-  const bool dense = state.range(1) != 0;
-  kernel_fixture fx(static_cast<std::size_t>(state.range(0)), dense);
+  kernel_fixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(stats::covariance(fx.a, fx.b, fx.space));
   }
 }
 
 void BM_KernelSigmaOfDifference(benchmark::State& state) {
-  const bool dense = state.range(1) != 0;
-  kernel_fixture fx(static_cast<std::size_t>(state.range(0)), dense);
+  kernel_fixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         stats::sigma_of_difference(fx.a, fx.b, fx.space));
@@ -319,11 +281,8 @@ void BM_KernelSigmaOfDifference(benchmark::State& state) {
 }
 
 void kernel_args(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"sources", "dense"});
-  for (const std::int64_t sources : {8, 64, 256}) {
-    b->Args({sources, 0});
-    b->Args({sources, 1});
-  }
+  b->ArgNames({"sources"});
+  for (const std::int64_t sources : {8, 64, 256}) b->Args({sources});
 }
 BENCHMARK(BM_KernelMerge)->Apply(kernel_args);
 BENCHMARK(BM_KernelBlend)->Apply(kernel_args);
@@ -474,22 +433,9 @@ void BM_DominanceSweep4P(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto sources = static_cast<std::size_t>(state.range(1));
   form_fixture fx(sources, 0, 0);
-  // Dense-resident candidates: the regime where a batched moment fill would
-  // have the best chance against the lazy per-form Var walk -- which still
-  // measured faster, so the 4P prune has no tiled path (see
-  // prune_four_param).
-  stats::term_pool dense_pool;
-  std::vector<core::stat_candidate> base;
-  {
-    dense_mode_guard dense{true};
-    const stats::linear_form zero{0.0};
-    for (auto& c : make_stat_candidates(k, sources, 5)) {
-      core::stat_candidate d;
-      d.load = stats::pooled_add(c.load, zero, dense_pool);
-      d.rat = stats::pooled_add(c.rat, zero, dense_pool);
-      base.push_back(std::move(d));
-    }
-  }
+  // The 4P prune has no tiled path: a batched moment fill measured slower
+  // than its lazy per-form Var walk (see prune_four_param).
+  const auto base = make_stat_candidates(k, sources, 5);
   core::dp_stats s;
   for (auto _ : state) {
     auto list = base;

@@ -155,8 +155,6 @@ int main(int argc, char** argv) {
           .num("allocations",
                static_cast<std::uint64_t>(r->stats.allocations))
           .num("peak_terms", static_cast<std::uint64_t>(r->stats.peak_terms))
-          .num("dense_forms",
-               static_cast<std::uint64_t>(r->stats.dense_forms))
           .num("terms_merged",
                static_cast<std::uint64_t>(r->stats.terms_merged))
           .num("dominance_prefilter_hits",

@@ -4,8 +4,8 @@
 // edits (sink moves, RAT retargets, wire resizes), and after every edit
 // requires the session's warm incremental re-solve to be bit-identical --
 // equal root-RAT form hashes -- to a cache-bypassing cold solve of the same
-// edited tree. The nightly workflow runs this under VABI_FORCE_DENSE=1 and
-// VABI_FORCE_KERNEL=scalar, the engine's least-exercised corner.
+// edited tree. The nightly workflow runs this under VABI_FORCE_KERNEL=scalar
+// and VABI_FORCE_PRUNE=tiled, the engine's least-exercised corner.
 //
 //   eco_fuzz [--trees N] [--edits M] [--sinks S] [--seed X]
 //            [--fail-script PATH]
@@ -13,6 +13,7 @@
 // On a mismatch (or any unexpected solve failure) the full edit script that
 // led to it is written to --fail-script (default failing_edits.txt) so the
 // exact sequence can be replayed, and the exit code is 1.
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -45,6 +46,21 @@ struct fuzz_options {
   std::exit(1);
 }
 
+/// Parses all of `text` as the value of numeric `option`; an empty,
+/// partial, negative or out-of-range value is a usage error.
+template <class T>
+T parse_number(const char* option, const std::string& text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    const std::string msg =
+        std::string("malformed number for ") + option + ": '" + text + "'";
+    usage(msg.c_str());
+  }
+  return value;
+}
+
 fuzz_options parse(int argc, char** argv) {
   fuzz_options o;
   for (int i = 1; i < argc; ++i) {
@@ -54,13 +70,13 @@ fuzz_options parse(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--trees") {
-      o.trees = std::stoul(value());
+      o.trees = parse_number<std::size_t>("--trees", value());
     } else if (a == "--edits") {
-      o.edits = std::stoul(value());
+      o.edits = parse_number<std::size_t>("--edits", value());
     } else if (a == "--sinks") {
-      o.sinks = std::stoul(value());
+      o.sinks = parse_number<std::size_t>("--sinks", value());
     } else if (a == "--seed") {
-      o.seed = std::stoull(value());
+      o.seed = parse_number<std::uint64_t>("--seed", value());
     } else if (a == "--fail-script") {
       o.fail_script = value();
     } else if (a == "--help" || a == "-h") {

@@ -44,9 +44,10 @@
 // read/parse the input tree, then one distinct code per solve_code:
 // 3 candidate_cap, 4 deadline_exceeded, 5 memory_cap, 6 nonfinite_value,
 // 7 invalid_options, 8 invalid_tree, 9 cancelled, 10 internal,
-// 11 journal_corrupt, 12 journal_mismatch; 13 audit mismatch; 20 interrupted
-// with a resumable journal. Every failure prints a one-line
-// "vabi_cli: error: ..." diagnostic to stderr.
+// 11 journal_corrupt, 12 journal_mismatch, 14 shard_mismatch; 13 audit
+// mismatch; 20 interrupted with a resumable journal. Every failure prints a
+// one-line "vabi_cli: error: ..." diagnostic to stderr.
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -120,6 +121,8 @@ int exit_code_for(core::solve_code code) {
       return 11;
     case core::solve_code::journal_mismatch:
       return 12;
+    case core::solve_code::shard_mismatch:
+      return 14;
   }
   return 10;
 }
@@ -146,12 +149,28 @@ constexpr int exit_journal_warning = 21;
   std::exit(1);
 }
 
+/// Parses all of `text` as the value of numeric `option`. An empty or
+/// partial value, a negative count, or an out-of-range value is a usage
+/// error.
+template <class T>
+T parse_number(const char* option, const std::string& text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    const std::string msg =
+        std::string("malformed number for ") + option + ": '" + text + "'";
+    usage(msg.c_str());
+  }
+  return value;
+}
+
 std::vector<double> parse_widths(const std::string& arg) {
   std::vector<double> widths;
   std::istringstream is(arg);
   std::string tok;
   while (std::getline(is, tok, ',')) {
-    widths.push_back(std::stod(tok));
+    widths.push_back(parse_number<double>("--wire-widths", tok));
   }
   if (widths.empty()) usage("empty --wire-widths");
   return widths;
@@ -199,11 +218,12 @@ cli_options parse(int argc, char** argv) {
         usage("unknown --profile");
       }
     } else if (a == "--pbar") {
-      o.pbar = std::stod(need_value(i));
+      o.pbar = parse_number<double>("--pbar", need_value(i));
     } else if (a == "--yield-percentile") {
-      o.yield_percentile = std::stod(need_value(i));
+      o.yield_percentile =
+          parse_number<double>("--yield-percentile", need_value(i));
     } else if (a == "--driver-res") {
-      o.driver_res = std::stod(need_value(i));
+      o.driver_res = parse_number<double>("--driver-res", need_value(i));
     } else if (a == "--wire-widths") {
       o.wire_widths = parse_widths(need_value(i));
     } else if (a == "--emit-assignment") {
@@ -211,14 +231,15 @@ cli_options parse(int argc, char** argv) {
     } else if (a == "--stats-json") {
       o.stats_json = need_value(i);
     } else if (a == "--generate") {
-      o.generate_sinks = static_cast<std::size_t>(std::stoul(need_value(i)));
+      o.generate_sinks =
+          parse_number<std::size_t>("--generate", need_value(i));
     } else if (a == "--seed") {
-      o.seed = std::stoull(need_value(i));
+      o.seed = parse_number<std::uint64_t>("--seed", need_value(i));
     } else if (a == "--threads") {
-      o.threads = static_cast<std::size_t>(std::stoul(need_value(i)));
+      o.threads = parse_number<std::size_t>("--threads", need_value(i));
       if (o.threads == 0) usage("--threads must be at least 1");
     } else if (a == "--deadline") {
-      o.deadline_seconds = std::stod(need_value(i));
+      o.deadline_seconds = parse_number<double>("--deadline", need_value(i));
       if (o.deadline_seconds <= 0.0) usage("--deadline must be > 0");
     } else if (a == "--degrade") {
       const std::string v = need_value(i);
@@ -234,13 +255,13 @@ cli_options parse(int argc, char** argv) {
     } else if (a == "--audit") {
       o.audit = true;
     } else if (a == "--batch") {
-      o.batch = static_cast<std::size_t>(std::stoul(need_value(i)));
+      o.batch = parse_number<std::size_t>("--batch", need_value(i));
       if (o.batch == 0) usage("--batch must be at least 1");
     } else if (a == "--journal") {
       o.journal_path = need_value(i);
     } else if (a == "--checkpoint-every") {
       o.checkpoint_every =
-          static_cast<std::size_t>(std::stoul(need_value(i)));
+          parse_number<std::size_t>("--checkpoint-every", need_value(i));
       if (o.checkpoint_every == 0) usage("--checkpoint-every must be >= 1");
     } else if (a == "--resume") {
       o.resume = true;
@@ -290,7 +311,6 @@ bool write_stats_json(const std::string& path, const core::stat_result& r,
      << "  \"peak_list_size\": " << r.stats.peak_list_size << ",\n"
      << "  \"allocations\": " << r.stats.allocations << ",\n"
      << "  \"peak_terms\": " << r.stats.peak_terms << ",\n"
-     << "  \"dense_forms\": " << r.stats.dense_forms << ",\n"
      << "  \"terms_merged\": " << r.stats.terms_merged << ",\n"
      << "  \"dominance_prefilter_hits\": "
      << r.stats.dominance_prefilter_hits << ",\n"

@@ -641,7 +641,6 @@ struct dp_worker {
     if (guard.begin_node(id, pool)) return {};
     const std::size_t alloc0 =
         pool.allocations() + stats::term_heap_allocations();
-    const std::size_t dense0 = stats::dense_forms_produced();
     const std::size_t terms0 = stats::pooled_terms_merged();
     cand_list here = pool.acquire();
     solve_node_impl(id, lists, here);
@@ -659,7 +658,6 @@ struct dp_worker {
     dps.allocations +=
         pool.allocations() + stats::term_heap_allocations() - alloc0;
     dps.peak_terms = std::max(dps.peak_terms, pool.scratch().peak_terms());
-    dps.dense_forms += stats::dense_forms_produced() - dense0;
     dps.terms_merged += stats::pooled_terms_merged() - terms0;
     return out;
   }

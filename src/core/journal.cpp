@@ -432,7 +432,7 @@ journal_writer::journal_writer(std::string path, const journal_header& header,
     : path_(std::move(path)),
       checkpoint_every_jobs_(checkpoint_every_jobs),
       checkpoint_every_bytes_(checkpoint_every_bytes) {
-  image_.insert(image_.end(), k_magic, k_magic + k_magic_size);
+  image_.assign(k_magic, k_magic + k_magic_size);
   append_frame(image_, encode_header_payload(header), /*allow_faults=*/false);
   bytes_at_checkpoint_ = image_.size();
 }

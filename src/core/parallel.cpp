@@ -381,7 +381,6 @@ struct parallel_run {
                                       st.dps.peak_list_size);
       total.allocations += st.dps.allocations;
       total.peak_terms = std::max(total.peak_terms, st.dps.peak_terms);
-      total.dense_forms += st.dps.dense_forms;
       total.terms_merged += st.dps.terms_merged;
       total.dominance_prefilter_hits += st.dps.dominance_prefilter_hits;
       total.li_shi_nodes += st.dps.li_shi_nodes;

@@ -22,8 +22,7 @@ constexpr int k_force_prune_unset = std::numeric_limits<int>::min();
 std::atomic<int> g_force_prune{k_force_prune_unset};
 
 // -1 always pairwise, +1 always tiled, 0 adaptive. First read consults
-// VABI_FORCE_PRUNE; set_force_prune overrides. Same lazy-env pattern as
-// stats::set_force_dense.
+// VABI_FORCE_PRUNE; set_force_prune overrides.
 int force_prune_state() {
   int mode = g_force_prune.load(std::memory_order_relaxed);
   if (mode == k_force_prune_unset) {
@@ -41,7 +40,7 @@ int force_prune_state() {
 /// gather costs O(k * sources) up front; it pays off once the batched moment
 /// fill replaces enough per-pair sparse reductions, which needs both a list
 /// long enough to amortize the pass and enough sources per form for the
-/// interleaved dense chains to beat the branchy sparse walks. Below either
+/// interleaved plane chains to beat the branchy sparse walks. Below either
 /// threshold the pairwise sweep's lazy evaluation wins.
 constexpr std::size_t k_tiled_min_list = 32;
 constexpr std::size_t k_tiled_min_sources = 16;

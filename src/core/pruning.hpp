@@ -47,7 +47,7 @@ namespace vabi::core {
 // bit-identical surviving lists:
 //
 //   - pairwise: the seed's per-pair sweep; every dominance test runs its own
-//     sparse/dense one-vs-one moment reductions on demand.
+//     sparse one-vs-one moment reductions on demand.
 //   - tiled: gathers the candidate list's forms once into SoA coefficient
 //     planes (stats/candidate_plane.hpp), batch-fills the Var(L)/Var(T)
 //     moment caches with the one-vs-many kernels, and answers each
@@ -58,10 +58,9 @@ namespace vabi::core {
 // count clear the measured thresholds below) and overridable with
 // VABI_FORCE_PRUNE=pairwise|tiled or set_force_prune(). The 2P mean rule
 // (p = 0.5) never tiles: it compares means only and touches no second
-// moments. Which implementation ran is an *organization* property -- like
-// VABI_FORCE_DENSE it can change counters (tile_prefilter_hits vs
-// dominance_prefilter_hits) but never the surviving set, its order, or any
-// form bit.
+// moments. Which implementation ran is an *organization* property -- it can
+// change counters (tile_prefilter_hits vs dominance_prefilter_hits) but
+// never the surviving set, its order, or any form bit.
 
 /// -1 always pairwise, +1 always tiled, 0 adaptive (the thresholds decide).
 /// Overrides VABI_FORCE_PRUNE for tests/benches.

@@ -57,8 +57,7 @@ struct det_session_state;
 /// FNV-1a hash over a sparse canonical form: the nominal value plus every
 /// (source id, coefficient) term in order. Two forms hash equal iff they are
 /// bit-identical, which is what the ECO bench and the incremental-consistency
-/// fuzzer assert about warm vs cold root RATs. Must not be called on a
-/// dense-representation form (root RATs never are).
+/// fuzzer assert about warm vs cold root RATs.
 std::uint64_t form_hash(const stats::linear_form& f);
 
 /// A statistical-solver session: solve -> edit the tree -> solve again, with

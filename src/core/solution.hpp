@@ -177,28 +177,28 @@ struct dp_stats {
   std::size_t allocations = 0;
   /// High-water mark of live scratch-pool terms over any single node solve.
   std::size_t peak_terms = 0;
-  /// Pooled canonical-op results produced in the dense (coefficient-plane)
-  /// representation. Depends on the adaptive switch policy / VABI_FORCE_DENSE,
-  /// never on results (the representations are bit-identical).
+  /// Always 0: canonical forms have one (sparse) representation. Kept only
+  /// because the repo benchmark (perfbench/) still reads it; it goes when
+  /// the benchmark's stats.dense_forms metric does.
   std::size_t dense_forms = 0;
-  /// Terms that flowed through pooled merge/blend kernels (a dense merge
-  /// counts its full plane extent).
+  /// Terms written by pooled merge/blend operations (the union size of each
+  /// merge).
   std::size_t terms_merged = 0;
   /// 2P dominance tests decided by the cached-moment interval prefilter,
   /// skipping the exact per-pair sigma-of-difference pass.
   std::size_t dominance_prefilter_hits = 0;
   /// Buffer positions whose buffered-candidate step used the Li-Shi
   /// per-type frontier (li_shi.hpp) instead of the per-type full scan.
-  /// A representation/organization counter like dense_forms: never part of
-  /// the bit-identity contract (the selected candidates are identical).
+  /// An organization counter: never part of the bit-identity contract (the
+  /// selected candidates are identical).
   std::size_t li_shi_nodes = 0;
   /// Slab-cache traffic (session-oriented solves only; the one-shot entry
   /// points never consult the cache and leave all three at 0). Hits count
   /// subtree roots adopted wholesale from the cache, misses count nodes the
   /// session actually re-solved, and nodes_reused counts every node under an
-  /// adopted root (the work the cache saved). Like dense_forms these are
-  /// organization counters: the selected candidates are bit-identical with
-  /// or without the cache.
+  /// adopted root (the work the cache saved). These are organization
+  /// counters: the selected candidates are bit-identical with or without
+  /// the cache.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t nodes_reused = 0;
@@ -207,9 +207,9 @@ struct dp_stats {
   /// conditions the batched interval prefilter decided without an exact
   /// sigma pass; pairs_batched counts rows that flowed through the
   /// one-vs-many kernels (variance fills, prefilter rows, exact fallbacks).
-  /// Organization counters like dense_forms: they depend on the
-  /// VABI_FORCE_PRUNE policy and thresholds, never on results (the surviving
-  /// candidates are bit-identical; candidates_pruned matches across modes).
+  /// Organization counters: they depend on the VABI_FORCE_PRUNE policy and
+  /// thresholds, never on results (the surviving candidates are
+  /// bit-identical; candidates_pruned matches across modes).
   std::size_t tiled_prunes = 0;
   std::size_t tile_prefilter_hits = 0;
   std::size_t pairs_batched = 0;

@@ -10,27 +10,15 @@ void candidate_plane::reset(std::size_t extent) {
   stride_ = (extent + 7) & ~std::size_t{7};
   rows_ = 0;
   coeffs_.clear();
-  masks_.clear();
   means_.clear();
 }
 
 std::size_t candidate_plane::add_row(const linear_form& f) {
   double* row = coeffs_.grow(stride_);
-  masks_.resize(masks_.size() + stride_);
-  std::uint8_t* mask = masks_.data() + rows_ * stride_;
   std::memset(row, 0, stride_ * sizeof(double));
-  std::memset(mask, 0, stride_);
-  if (f.is_dense()) {
-    const std::size_t e = f.dense_extent();
-    assert(e <= extent_);
-    std::memcpy(row, f.dense_coeffs(), e * sizeof(double));
-    std::memcpy(mask, f.dense_mask(), e);
-  } else {
-    for (const auto& t : f.terms()) {
-      assert(t.id < extent_);
-      row[t.id] = t.coeff;
-      mask[t.id] = 0xFF;
-    }
+  for (const auto& t : f.terms()) {
+    assert(t.id < extent_);
+    row[t.id] = t.coeff;
   }
   means_.push_back(f.mean());
   return rows_++;

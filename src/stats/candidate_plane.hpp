@@ -5,16 +5,12 @@
 // kernels want each form as a contiguous coefficient plane indexed by
 // source id; this class packs the k forms of one per-node candidate list
 // into a row-per-candidate matrix (row stride padded to a 64-byte boundary,
-// so every row is vector-aligned) plus a byte presence mask per row, so
-// sparse forms pack losslessly: a slot is distinguishable as "absent" vs
-// "present with coefficient 0.0", exactly like the dense linear_form
-// representation.
+// so every row is vector-aligned).
 //
 // Bit-identity: a gathered row holds exactly 0.0 in absent slots, so every
-// reduction over it (variance, covariance, sigma-of-difference against
-// another row) interleaves exact +0.0 no-op adds into the same left-to-right
-// chain the sparse pass produces -- the dense-representation argument of
-// linear_form.cpp, applied to scratch rows instead of owned planes.
+// reduction over it (variance, sigma-of-difference against another row)
+// interleaves exact +0.0 no-op adds into the same left-to-right chain the
+// sparse pass over the form's terms produces.
 //
 // Lifetime: a candidate_plane is per-prune-call scratch. It copies
 // coefficients out of the forms at gather time and holds no pointers into
@@ -23,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "stats/kernels.hpp"
@@ -39,23 +34,19 @@ class candidate_plane {
   /// nothing once the high-water mark is reached.
   void reset(std::size_t extent);
 
-  /// Scatters `f` into the next row (absent slots exactly 0.0, mask 0) and
-  /// records its mean. Every term/dense slot of `f` must have id < extent.
-  /// Returns the row index.
+  /// Scatters `f` into the next row (absent slots exactly 0.0) and records
+  /// its mean. Every term of `f` must have id < extent. Returns the row
+  /// index.
   std::size_t add_row(const linear_form& f);
 
   std::size_t rows() const { return rows_; }
   std::size_t extent() const { return extent_; }
 
   const double* row(std::size_t i) const { return coeffs_.data() + i * stride_; }
-  const std::uint8_t* mask_row(std::size_t i) const {
-    return masks_.data() + i * stride_;
-  }
   double mean(std::size_t i) const { return means_[i]; }
 
  private:
   kernels::aligned_doubles coeffs_;
-  std::vector<std::uint8_t> masks_;
   std::vector<double> means_;
   std::size_t extent_ = 0;
   std::size_t stride_ = 0;  ///< extent rounded up to 8 doubles (64 bytes)

@@ -13,90 +13,18 @@
 #include <immintrin.h>
 #define VABI_X86 1
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define VABI_NEON 1
-#endif
 
 namespace vabi::stats::kernels {
 
 namespace {
 
-// Canonical mask bytes: 0x00 absent, 0xFF present. SIMD compare results can
-// be stored back verbatim and sign-extension turns a byte into a full
-// 64-bit lane mask.
-constexpr std::uint8_t k_present = 0xFF;
-
 // ---------------------------------------------------------------------------
 // Scalar kernels -- the reference semantics every ISA must reproduce.
 // ---------------------------------------------------------------------------
 
-void s_blend_planes(double sa, const double* a, const std::uint8_t* ma,
-                    double sb, const double* b, const std::uint8_t* mb,
-                    double* c, std::uint8_t* mc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool pa = ma[i] != 0;
-    const bool pb = mb[i] != 0;
-    double ci = 0.0;
-    if (pa && pb) {
-      // Exactly the sparse both-present expression (sa*a_i) + (sb*b_i).
-      ci = sa * a[i] + sb * b[i];
-    } else if (pa) {
-      ci = sa * a[i];
-    } else if (pb) {
-      ci = sb * b[i];
-    }
-    c[i] = ci;
-    mc[i] = (pa || pb) ? k_present : 0;
-  }
-}
-
-void s_scale_plane(double s, const double* a, const std::uint8_t* ma,
-                   double* c, std::uint8_t* mc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool pa = ma[i] != 0;
-    c[i] = pa ? s * a[i] : 0.0;
-    mc[i] = pa ? k_present : 0;
-  }
-}
-
-double s_max_abs_plane(const double* c, std::size_t n) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::abs(c[i]));
-  return m;
-}
-
-void s_drop_small_plane(double* c, std::uint8_t* mc, double thr,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(std::abs(c[i]) > thr)) {
-      c[i] = 0.0;
-      mc[i] = 0;
-    }
-  }
-}
-
 double s_variance_plane(const double* a, const double* s2, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * a[i] * s2[i];
-  return acc;
-}
-
-pair_result s_moments2_planes(const double* a, const double* b,
-                              const double* s2, std::size_t n) {
-  double va = 0.0;
-  double vb = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    va += a[i] * a[i] * s2[i];
-    vb += b[i] * b[i] * s2[i];
-  }
-  return {va, vb};
-}
-
-double s_covariance_planes(const double* a, const double* b, const double* s2,
-                           std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i] * s2[i];
   return acc;
 }
 
@@ -108,23 +36,6 @@ double s_sigma_diff_sq_planes(const double* a, const double* b,
     acc += d * d * s2[i];
   }
   return acc;
-}
-
-bool s_planes_equal(const double* a, const std::uint8_t* ma, const double* b,
-                    const std::uint8_t* mb, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((ma[i] != 0) != (mb[i] != 0)) return false;
-    // Absent slots are canonical 0.0 on both sides, so the numeric compare
-    // (IEEE ==, -0.0 equal to +0.0 like the sparse path) covers every slot.
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-std::size_t s_popcount_mask(const std::uint8_t* m, std::size_t n) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += m[i] != 0 ? 1 : 0;
-  return count;
 }
 
 std::size_t s_argmax_buffered_row(const double* rats, const double* loads,
@@ -147,14 +58,6 @@ std::size_t s_argmax_buffered_row(const double* rats, const double* loads,
 void s_variance_rows(const double* const* rows, std::size_t m,
                      const double* s2, std::size_t n, double* out) {
   for (std::size_t j = 0; j < m; ++j) out[j] = s_variance_plane(rows[j], s2, n);
-}
-
-void s_covariance_row_tile(const double* x, const double* const* rows,
-                           std::size_t m, const double* s2, std::size_t n,
-                           double* out) {
-  for (std::size_t j = 0; j < m; ++j) {
-    out[j] = s_covariance_planes(x, rows[j], s2, n);
-  }
 }
 
 void s_sigma_diff_sq_row_tile(const double* x, const double* const* rows,
@@ -184,214 +87,17 @@ void s_prefilter_row_tile(const double* mu_d, const double* sigma_x,
 }
 
 constexpr kernel_table k_scalar_table = {
-    kernel_isa::scalar,     s_blend_planes,       s_scale_plane,
-    s_max_abs_plane,        s_drop_small_plane,   s_variance_plane,
-    s_moments2_planes,      s_covariance_planes,  s_sigma_diff_sq_planes,
-    s_planes_equal,         s_popcount_mask,      s_argmax_buffered_row,
-    s_variance_rows,        s_covariance_row_tile,
-    s_sigma_diff_sq_row_tile,                     s_prefilter_row_tile,
+    kernel_isa::scalar,       s_variance_plane, s_sigma_diff_sq_planes,
+    s_argmax_buffered_row,    s_variance_rows,  s_sigma_diff_sq_row_tile,
+    s_prefilter_row_tile,
 };
 
 // ---------------------------------------------------------------------------
-// x86-64: SSE2 (baseline) and AVX2 (runtime-detected, per-function target
-// attributes so the rest of the binary keeps the portable baseline).
+// x86-64 AVX2 (runtime-detected, per-function target attributes so the rest
+// of the binary keeps the portable baseline).
 // ---------------------------------------------------------------------------
 
 #ifdef VABI_X86
-
-// Loads `w` mask bytes (w = 2 or 4) as a packed integer without aliasing UB.
-inline std::uint32_t load_mask_u32(const std::uint8_t* m) {
-  std::uint32_t v;
-  std::memcpy(&v, m, sizeof v);
-  return v;
-}
-inline std::uint16_t load_mask_u16(const std::uint8_t* m) {
-  std::uint16_t v;
-  std::memcpy(&v, m, sizeof v);
-  return v;
-}
-
-void sse2_blend_planes(double sa, const double* a, const std::uint8_t* ma,
-                       double sb, const double* b, const std::uint8_t* mb,
-                       double* c, std::uint8_t* mc, std::size_t n) {
-  const __m128d vsa = _mm_set1_pd(sa);
-  const __m128d vsb = _mm_set1_pd(sb);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // Sign-extend two canonical mask bytes into two 64-bit lane masks.
-    const __m128i mba = _mm_set_epi64x(ma[i + 1] ? -1 : 0, ma[i] ? -1 : 0);
-    const __m128i mbb = _mm_set_epi64x(mb[i + 1] ? -1 : 0, mb[i] ? -1 : 0);
-    const __m128d vma = _mm_castsi128_pd(mba);
-    const __m128d vmb = _mm_castsi128_pd(mbb);
-    const __m128d pa = _mm_mul_pd(vsa, _mm_loadu_pd(a + i));
-    const __m128d pb = _mm_mul_pd(vsb, _mm_loadu_pd(b + i));
-    const __m128d sum = _mm_add_pd(pa, pb);
-    const __m128d both = _mm_and_pd(vma, vmb);
-    const __m128d only_a = _mm_andnot_pd(vmb, vma);
-    const __m128d only_b = _mm_andnot_pd(vma, vmb);
-    const __m128d out = _mm_or_pd(
-        _mm_and_pd(both, sum),
-        _mm_or_pd(_mm_and_pd(only_a, pa), _mm_and_pd(only_b, pb)));
-    _mm_storeu_pd(c + i, out);
-    const std::uint16_t mu = load_mask_u16(ma + i) | load_mask_u16(mb + i);
-    std::memcpy(mc + i, &mu, sizeof mu);
-  }
-  if (i < n) s_blend_planes(sa, a + i, ma + i, sb, b + i, mb + i, c + i,
-                            mc + i, n - i);
-}
-
-void sse2_scale_plane(double s, const double* a, const std::uint8_t* ma,
-                      double* c, std::uint8_t* mc, std::size_t n) {
-  const __m128d vs = _mm_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i mba = _mm_set_epi64x(ma[i + 1] ? -1 : 0, ma[i] ? -1 : 0);
-    const __m128d vma = _mm_castsi128_pd(mba);
-    const __m128d out =
-        _mm_and_pd(vma, _mm_mul_pd(vs, _mm_loadu_pd(a + i)));
-    _mm_storeu_pd(c + i, out);
-    const std::uint16_t mu = load_mask_u16(ma + i);
-    std::memcpy(mc + i, &mu, sizeof mu);
-  }
-  if (i < n) s_scale_plane(s, a + i, ma + i, c + i, mc + i, n - i);
-}
-
-double sse2_max_abs_plane(const double* c, std::size_t n) {
-  const __m128d sign = _mm_set1_pd(-0.0);
-  __m128d vm = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vm = _mm_max_pd(vm, _mm_andnot_pd(sign, _mm_loadu_pd(c + i)));
-  }
-  double lanes[2];
-  _mm_storeu_pd(lanes, vm);
-  double m = std::max(lanes[0], lanes[1]);
-  for (; i < n; ++i) m = std::max(m, std::abs(c[i]));
-  return m;
-}
-
-void sse2_drop_small_plane(double* c, std::uint8_t* mc, double thr,
-                           std::size_t n) {
-  const __m128d sign = _mm_set1_pd(-0.0);
-  const __m128d vthr = _mm_set1_pd(thr);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d vc = _mm_loadu_pd(c + i);
-    const __m128d keep = _mm_cmpgt_pd(_mm_andnot_pd(sign, vc), vthr);
-    _mm_storeu_pd(c + i, _mm_and_pd(keep, vc));
-    const int bits = _mm_movemask_pd(keep);
-    mc[i] = (bits & 1) ? mc[i] : 0;
-    mc[i + 1] = (bits & 2) ? mc[i + 1] : 0;
-  }
-  if (i < n) s_drop_small_plane(c + i, mc + i, thr, n - i);
-}
-
-bool sse2_planes_equal(const double* a, const std::uint8_t* ma,
-                       const double* b, const std::uint8_t* mb,
-                       std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    if (load_mask_u16(ma + i) != load_mask_u16(mb + i)) return false;
-    const __m128d eq = _mm_cmpeq_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    if (_mm_movemask_pd(eq) != 0x3) return false;
-  }
-  return i >= n || s_planes_equal(a + i, ma + i, b + i, mb + i, n - i);
-}
-
-const kernel_table k_sse2_table = {
-    kernel_isa::sse2,       sse2_blend_planes,    sse2_scale_plane,
-    sse2_max_abs_plane,     sse2_drop_small_plane, s_variance_plane,
-    s_moments2_planes,      s_covariance_planes,  s_sigma_diff_sq_planes,
-    sse2_planes_equal,      s_popcount_mask,      s_argmax_buffered_row,
-    s_variance_rows,        s_covariance_row_tile,
-    s_sigma_diff_sq_row_tile,                     s_prefilter_row_tile,
-};
-
-__attribute__((target("avx2"))) void avx2_blend_planes(
-    double sa, const double* a, const std::uint8_t* ma, double sb,
-    const double* b, const std::uint8_t* mb, double* c, std::uint8_t* mc,
-    std::size_t n) {
-  const __m256d vsa = _mm256_set1_pd(sa);
-  const __m256d vsb = _mm256_set1_pd(sb);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Four canonical mask bytes -> four sign-extended 64-bit lane masks.
-    const __m128i ba =
-        _mm_cvtsi32_si128(static_cast<int>(load_mask_u32(ma + i)));
-    const __m128i bb =
-        _mm_cvtsi32_si128(static_cast<int>(load_mask_u32(mb + i)));
-    const __m256d vma = _mm256_castsi256_pd(_mm256_cvtepi8_epi64(ba));
-    const __m256d vmb = _mm256_castsi256_pd(_mm256_cvtepi8_epi64(bb));
-    const __m256d pa = _mm256_mul_pd(vsa, _mm256_loadu_pd(a + i));
-    const __m256d pb = _mm256_mul_pd(vsb, _mm256_loadu_pd(b + i));
-    const __m256d sum = _mm256_add_pd(pa, pb);
-    const __m256d both = _mm256_and_pd(vma, vmb);
-    const __m256d only_a = _mm256_andnot_pd(vmb, vma);
-    const __m256d only_b = _mm256_andnot_pd(vma, vmb);
-    const __m256d out = _mm256_or_pd(
-        _mm256_and_pd(both, sum),
-        _mm256_or_pd(_mm256_and_pd(only_a, pa), _mm256_and_pd(only_b, pb)));
-    _mm256_storeu_pd(c + i, out);
-    const std::uint32_t mu = load_mask_u32(ma + i) | load_mask_u32(mb + i);
-    std::memcpy(mc + i, &mu, sizeof mu);
-  }
-  if (i < n) s_blend_planes(sa, a + i, ma + i, sb, b + i, mb + i, c + i,
-                            mc + i, n - i);
-}
-
-__attribute__((target("avx2"))) void avx2_scale_plane(
-    double s, const double* a, const std::uint8_t* ma, double* c,
-    std::uint8_t* mc, std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i ba =
-        _mm_cvtsi32_si128(static_cast<int>(load_mask_u32(ma + i)));
-    const __m256d vma = _mm256_castsi256_pd(_mm256_cvtepi8_epi64(ba));
-    const __m256d out =
-        _mm256_and_pd(vma, _mm256_mul_pd(vs, _mm256_loadu_pd(a + i)));
-    _mm256_storeu_pd(c + i, out);
-    const std::uint32_t mu = load_mask_u32(ma + i);
-    std::memcpy(mc + i, &mu, sizeof mu);
-  }
-  if (i < n) s_scale_plane(s, a + i, ma + i, c + i, mc + i, n - i);
-}
-
-__attribute__((target("avx2"))) double avx2_max_abs_plane(const double* c,
-                                                          std::size_t n) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  __m256d vm = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vm = _mm256_max_pd(vm, _mm256_andnot_pd(sign, _mm256_loadu_pd(c + i)));
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, vm);
-  double m = std::max(std::max(lanes[0], lanes[1]),
-                      std::max(lanes[2], lanes[3]));
-  for (; i < n; ++i) m = std::max(m, std::abs(c[i]));
-  return m;
-}
-
-__attribute__((target("avx2"))) void avx2_drop_small_plane(double* c,
-                                                           std::uint8_t* mc,
-                                                           double thr,
-                                                           std::size_t n) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d vthr = _mm256_set1_pd(thr);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vc = _mm256_loadu_pd(c + i);
-    const __m256d keep =
-        _mm256_cmp_pd(_mm256_andnot_pd(sign, vc), vthr, _CMP_GT_OQ);
-    _mm256_storeu_pd(c + i, _mm256_and_pd(keep, vc));
-    const int bits = _mm256_movemask_pd(keep);
-    for (int k = 0; k < 4; ++k) {
-      if ((bits & (1 << k)) == 0) mc[i + static_cast<std::size_t>(k)] = 0;
-    }
-  }
-  if (i < n) s_drop_small_plane(c + i, mc + i, thr, n - i);
-}
 
 // Reductions keep the bit-identity contract by vectorizing only the
 // *products* (_mm256_mul_pd rounds each lane exactly like the scalar `*`)
@@ -417,51 +123,6 @@ __attribute__((target("avx2"))) double avx2_variance_plane(const double* a,
   return acc;
 }
 
-__attribute__((target("avx2"))) pair_result avx2_moments2_planes(
-    const double* a, const double* b, const double* s2, std::size_t n) {
-  double va = 0.0;
-  double vb = 0.0;
-  alignas(32) double ta[4];
-  alignas(32) double tb[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vs2 = _mm256_loadu_pd(s2 + i);
-    const __m256d xa = _mm256_loadu_pd(a + i);
-    const __m256d xb = _mm256_loadu_pd(b + i);
-    _mm256_store_pd(ta, _mm256_mul_pd(_mm256_mul_pd(xa, xa), vs2));
-    _mm256_store_pd(tb, _mm256_mul_pd(_mm256_mul_pd(xb, xb), vs2));
-    for (int k = 0; k < 4; ++k) {
-      va += ta[k];
-      vb += tb[k];
-    }
-  }
-  for (; i < n; ++i) {
-    va += a[i] * a[i] * s2[i];
-    vb += b[i] * b[i] * s2[i];
-  }
-  return {va, vb};
-}
-
-__attribute__((target("avx2"))) double avx2_covariance_planes(
-    const double* a, const double* b, const double* s2, std::size_t n) {
-  double acc = 0.0;
-  alignas(32) double t[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p =
-        _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                    _mm256_loadu_pd(b + i)),
-                      _mm256_loadu_pd(s2 + i));
-    _mm256_store_pd(t, p);
-    acc += t[0];
-    acc += t[1];
-    acc += t[2];
-    acc += t[3];
-  }
-  for (; i < n; ++i) acc += a[i] * b[i] * s2[i];
-  return acc;
-}
-
 __attribute__((target("avx2"))) double avx2_sigma_diff_sq_planes(
     const double* a, const double* b, const double* s2, std::size_t n) {
   double acc = 0.0;
@@ -483,19 +144,6 @@ __attribute__((target("avx2"))) double avx2_sigma_diff_sq_planes(
     acc += d * d * s2[i];
   }
   return acc;
-}
-
-__attribute__((target("avx2"))) bool avx2_planes_equal(
-    const double* a, const std::uint8_t* ma, const double* b,
-    const std::uint8_t* mb, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (load_mask_u32(ma + i) != load_mask_u32(mb + i)) return false;
-    const __m256d eq = _mm256_cmp_pd(_mm256_loadu_pd(a + i),
-                                     _mm256_loadu_pd(b + i), _CMP_EQ_OQ);
-    if (_mm256_movemask_pd(eq) != 0xF) return false;
-  }
-  return i >= n || s_planes_equal(a + i, ma + i, b + i, mb + i, n - i);
 }
 
 // The argmax update keeps per-lane state: lane l holds the max over indices
@@ -599,52 +247,6 @@ __attribute__((target("avx2"))) void avx2_variance_rows(
   for (; j < m; ++j) out[j] = avx2_variance_plane(rows[j], s2, n);
 }
 
-__attribute__((target("avx2"))) void avx2_covariance_row_tile(
-    const double* x, const double* const* rows, std::size_t m,
-    const double* s2, std::size_t n, double* out) {
-  std::size_t j = 0;
-  for (; j + 4 <= m; j += 4) {
-    const double* r0 = rows[j];
-    const double* r1 = rows[j + 1];
-    const double* r2 = rows[j + 2];
-    const double* r3 = rows[j + 3];
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    alignas(32) double t0[4], t1[4], t2[4], t3[4];
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d vx = _mm256_loadu_pd(x + i);
-      const __m256d vs2 = _mm256_loadu_pd(s2 + i);
-      // (x_i * r_i) * s2_i in the scalar association; hoisting x_i * s2_i
-      // would round differently.
-      _mm256_store_pd(
-          t0, _mm256_mul_pd(_mm256_mul_pd(vx, _mm256_loadu_pd(r0 + i)), vs2));
-      _mm256_store_pd(
-          t1, _mm256_mul_pd(_mm256_mul_pd(vx, _mm256_loadu_pd(r1 + i)), vs2));
-      _mm256_store_pd(
-          t2, _mm256_mul_pd(_mm256_mul_pd(vx, _mm256_loadu_pd(r2 + i)), vs2));
-      _mm256_store_pd(
-          t3, _mm256_mul_pd(_mm256_mul_pd(vx, _mm256_loadu_pd(r3 + i)), vs2));
-      for (int k = 0; k < 4; ++k) {
-        a0 += t0[k];
-        a1 += t1[k];
-        a2 += t2[k];
-        a3 += t3[k];
-      }
-    }
-    for (; i < n; ++i) {
-      a0 += x[i] * r0[i] * s2[i];
-      a1 += x[i] * r1[i] * s2[i];
-      a2 += x[i] * r2[i] * s2[i];
-      a3 += x[i] * r3[i] * s2[i];
-    }
-    out[j] = a0;
-    out[j + 1] = a1;
-    out[j + 2] = a2;
-    out[j + 3] = a3;
-  }
-  for (; j < m; ++j) out[j] = avx2_covariance_planes(x, rows[j], s2, n);
-}
-
 __attribute__((target("avx2"))) void avx2_sigma_diff_sq_row_tile(
     const double* x, const double* const* rows, std::size_t m,
     const double* s2, std::size_t n, double* out) {
@@ -694,13 +296,8 @@ __attribute__((target("avx2"))) void avx2_sigma_diff_sq_row_tile(
 }
 
 const kernel_table k_avx2_table = {
-    kernel_isa::avx2,       avx2_blend_planes,    avx2_scale_plane,
-    avx2_max_abs_plane,     avx2_drop_small_plane, avx2_variance_plane,
-    avx2_moments2_planes,   avx2_covariance_planes,
-    avx2_sigma_diff_sq_planes,
-    avx2_planes_equal,      s_popcount_mask,      avx2_argmax_buffered_row,
-    avx2_variance_rows,     avx2_covariance_row_tile,
-    avx2_sigma_diff_sq_row_tile,
+    kernel_isa::avx2,         avx2_variance_plane, avx2_sigma_diff_sq_planes,
+    avx2_argmax_buffered_row, avx2_variance_rows,  avx2_sigma_diff_sq_row_tile,
     // The prefilter is branch logic over a handful of doubles (tile width =
     // the sweep window); the scalar ladder is already optimal and keeps the
     // verdict order trivially identical.
@@ -709,119 +306,27 @@ const kernel_table k_avx2_table = {
 
 #endif  // VABI_X86
 
-// ---------------------------------------------------------------------------
-// aarch64 NEON (baseline on that target).
-// ---------------------------------------------------------------------------
-
-#ifdef VABI_NEON
-
-inline uint64x2_t neon_mask2(const std::uint8_t* m) {
-  return vcombine_u64(vcreate_u64(m[0] ? ~0ull : 0ull),
-                      vcreate_u64(m[1] ? ~0ull : 0ull));
-}
-
-void neon_blend_planes(double sa, const double* a, const std::uint8_t* ma,
-                       double sb, const double* b, const std::uint8_t* mb,
-                       double* c, std::uint8_t* mc, std::size_t n) {
-  const float64x2_t vsa = vdupq_n_f64(sa);
-  const float64x2_t vsb = vdupq_n_f64(sb);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t vma = neon_mask2(ma + i);
-    const uint64x2_t vmb = neon_mask2(mb + i);
-    const float64x2_t pa = vmulq_f64(vsa, vld1q_f64(a + i));
-    const float64x2_t pb = vmulq_f64(vsb, vld1q_f64(b + i));
-    const float64x2_t sum = vaddq_f64(pa, pb);
-    // bsl(both, sum, bsl(ma, pa, pb)) then clear absent slots to 0.0.
-    const uint64x2_t both = vandq_u64(vma, vmb);
-    const uint64x2_t any = vorrq_u64(vma, vmb);
-    float64x2_t out = vbslq_f64(vma, pa, pb);
-    out = vbslq_f64(both, sum, out);
-    out = vreinterpretq_f64_u64(
-        vandq_u64(any, vreinterpretq_u64_f64(out)));
-    vst1q_f64(c + i, out);
-    mc[i] = (ma[i] | mb[i]) ? 0xFF : 0;
-    mc[i + 1] = (ma[i + 1] | mb[i + 1]) ? 0xFF : 0;
-  }
-  if (i < n) s_blend_planes(sa, a + i, ma + i, sb, b + i, mb + i, c + i,
-                            mc + i, n - i);
-}
-
-void neon_scale_plane(double s, const double* a, const std::uint8_t* ma,
-                      double* c, std::uint8_t* mc, std::size_t n) {
-  const float64x2_t vs = vdupq_n_f64(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t vma = neon_mask2(ma + i);
-    const float64x2_t out = vreinterpretq_f64_u64(vandq_u64(
-        vma, vreinterpretq_u64_f64(vmulq_f64(vs, vld1q_f64(a + i)))));
-    vst1q_f64(c + i, out);
-    mc[i] = ma[i] ? 0xFF : 0;
-    mc[i + 1] = ma[i + 1] ? 0xFF : 0;
-  }
-  if (i < n) s_scale_plane(s, a + i, ma + i, c + i, mc + i, n - i);
-}
-
-double neon_max_abs_plane(const double* c, std::size_t n) {
-  float64x2_t vm = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vm = vmaxq_f64(vm, vabsq_f64(vld1q_f64(c + i)));
-  }
-  double m = std::max(vgetq_lane_f64(vm, 0), vgetq_lane_f64(vm, 1));
-  for (; i < n; ++i) m = std::max(m, std::abs(c[i]));
-  return m;
-}
-
-const kernel_table k_neon_table = {
-    kernel_isa::neon,       neon_blend_planes,    neon_scale_plane,
-    neon_max_abs_plane,     s_drop_small_plane,   s_variance_plane,
-    s_moments2_planes,      s_covariance_planes,  s_sigma_diff_sq_planes,
-    s_planes_equal,         s_popcount_mask,      s_argmax_buffered_row,
-    s_variance_rows,        s_covariance_row_tile,
-    s_sigma_diff_sq_row_tile,                     s_prefilter_row_tile,
-};
-
-#endif  // VABI_NEON
-
 kernel_isa best_available() {
 #ifdef VABI_X86
   if (__builtin_cpu_supports("avx2")) return kernel_isa::avx2;
-  return kernel_isa::sse2;
-#elif defined(VABI_NEON)
-  return kernel_isa::neon;
-#else
-  return kernel_isa::scalar;
 #endif
+  return kernel_isa::scalar;
 }
 
 std::atomic<const kernel_table*> g_active{nullptr};
 
-const kernel_table* resolve(kernel_isa isa) {
-  switch (isa) {
-    case kernel_isa::scalar:
-      return &k_scalar_table;
+const kernel_table* resolve([[maybe_unused]] kernel_isa isa) {
 #ifdef VABI_X86
-    case kernel_isa::sse2:
-      return &k_sse2_table;
-    case kernel_isa::avx2:
-      if (__builtin_cpu_supports("avx2")) return &k_avx2_table;
-      return &k_sse2_table;
-#endif
-#ifdef VABI_NEON
-    case kernel_isa::neon:
-      return &k_neon_table;
-#endif
-    default:
-      return &k_scalar_table;
+  if (isa == kernel_isa::avx2 && __builtin_cpu_supports("avx2")) {
+    return &k_avx2_table;
   }
+#endif
+  return &k_scalar_table;
 }
 
 kernel_isa parse_isa(const std::string& name, kernel_isa fallback) {
   if (name == "scalar") return kernel_isa::scalar;
-  if (name == "sse2") return kernel_isa::sse2;
   if (name == "avx2") return kernel_isa::avx2;
-  if (name == "neon") return kernel_isa::neon;
   return fallback;
 }
 
@@ -839,12 +344,8 @@ const char* to_string(kernel_isa isa) {
   switch (isa) {
     case kernel_isa::scalar:
       return "scalar";
-    case kernel_isa::sse2:
-      return "sse2";
     case kernel_isa::avx2:
       return "avx2";
-    case kernel_isa::neon:
-      return "neon";
   }
   return "?";
 }

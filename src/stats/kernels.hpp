@@ -1,45 +1,35 @@
-// Runtime-dispatched SIMD kernels for dense canonical-form planes.
+// Runtime-dispatched SIMD kernels over coefficient planes.
 //
-// The sparse (id, coeff) representation of linear_form wins when forms touch
-// a small fraction of the variation space, but on deep trees the RAT forms
-// accumulate nearly every source and the sparse merge machinery pays branchy
-// per-term overhead for no sparsity. The dense representation (see
-// linear_form.hpp) stores a form as a contiguous coefficient plane indexed by
-// source_id plus a byte-per-id presence mask; this module provides the
-// element loops over those planes, dispatched once at startup to the best
-// instruction set the CPU offers (AVX2 / SSE2 on x86-64, NEON on aarch64,
-// portable scalar otherwise).
+// Canonical forms are stored sparsely (linear_form.hpp). Two hot loops work
+// on contiguous arrays instead: the tiled 2P dominance sweep
+// (core/pruning.cpp) gathers a candidate list into coefficient planes
+// indexed by source id (stats/candidate_plane.hpp) and asks one-vs-many
+// moment questions of them, and the Li-Shi frontier (core/li_shi.hpp) scans
+// rows of per-candidate RATs and loads for the best buffered key. This
+// module provides those element loops, dispatched once at startup to AVX2
+// when the x86-64 CPU offers it and to portable scalar code otherwise.
 //
-// Bit-identity contract. Every kernel is bit-identical to the seed sparse
-// scalar path, on every ISA:
+// Bit-identity contract. Every kernel is bit-identical to its scalar
+// reference on every ISA, and the plane reductions are bit-identical to the
+// sparse pass over the gathered forms:
 //
-//   - the form-producing ops (blend_planes, drop-small epilogue) are purely
-//     elementwise: each output slot is computed by the exact scalar
-//     expression of the historical sparse merge (sa*a_i + sb*b_i for slots
-//     present on both sides, sa*a_i / sb*b_i for one-sided slots -- a true
-//     per-slot select, never "multiply by a zero slot and add", which would
-//     perturb signed zeros). SIMD lanes evaluate independent slots, so
-//     vectorization cannot reassociate anything. FMA contraction is off
-//     globally (-ffp-contract=off) and the kernels use explicit mul/add
-//     intrinsics, never fused ones.
+//   - the reductions (variance, sigma-of-difference) keep the sparse pass's
+//     single left-to-right accumulation chain in id order. Absent slots
+//     hold exactly 0.0, so their contributions (0.0 * sigma^2, 0.0 - 0.0
+//     squared) are exact no-ops interleaved into that chain. The AVX2 forms
+//     vectorize only the per-slot products; the batched row forms
+//     additionally keep several *independent* chains in flight -- one per
+//     row, each in its own id order -- which hides the FP add latency that
+//     bounds a single chain. FMA contraction is off globally
+//     (-ffp-contract=off) and the kernels use explicit mul/add intrinsics,
+//     never fused ones.
 //
-//   - the reductions (variance, covariance, sigma-of-difference) keep the
-//     seed's single left-to-right accumulation chain in id order on every
-//     ISA. Absent slots hold exactly 0.0, so their contributions (0.0 *
-//     sigma^2, 0.0 - 0.0 squared) are exact no-ops interleaved into the same
-//     chain the sparse pass produces. What makes the dense reductions faster
-//     is not reassociation but the removal of the branchy sparse merge and
-//     the per-term sigma lookup (the space's aligned sigma^2 table streams
-//     sequentially), plus the paired variants (moments2_planes,
-//     sigma_diff2_planes) that interleave two *independent* chains -- each
-//     chain keeps its own seed order, and two chains in flight hide the FP
-//     add latency that bounds a single one.
+//   - the argmax and the prefilter evaluate the exact scalar expressions
+//     per lane; only the comparison schedule vectorizes.
 //
-//   - max-magnitude scans may vectorize freely: max is exact in any order.
-//
-// Dispatch is resolved once (first use) from CPUID / the target baseline and
-// can be forced with VABI_FORCE_KERNEL={scalar,sse2,avx2,neon}; forcing an
-// ISA the CPU lacks falls back to the best available one. Tests exercise
+// Dispatch is resolved once (first use) from CPUID and can be forced with
+// VABI_FORCE_KERNEL={scalar,avx2}; forcing an ISA the CPU lacks, or naming
+// an unknown one, falls back to the best available ISA. Tests exercise
 // every reachable ISA through set_forced_isa().
 #pragma once
 
@@ -49,7 +39,7 @@
 namespace vabi::stats::kernels {
 
 /// Instruction sets a kernel table can be built for.
-enum class kernel_isa : std::uint8_t { scalar, sse2, avx2, neon };
+enum class kernel_isa : std::uint8_t { scalar, avx2 };
 
 const char* to_string(kernel_isa isa);
 
@@ -62,71 +52,21 @@ kernel_isa active_isa();
 /// the ISA actually installed.
 kernel_isa set_forced_isa(const char* name);
 
-/// Result pair of the two-chain reductions.
-struct pair_result {
-  double first = 0.0;
-  double second = 0.0;
-};
-
 // ---------------------------------------------------------------------------
-// Kernel table. All plane pointers refer to `n` doubles (coefficients) or
-// `n` bytes (presence masks: 0 = absent, nonzero = present). Absent slots of
-// a coefficient plane must hold exactly 0.0; every form-producing kernel
-// re-establishes that invariant on its output.
+// Kernel table. Every plane pointer refers to `n` coefficient doubles
+// indexed by source id, with absent slots holding exactly 0.0.
 // ---------------------------------------------------------------------------
 
 struct kernel_table {
   kernel_isa isa = kernel_isa::scalar;
 
-  /// c_i = select(ma_i && mb_i : sa*a_i + sb*b_i,
-  ///              ma_i        : sa*a_i,
-  ///              mb_i        : sb*b_i,
-  ///              otherwise   : 0.0),  mc_i = ma_i | mb_i.
-  /// The per-slot select reproduces the sparse merge_scaled coefficients
-  /// exactly (one-sided slots are a single product, never a product plus a
-  /// signed zero). `c`/`mc` may alias `a`/`ma` or `b`/`mb`.
-  void (*blend_planes)(double sa, const double* a, const std::uint8_t* ma,
-                       double sb, const double* b, const std::uint8_t* mb,
-                       double* c, std::uint8_t* mc, std::size_t n);
-
-  /// One-sided scale: c_i = s*a_i where present, 0.0 elsewhere; mc = ma.
-  void (*scale_plane)(double s, const double* a, const std::uint8_t* ma,
-                      double* c, std::uint8_t* mc, std::size_t n);
-
-  /// max_i |c_i| (0.0 on an empty plane). Order-free exact.
-  double (*max_abs_plane)(const double* c, std::size_t n);
-
-  /// Drops present slots with |c_i| <= thr: their mask byte and coefficient
-  /// are cleared. Mirrors the sparse blend's relative-epsilon term drop.
-  void (*drop_small_plane)(double* c, std::uint8_t* mc, double thr,
-                           std::size_t n);
-
   /// sum_i a_i^2 * s2_i, one left-to-right chain (seed variance order).
   double (*variance_plane)(const double* a, const double* s2, std::size_t n);
-
-  /// {sum a_i^2 s2_i, sum b_i^2 s2_i} -- two independent seed-order chains
-  /// interleaved (the per-candidate Var(L)/Var(T) moment pass).
-  pair_result (*moments2_planes)(const double* a, const double* b,
-                                 const double* s2, std::size_t n);
-
-  /// sum_i a_i * b_i * s2_i, one left-to-right chain. Slots absent on either
-  /// side contribute an exact-zero product.
-  double (*covariance_planes)(const double* a, const double* b,
-                              const double* s2, std::size_t n);
 
   /// sum_i (a_i - b_i)^2 * s2_i, one left-to-right chain (the seed
   /// sigma_of_difference union pass with absent slots reading 0.0).
   double (*sigma_diff_sq_planes)(const double* a, const double* b,
                                  const double* s2, std::size_t n);
-
-  /// Numeric equality of two masked planes: same presence sets and a_i ==
-  /// b_i (IEEE ==, so -0.0 equals +0.0 exactly like the sparse comparison)
-  /// on every present slot.
-  bool (*planes_equal)(const double* a, const std::uint8_t* ma,
-                       const double* b, const std::uint8_t* mb, std::size_t n);
-
-  /// Present-slot count of a mask plane.
-  std::size_t (*popcount_mask)(const std::uint8_t* m, std::size_t n);
 
   /// Leftmost strictly-greater argmax of the buffered-step key
   /// r_k - d - R*l_k over k in [0, n): the smallest k achieving the maximum
@@ -154,11 +94,6 @@ struct kernel_table {
   /// out[j] = variance_plane(rows[j], s2, n) for j in [0, m).
   void (*variance_rows)(const double* const* rows, std::size_t m,
                         const double* s2, std::size_t n, double* out);
-
-  /// out[j] = covariance_planes(x, rows[j], s2, n) for j in [0, m).
-  void (*covariance_row_tile)(const double* x, const double* const* rows,
-                              std::size_t m, const double* s2, std::size_t n,
-                              double* out);
 
   /// out[j] = sigma_diff_sq_planes(x, rows[j], s2, n) for j in [0, m).
   void (*sigma_diff_sq_row_tile)(const double* x, const double* const* rows,

@@ -1,136 +1,28 @@
 #include "stats/linear_form.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <ostream>
 
-#include "stats/kernels.hpp"
 #include "stats/normal.hpp"
 
 namespace vabi::stats {
 
 namespace {
-
-// -- Dense-representation policy and telemetry ------------------------------
-
-thread_local std::size_t t_dense_forms = 0;
 thread_local std::size_t t_terms_merged = 0;
-
-constexpr int k_force_dense_unset = std::numeric_limits<int>::min();
-std::atomic<int> g_force_dense{k_force_dense_unset};
-
-// -1 never dense, +1 always dense, 0 adaptive. First read consults
-// VABI_FORCE_DENSE; set_force_dense overrides.
-int force_dense_mode() {
-  int mode = g_force_dense.load(std::memory_order_relaxed);
-  if (mode == k_force_dense_unset) {
-    mode = 0;
-    if (const char* env = std::getenv("VABI_FORCE_DENSE")) {
-      if (env[0] == '1') mode = 1;
-      if (env[0] == '-' || std::strcmp(env, "never") == 0) mode = -1;
-    }
-    g_force_dense.store(mode, std::memory_order_relaxed);
-  }
-  return mode;
-}
-
-/// Plane length a form needs: its dense extent, or max sparse id + 1.
-std::size_t form_extent(const linear_form& f) {
-  if (f.is_dense()) return f.dense_extent();
-  const auto ts = f.terms();
-  return ts.empty() ? 0 : static_cast<std::size_t>(ts.back().id) + 1;
-}
-
-/// The adaptive representation switch: dense pays off once the operands'
-/// combined term count is comparable to the plane they would span (the
-/// elementwise loop then does no more work than the sparse merge, without
-/// its branches), and planes below a cache line of slots aren't worth the
-/// scatter. Results are bit-identical either way; only speed changes.
-constexpr std::size_t k_dense_min_extent = 16;
-
-bool want_dense(std::size_t total_terms, std::size_t ext) {
-  const int mode = force_dense_mode();
-  if (mode > 0) return ext > 0;
-  if (mode < 0) return false;
-  return ext >= k_dense_min_extent && total_terms >= ext;
-}
-
-/// Rebinds `f` to a sparse view: returns `f` itself when already sparse,
-/// otherwise sparsifies a copy into `store`. Used by the sparse fallback
-/// paths when an operand arrived dense.
-const linear_form& sparse_ref(const linear_form& f, linear_form& store) {
-  if (!f.is_dense()) return f;
-  store = f;
-  store.own_terms();
-  return store;
-}
-
-// -- Dense operand views ----------------------------------------------------
-
-struct dense_view {
-  const double* coeff = nullptr;
-  const std::uint8_t* mask = nullptr;
-};
-
-// Scratch planes for widening an operand to the result extent (slot 0 / 1 =
-// first / second operand). One pair of live views per thread; every consumer
-// finishes with its views before the next operation starts.
-thread_local std::vector<double> t_view_coeff[2];
-thread_local std::vector<std::uint8_t> t_view_mask[2];
-
-/// Views `f` as a dense plane of length `ext` (>= f's extent). Dense forms
-/// of exactly that extent are viewed in place; everything else is scattered
-/// into the thread-local scratch plane (absent slots exactly 0.0).
-dense_view as_dense_view(const linear_form& f, std::size_t ext, int slot) {
-  if (f.is_dense() && f.dense_extent() == ext) {
-    return {f.dense_coeffs(), f.dense_mask()};
-  }
-  auto& vc = t_view_coeff[slot];
-  auto& vm = t_view_mask[slot];
-  vc.assign(ext, 0.0);
-  vm.assign(ext, 0);
-  if (f.is_dense()) {
-    const std::size_t e = f.dense_extent();
-    std::copy(f.dense_coeffs(), f.dense_coeffs() + e, vc.data());
-    std::copy(f.dense_mask(), f.dense_mask() + e, vm.data());
-  } else {
-    for (const auto& t : f.terms()) {
-      vc[t.id] = t.coeff;
-      vm[t.id] = 0xFF;
-    }
-  }
-  return {vc.data(), vm.data()};
-}
-
 }  // namespace
 
-std::size_t dense_forms_produced() noexcept { return t_dense_forms; }
-
 std::size_t pooled_terms_merged() noexcept { return t_terms_merged; }
-
-void set_force_dense(int mode) {
-  g_force_dense.store(mode == 0 ? 0 : (mode > 0 ? 1 : -1),
-                      std::memory_order_relaxed);
-}
-
-void reset_force_dense_from_env() {
-  g_force_dense.store(k_force_dense_unset, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Storage management
 // ---------------------------------------------------------------------------
 
 linear_form::linear_form(const linear_form& other)
-    : nominal_(other.nominal_), size_(other.size_), extent_(other.extent_) {
+    : nominal_(other.nominal_), size_(other.size_) {
   if (other.capacity_ == 0) {
-    // Copy of a borrowed form (sparse span or dense plane) is shallow: same
-    // external storage.
+    // Copy of a borrowed form is shallow: same external storage.
     data_ = other.data_;
     capacity_ = 0;
   } else if (size_ <= inline_capacity) {
@@ -146,7 +38,7 @@ linear_form::linear_form(const linear_form& other)
 }
 
 linear_form::linear_form(linear_form&& other) noexcept
-    : nominal_(other.nominal_), size_(other.size_), extent_(other.extent_) {
+    : nominal_(other.nominal_), size_(other.size_) {
   if (other.owns_heap()) {
     data_ = other.data_;
     capacity_ = other.capacity_;
@@ -171,7 +63,6 @@ linear_form& linear_form::operator=(const linear_form& other) {
     data_ = other.data_;
     size_ = other.size_;
     capacity_ = 0;
-    extent_ = other.extent_;
   } else {
     assign_terms(other.data_, other.size_);
   }
@@ -186,7 +77,6 @@ linear_form& linear_form::operator=(linear_form&& other) noexcept {
     data_ = other.data_;
     size_ = other.size_;
     capacity_ = other.capacity_;
-    extent_ = 0;
     other.data_ = other.sbo_;
     other.capacity_ = inline_capacity;
     other.size_ = 0;
@@ -195,7 +85,6 @@ linear_form& linear_form::operator=(linear_form&& other) noexcept {
     data_ = other.data_;
     size_ = other.size_;
     capacity_ = 0;
-    extent_ = other.extent_;
   } else {
     assign_terms(other.data_, other.size_);
   }
@@ -216,37 +105,9 @@ void linear_form::assign_terms(const lf_term* src, std::size_t n) {
   }
   std::copy(src, src + n, data_);
   size_ = static_cast<std::uint32_t>(n);
-  extent_ = 0;
-}
-
-void linear_form::sparsify(std::size_t min_capacity) {
-  const double* coeff = dense_coeffs();
-  const std::uint8_t* mask = dense_mask();
-  const std::uint32_t ext = extent_;
-  lf_term* dst = sbo_;
-  std::uint32_t cap = inline_capacity;
-  if (min_capacity > inline_capacity || size_ > inline_capacity) {
-    cap = static_cast<std::uint32_t>(
-        std::max(min_capacity, static_cast<std::size_t>(size_)));
-    dst = new lf_term[cap];
-    detail::count_term_heap_allocation();
-  }
-  std::size_t n = 0;
-  for (std::uint32_t id = 0; id < ext; ++id) {
-    if (mask[id] != 0) dst[n++] = lf_term{id, coeff[id]};
-  }
-  assert(n == size_);
-  data_ = dst;
-  capacity_ = cap;
-  size_ = static_cast<std::uint32_t>(n);
-  extent_ = 0;
 }
 
 void linear_form::ensure_mutable(std::size_t min_capacity) {
-  if (extent_ != 0) {
-    sparsify(std::max(min_capacity, static_cast<std::size_t>(size_)));
-    return;
-  }
   if (capacity_ == 0) {
     // Borrowed: materialize the current terms into owned storage.
     const lf_term* src = data_;
@@ -283,21 +144,6 @@ std::size_t linear_form::relocate_terms(lf_term* dst) {
     ensure_mutable(size_);
     return 0;
   }
-  if (extent_ != 0) {
-    // Dense planes never outlive their scratch epoch: sealing re-sparsifies
-    // the form into the destination block (num_terms() == mask popcount, so
-    // the caller's size accounting already fits).
-    const double* coeff = dense_coeffs();
-    const std::uint8_t* mask = dense_mask();
-    std::size_t n = 0;
-    for (std::uint32_t id = 0; id < extent_; ++id) {
-      if (mask[id] != 0) dst[n++] = lf_term{id, coeff[id]};
-    }
-    assert(n == size_);
-    data_ = dst;
-    extent_ = 0;
-    return size_;
-  }
   std::copy(data_, data_ + size_, dst);
   data_ = dst;
   return size_;
@@ -333,10 +179,6 @@ linear_form::linear_form(double nominal, std::vector<lf_term> terms)
 // ---------------------------------------------------------------------------
 
 double linear_form::coefficient(source_id id) const {
-  if (extent_ != 0) {
-    if (id >= extent_ || dense_mask()[id] == 0) return 0.0;
-    return dense_coeffs()[id];
-  }
   const auto* it = std::lower_bound(
       data_, data_ + size_, id,
       [](const lf_term& t, source_id v) { return t.id < v; });
@@ -346,7 +188,6 @@ double linear_form::coefficient(source_id id) const {
 
 void linear_form::add_term(source_id id, double coeff) {
   if (coeff == 0.0) return;
-  if (extent_ != 0) ensure_mutable(size_);
   const std::size_t lo = static_cast<std::size_t>(
       std::lower_bound(data_, data_ + size_, id,
                        [](const lf_term& t, source_id v) { return t.id < v; }) -
@@ -371,10 +212,10 @@ namespace {
 //   b only:        sb * b_i
 // With sa == 1.0 this is bit-identical to the historical merge_terms(a, b,
 // sign) (1.0 * x == x for every x), which the golden bit-identity tests rely
-// on. When `max_abs` is given it receives max |coeff| of the output.
+// on.
 std::size_t merge_scaled(std::span<const lf_term> a, double sa,
-                         std::span<const lf_term> b, double sb, lf_term* out,
-                         double* max_abs) {
+                         std::span<const lf_term> b, double sb,
+                         lf_term* out) {
   std::size_t i = 0;
   std::size_t j = 0;
   std::size_t n = 0;
@@ -395,11 +236,6 @@ std::size_t merge_scaled(std::span<const lf_term> a, double sa,
   }
   for (; i < a.size(); ++i) out[n++] = lf_term{a[i].id, sa * a[i].coeff};
   for (; j < b.size(); ++j) out[n++] = lf_term{b[j].id, sb * b[j].coeff};
-  if (max_abs != nullptr) {
-    double m = 0.0;
-    for (std::size_t k = 0; k < n; ++k) m = std::max(m, std::abs(out[k].coeff));
-    *max_abs = m;
-  }
   return n;
 }
 
@@ -413,17 +249,14 @@ thread_local std::vector<lf_term> t_merge_scratch;
 linear_form& linear_form::operator+=(const linear_form& rhs) {
   nominal_ += rhs.nominal_;
   if (rhs.size_ == 0) return *this;
-  if (extent_ != 0) ensure_mutable(size_);
-  linear_form rhs_store;
-  const linear_form& r = sparse_ref(rhs, rhs_store);
   if (size_ == 0) {
-    assign_terms(r.data_, r.size_);
+    assign_terms(rhs.data_, rhs.size_);
     return *this;
   }
-  const std::size_t need = std::size_t{size_} + r.size_;
+  const std::size_t need = std::size_t{size_} + rhs.size_;
   if (t_merge_scratch.size() < need) t_merge_scratch.resize(need);
-  const std::size_t n = merge_scaled(terms(), 1.0, r.terms(), 1.0,
-                                     t_merge_scratch.data(), nullptr);
+  const std::size_t n = merge_scaled(terms(), 1.0, rhs.terms(), 1.0,
+                                     t_merge_scratch.data());
   assign_terms(t_merge_scratch.data(), n);
   return *this;
 }
@@ -431,13 +264,10 @@ linear_form& linear_form::operator+=(const linear_form& rhs) {
 linear_form& linear_form::operator-=(const linear_form& rhs) {
   nominal_ -= rhs.nominal_;
   if (rhs.size_ == 0) return *this;
-  if (extent_ != 0) ensure_mutable(size_);
-  linear_form rhs_store;
-  const linear_form& r = sparse_ref(rhs, rhs_store);
-  const std::size_t need = std::size_t{size_} + r.size_;
+  const std::size_t need = std::size_t{size_} + rhs.size_;
   if (t_merge_scratch.size() < need) t_merge_scratch.resize(need);
-  const std::size_t n = merge_scaled(terms(), 1.0, r.terms(), -1.0,
-                                     t_merge_scratch.data(), nullptr);
+  const std::size_t n = merge_scaled(terms(), 1.0, rhs.terms(), -1.0,
+                                     t_merge_scratch.data());
   assign_terms(t_merge_scratch.data(), n);
   return *this;
 }
@@ -457,7 +287,6 @@ linear_form& linear_form::operator*=(double scale) {
   if (size_ == 0) return *this;
   if (scale == 0.0) {
     size_ = 0;
-    extent_ = 0;
     if (capacity_ == 0) {
       data_ = sbo_;
       capacity_ = inline_capacity;
@@ -470,13 +299,6 @@ linear_form& linear_form::operator*=(double scale) {
 }
 
 double linear_form::variance(const variation_space& space) const {
-  if (extent_ != 0) {
-    // Dense dot product against the space's aligned sigma^2 table. Absent
-    // slots hold exactly 0.0 and contribute +0.0 to a non-negative chain, so
-    // this is bit-identical to the sparse pass below.
-    return kernels::active().variance_plane(dense_coeffs(),
-                                            space.sigma2_data(), extent_);
-  }
   double var = 0.0;
   for (const auto& t : terms()) var += t.coeff * t.coeff * space.variance(t.id);
   return var;
@@ -487,16 +309,6 @@ double linear_form::stddev(const variation_space& space) const {
 }
 
 double linear_form::evaluate(std::span<const double> sample) const {
-  if (extent_ != 0) {
-    assert(extent_ <= sample.size());
-    double v = nominal_;
-    const double* coeff = dense_coeffs();
-    const std::uint8_t* mask = dense_mask();
-    for (std::uint32_t id = 0; id < extent_; ++id) {
-      if (mask[id] != 0) v += coeff[id] * sample[id];
-    }
-    return v;
-  }
   double v = nominal_;
   for (const auto& t : terms()) {
     assert(t.id < sample.size());
@@ -507,7 +319,6 @@ double linear_form::evaluate(std::span<const double> sample) const {
 
 void linear_form::prune_zero_terms(double eps) {
   if (size_ == 0) return;
-  if (extent_ != 0) ensure_mutable(size_);
   bool any = false;
   for (std::uint32_t i = 0; i < size_ && !any; ++i) {
     any = std::abs(data_[i].coeff) <= eps;
@@ -523,44 +334,8 @@ void linear_form::prune_zero_terms(double eps) {
 
 bool linear_form::is_finite() const {
   if (!std::isfinite(nominal_)) return false;
-  if (extent_ != 0) {
-    const double* coeff = dense_coeffs();
-    const std::uint8_t* mask = dense_mask();
-    for (std::uint32_t id = 0; id < extent_; ++id) {
-      if (mask[id] != 0 && !std::isfinite(coeff[id])) return false;
-    }
-    return true;
-  }
   for (std::uint32_t i = 0; i < size_; ++i) {
     if (!std::isfinite(data_[i].coeff)) return false;
-  }
-  return true;
-}
-
-bool linear_form::equal_slow(const linear_form& a, const linear_form& b) {
-  const auto& kern = kernels::active();
-  if (a.extent_ != 0 && b.extent_ != 0) {
-    const std::uint32_t common = std::min(a.extent_, b.extent_);
-    if (!kern.planes_equal(a.dense_coeffs(), a.dense_mask(), b.dense_coeffs(),
-                           b.dense_mask(), common)) {
-      return false;
-    }
-    const linear_form& longer = a.extent_ >= b.extent_ ? a : b;
-    return kern.popcount_mask(longer.dense_mask() + common,
-                              longer.extent_ - common) == 0;
-  }
-  // Mixed representation: both have the same term count (checked by the
-  // caller), so every sparse term matching a present dense slot implies
-  // identical supports. Coefficients compare numerically (-0.0 == +0.0),
-  // like the sparse fast path.
-  const linear_form& dense = a.extent_ != 0 ? a : b;
-  const linear_form& sparse = a.extent_ != 0 ? b : a;
-  const double* coeff = dense.dense_coeffs();
-  const std::uint8_t* mask = dense.dense_mask();
-  for (const auto& t : sparse.terms()) {
-    if (t.id >= dense.extent_ || mask[t.id] == 0 || t.coeff != coeff[t.id]) {
-      return false;
-    }
   }
   return true;
 }
@@ -571,14 +346,6 @@ bool linear_form::equal_slow(const linear_form& a, const linear_form& b) {
 
 double covariance(const linear_form& a, const linear_form& b,
                   const variation_space& space) {
-  if (a.is_dense() || b.is_dense()) {
-    const std::size_t ext = std::max(form_extent(a), form_extent(b));
-    if (ext == 0) return 0.0;
-    const dense_view va = as_dense_view(a, ext, 0);
-    const dense_view vb = as_dense_view(b, ext, 1);
-    return kernels::active().covariance_planes(va.coeff, vb.coeff,
-                                               space.sigma2_data(), ext);
-  }
   const auto ta = a.terms();
   const auto tb = b.terms();
   double cov = 0.0;
@@ -608,19 +375,6 @@ double correlation(const linear_form& a, const linear_form& b,
 
 double sigma_of_difference(const linear_form& a, const linear_form& b,
                            const variation_space& space) {
-  if (a.is_dense() || b.is_dense()) {
-    // Dense union pass: slots absent on both sides contribute an exact
-    // (0.0 - 0.0)^2 * s2 = +0.0 into a non-negative chain, one-sided slots
-    // read an exact 0.0 for the missing operand, so the accumulation is
-    // bit-identical to the sparse union pass below.
-    const std::size_t ext = std::max(form_extent(a), form_extent(b));
-    if (ext == 0) return 0.0;
-    const dense_view va = as_dense_view(a, ext, 0);
-    const dense_view vb = as_dense_view(b, ext, 1);
-    const double var = kernels::active().sigma_diff_sq_planes(
-        va.coeff, vb.coeff, space.sigma2_data(), ext);
-    return std::sqrt(std::max(var, 0.0));
-  }
   // One sparse pass over the union of term ids: Var(a-b) = sum (a_i-b_i)^2 s_i^2.
   const auto ta = a.terms();
   const auto tb = b.terms();
@@ -693,16 +447,6 @@ double percentile(const linear_form& f, const variation_space& space,
 
 std::ostream& operator<<(std::ostream& os, const linear_form& f) {
   os << f.nominal();
-  if (f.is_dense()) {
-    const double* coeff = f.dense_coeffs();
-    const std::uint8_t* mask = f.dense_mask();
-    for (std::size_t id = 0; id < f.dense_extent(); ++id) {
-      if (mask[id] == 0) continue;
-      os << (coeff[id] >= 0.0 ? " + " : " - ") << std::abs(coeff[id]) << "*X"
-         << id;
-    }
-    return os;
-  }
   for (const auto& t : f.terms()) {
     os << (t.coeff >= 0.0 ? " + " : " - ") << std::abs(t.coeff) << "*X"
        << t.id;
@@ -730,51 +474,12 @@ linear_form adopt_pool_result(double nominal, term_pool& pool, lf_term* buf,
   return linear_form(nominal, buf, used);
 }
 
-linear_form adopt_dense_result(double nominal, double* coeff,
-                               std::size_t extent, std::size_t present) {
-  linear_form out(nominal, reinterpret_cast<const lf_term*>(coeff), present);
-  out.extent_ = static_cast<std::uint32_t>(extent);
-  return out;
-}
-
 }  // namespace detail
-
-namespace {
-
-/// The dense counterpart of merge_scaled + adopt_pool_result: blends two
-/// operands (viewed at extent `ext`) through the active SIMD kernel into a
-/// fresh pool plane, with the optional relative-epsilon drop. A zero scale
-/// blends against an all-absent view, so the zero-weighted side's ids vanish
-/// exactly like in the sparse pooled_blend.
-linear_form dense_merge(double nominal, double sa, const linear_form& a,
-                        double sb, const linear_form& b, std::size_t ext,
-                        term_pool& pool, double drop_rel_eps) {
-  static const linear_form k_empty_form{};
-  const auto& kern = kernels::active();
-  const dense_view va = as_dense_view(sa == 0.0 ? k_empty_form : a, ext, 0);
-  const dense_view vb = as_dense_view(sb == 0.0 ? k_empty_form : b, ext, 1);
-  const term_pool::plane_span plane = pool.allocate_plane(ext);
-  kern.blend_planes(sa, va.coeff, va.mask, sb, vb.coeff, vb.mask, plane.coeff,
-                    plane.mask, ext);
-  if (drop_rel_eps > 0.0) {
-    // Same threshold as the sparse drop: absent slots are 0.0 and cannot
-    // raise the max, so max over the whole plane equals max over the merged
-    // terms.
-    const double thr = drop_rel_eps * kern.max_abs_plane(plane.coeff, ext);
-    kern.drop_small_plane(plane.coeff, plane.mask, thr, ext);
-  }
-  const std::size_t present = kern.popcount_mask(plane.mask, ext);
-  ++t_dense_forms;
-  t_terms_merged += ext;
-  return detail::adopt_dense_result(nominal, plane.coeff, ext, present);
-}
-
-}  // namespace
 
 linear_form pooled_copy(const linear_form& f, term_pool& pool) {
   if (!f.owns_terms()) {
-    // Borrowed copies (sparse spans and dense planes) stay shallow: their
-    // storage already has caller-managed lifetime.
+    // Borrowed copies stay shallow: their storage already has
+    // caller-managed lifetime.
     return f;
   }
   const auto ts = f.terms();
@@ -790,25 +495,46 @@ linear_form pooled_copy(const linear_form& f, term_pool& pool) {
 
 namespace {
 
-/// Shared body of the four fixed-scale pooled merges: sa*a + sb*b with
-/// `nominal` already combined by the caller. Picks the representation
-/// adaptively; results are bit-identical either way.
+/// The one pooled merge body: sa*a + sb*b into `pool`, with `nominal`
+/// already combined by the caller.
+///
+/// A zero scale eliminates that side's term ids entirely: operator*= clears
+/// the terms on scale == 0, and the historical blends were built on it, so
+/// the ids must not survive as explicit zero-coefficient terms (form
+/// equality drives the pruning tie conventions, and the 4P prune's
+/// identical-form shortcut depends on it). Saturated tightness -- t exactly
+/// 0 or 1, routine when near-identical candidates meet in a cross merge --
+/// zero-weights one side of the statistical min/max blend this way.
+///
+/// A positive `drop_rel_eps` then drops terms with |coeff| <= drop_rel_eps *
+/// max|coeff| of the result: the tightness blend otherwise keeps every
+/// near-zero coefficient forever, and deep trees accumulate the union of
+/// every source id they ever saw. The fixed-scale merges never ask for it
+/// and return before the drop pass.
 linear_form pooled_merge(double nominal, double sa, const linear_form& a,
-                         double sb, const linear_form& b, term_pool& pool) {
-  const std::size_t ext = std::max(form_extent(a), form_extent(b));
-  if (want_dense(a.num_terms() + b.num_terms(), ext)) {
-    return dense_merge(nominal, sa, a, sb, b, ext, pool, 0.0);
-  }
-  linear_form a_store;
-  linear_form b_store;
-  const linear_form& as = sparse_ref(a, a_store);
-  const linear_form& bs = sparse_ref(b, b_store);
-  const std::size_t cap = as.num_terms() + bs.num_terms();
+                         double sb, const linear_form& b, term_pool& pool,
+                         double drop_rel_eps = 0.0) {
+  const std::span<const lf_term> ta =
+      sa == 0.0 ? std::span<const lf_term>{} : a.terms();
+  const std::span<const lf_term> tb =
+      sb == 0.0 ? std::span<const lf_term>{} : b.terms();
+  const std::size_t cap = ta.size() + tb.size();
   lf_term* buf = pool.allocate(cap);
-  const std::size_t n = merge_scaled(as.terms(), sa, bs.terms(), sb, buf,
-                                     nullptr);
+  std::size_t n = merge_scaled(ta, sa, tb, sb, buf);
   t_terms_merged += n;
-  return detail::adopt_pool_result(nominal, pool, buf, cap, n);
+  if (!(drop_rel_eps > 0.0)) {
+    return detail::adopt_pool_result(nominal, pool, buf, cap, n);
+  }
+  double max_abs = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    max_abs = std::max(max_abs, std::abs(buf[k].coeff));
+  }
+  const double thr = drop_rel_eps * max_abs;
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::abs(buf[k].coeff) > thr) buf[out++] = buf[k];
+  }
+  return detail::adopt_pool_result(nominal, pool, buf, cap, out);
 }
 
 }  // namespace
@@ -850,86 +576,9 @@ linear_form pooled_add_scaled(const linear_form& a, double s,
 
 linear_form pooled_blend(double sa, const linear_form& a, double sb,
                          const linear_form& b, term_pool& pool) {
-  // A zero scale eliminates that side's term ids entirely (operator*= clears
-  // the vector on scale == 0, and the historical blends were built on it) --
-  // they must not survive as explicit zero-coefficient terms, because form
-  // equality drives the pruning tie conventions.
-  const std::size_t na = sa == 0.0 ? 0 : a.num_terms();
-  const std::size_t nb = sb == 0.0 ? 0 : b.num_terms();
-  const std::size_t ext = std::max(sa == 0.0 ? 0 : form_extent(a),
-                                   sb == 0.0 ? 0 : form_extent(b));
-  const double pa = sa * a.nominal();
-  const double pb = sb * b.nominal();
-  if (want_dense(na + nb, ext)) {
-    return dense_merge(pa + pb, sa, a, sb, b, ext, pool, 0.0);
-  }
-  linear_form a_store;
-  linear_form b_store;
-  const linear_form& as = sparse_ref(a, a_store);
-  const linear_form& bs = sparse_ref(b, b_store);
-  const std::span<const lf_term> ta =
-      sa == 0.0 ? std::span<const lf_term>{} : as.terms();
-  const std::span<const lf_term> tb =
-      sb == 0.0 ? std::span<const lf_term>{} : bs.terms();
-  const std::size_t cap = ta.size() + tb.size();
-  lf_term* buf = pool.allocate(cap);
-  const std::size_t n = merge_scaled(ta, sa, tb, sb, buf, nullptr);
-  t_terms_merged += n;
-  return detail::adopt_pool_result(pa + pb, pool, buf, cap, n);
+  return pooled_merge(sa * a.nominal() + sb * b.nominal(), sa, a, sb, b,
+                      pool);
 }
-
-namespace {
-
-// Shared tail of the pooled statistical min/max: the tightness blend
-// sa*a + sb*b with an optional relative-epsilon drop of near-zero
-// coefficients (satellite fix for term-count bloat: the blend's tiny
-// coefficients otherwise survive forever and deep trees accumulate the union
-// of every source id they ever saw).
-linear_form blend_with_drop(double sa, const linear_form& a, double sb,
-                            const linear_form& b, double nominal_correction,
-                            term_pool& pool, double drop_rel_eps) {
-  // Saturated tightness (t exactly 0 or 1, routine when near-identical
-  // candidates meet in a cross merge and |z| is huge) zero-weights one side.
-  // The historical t*a + (1-t)*b computed through operator*= *cleared* that
-  // side's terms, so its ids must vanish here too (see pooled_blend) -- the
-  // 4P prune's identical-form shortcut depends on it. The dense path blends
-  // a zero-weighted side against an all-absent view for the same effect.
-  const std::size_t na = sa == 0.0 ? 0 : a.num_terms();
-  const std::size_t nb = sb == 0.0 ? 0 : b.num_terms();
-  const std::size_t ext = std::max(sa == 0.0 ? 0 : form_extent(a),
-                                   sb == 0.0 ? 0 : form_extent(b));
-  const double pa = sa * a.nominal();
-  const double pb = sb * b.nominal();
-  const double nom = (pa + pb) + nominal_correction;
-  if (want_dense(na + nb, ext)) {
-    return dense_merge(nom, sa, a, sb, b, ext, pool, drop_rel_eps);
-  }
-  linear_form a_store;
-  linear_form b_store;
-  const linear_form& as = sparse_ref(a, a_store);
-  const linear_form& bs = sparse_ref(b, b_store);
-  const std::span<const lf_term> ta =
-      sa == 0.0 ? std::span<const lf_term>{} : as.terms();
-  const std::span<const lf_term> tb =
-      sb == 0.0 ? std::span<const lf_term>{} : bs.terms();
-  const std::size_t cap = ta.size() + tb.size();
-  lf_term* buf = pool.allocate(cap);
-  double max_abs = 0.0;
-  std::size_t n = merge_scaled(ta, sa, tb, sb, buf,
-                               drop_rel_eps > 0.0 ? &max_abs : nullptr);
-  t_terms_merged += n;
-  if (drop_rel_eps > 0.0) {
-    const double thr = drop_rel_eps * max_abs;
-    std::size_t out = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (std::abs(buf[k].coeff) > thr) buf[out++] = buf[k];
-    }
-    n = out;
-  }
-  return detail::adopt_pool_result(nom, pool, buf, cap, n);
-}
-
-}  // namespace
 
 linear_form statistical_min(const linear_form& a, const linear_form& b,
                             const variation_space& space, term_pool& pool,
@@ -938,8 +587,10 @@ linear_form statistical_min(const linear_form& a, const linear_form& b,
   if (sigma == 0.0) return (a.mean() <= b.mean()) ? a : b;
   const double z = (b.mean() - a.mean()) / sigma;
   const double t = normal_cdf(z);
-  return blend_with_drop(t, a, 1.0 - t, b, -(sigma * normal_pdf(z)), pool,
-                         drop_rel_eps);
+  const double sb = 1.0 - t;
+  const double correction = -(sigma * normal_pdf(z));
+  return pooled_merge((t * a.nominal() + sb * b.nominal()) + correction, t, a,
+                      sb, b, pool, drop_rel_eps);
 }
 
 linear_form statistical_max(const linear_form& a, const linear_form& b,
@@ -953,8 +604,10 @@ linear_form statistical_max(const linear_form& a, const linear_form& b,
   if (sigma == 0.0) return (a.mean() >= b.mean()) ? a : b;
   const double z = (a.mean() - b.mean()) / sigma;
   const double t = normal_cdf(z);
-  return blend_with_drop(t, a, 1.0 - t, b, sigma * normal_pdf(z), pool,
-                         drop_rel_eps);
+  const double sb = 1.0 - t;
+  const double correction = sigma * normal_pdf(z);
+  return pooled_merge((t * a.nominal() + sb * b.nominal()) + correction, t, a,
+                      sb, b, pool, drop_rel_eps);
 }
 
 }  // namespace vabi::stats

@@ -39,7 +39,6 @@
 // borrowing forms: zero allocations per operation in steady state.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -68,32 +67,11 @@ namespace detail {
 /// borrowing the pool otherwise (the unused tail is trimmed).
 linear_form adopt_pool_result(double nominal, term_pool& pool, lf_term* buf,
                               std::size_t allocated, std::size_t used);
-
-/// Wraps a pool-allocated dense plane (see term_pool::allocate_plane; the
-/// mask must sit at coeff + extent) as a dense borrowing linear_form.
-/// `present` must equal the mask's popcount.
-linear_form adopt_dense_result(double nominal, double* coeff,
-                               std::size_t extent, std::size_t present);
 }  // namespace detail
 
-/// Thread-local count of pooled results produced in the dense representation
-/// (dp_stats::dense_forms aggregates this).
-std::size_t dense_forms_produced() noexcept;
-
-/// Thread-local count of term slots written by pooled merge/blend operations
-/// (union size for sparse merges, plane extent for dense ones);
-/// dp_stats::terms_merged aggregates this.
+/// Thread-local count of terms written by pooled merge/blend operations (the
+/// union size of each merge); dp_stats::terms_merged aggregates this.
 std::size_t pooled_terms_merged() noexcept;
-
-/// Dense-representation policy override: mode > 0 forces every pooled result
-/// with at least one term dense, mode < 0 disables the dense representation,
-/// mode == 0 restores the adaptive rule (also the VABI_FORCE_DENSE=1|0
-/// environment default). Test hook; results are bit-identical either way.
-void set_force_dense(int mode);
-
-/// Discards any set_force_dense override so the next pooled operation
-/// re-reads VABI_FORCE_DENSE (test hook for the environment path).
-void reset_force_dense_from_env();
 
 /// Sparse first-order canonical form v0 + sum a_i X_i.
 class linear_form {
@@ -124,30 +102,10 @@ class linear_form {
   /// zero-mean.
   double mean() const { return nominal_; }
 
-  /// Sparse term view. Must not be called on a dense form (see is_dense();
-  /// mutation entry points and relocate_terms sparsify first).
-  std::span<const lf_term> terms() const {
-    assert(extent_ == 0);
-    return {data_, size_};
-  }
+  /// The terms, sorted by id with unique ids.
+  std::span<const lf_term> terms() const { return {data_, size_}; }
   std::size_t num_terms() const { return size_; }
   bool is_deterministic() const { return size_ == 0; }
-
-  /// Dense representation: instead of sorted (id, coeff) terms, the form
-  /// borrows a contiguous coefficient plane indexed by source id (absent
-  /// slots hold exactly 0.0) plus a byte-per-id presence mask. Produced by
-  /// the pooled operations when forms are dense relative to the variation
-  /// space; always borrowed pool storage (the seal path re-sparsifies), and
-  /// bit-identical to the sparse representation under every operation.
-  bool is_dense() const { return extent_ != 0; }
-  /// Plane length (max present id + 1); 0 for sparse forms.
-  std::size_t dense_extent() const { return extent_; }
-  const double* dense_coeffs() const {
-    return reinterpret_cast<const double*>(data_);
-  }
-  const std::uint8_t* dense_mask() const {
-    return reinterpret_cast<const std::uint8_t*>(dense_coeffs() + extent_);
-  }
 
   /// True when the terms live in this object (inline) or on its own heap
   /// block; false when they borrow a pool/block span.
@@ -163,12 +121,12 @@ class linear_form {
 
   /// Cache-cloning primitive: after a sealed slab of `extent` terms based at
   /// `old_base` has been byte-copied to `new_base`, re-points a borrowed
-  /// sparse span at the same offset inside the copy. Owned, dense, empty,
-  /// and out-of-slab forms are untouched, so it is safe to call on every
-  /// form of a cloned candidate list.
+  /// span at the same offset inside the copy. Owned, empty, and out-of-slab
+  /// forms are untouched, so it is safe to call on every form of a cloned
+  /// candidate list.
   void rebase_terms(const lf_term* old_base, std::size_t extent,
                     lf_term* new_base) {
-    if (capacity_ != 0 || extent_ != 0 || size_ == 0) return;
+    if (capacity_ != 0 || size_ == 0) return;
     if (data_ >= old_base && data_ + size_ <= old_base + extent) {
       data_ = new_base + (data_ - old_base);
     }
@@ -205,7 +163,6 @@ class linear_form {
 
   friend bool operator==(const linear_form& a, const linear_form& b) {
     if (a.nominal_ != b.nominal_ || a.size_ != b.size_) return false;
-    if ((a.extent_ | b.extent_) != 0) return equal_slow(a, b);
     for (std::uint32_t i = 0; i < a.size_; ++i) {
       if (a.data_[i].id != b.data_[i].id ||
           a.data_[i].coeff != b.data_[i].coeff) {
@@ -227,19 +184,13 @@ class linear_form {
   /// after cancellations.
   void prune_zero_terms(double eps = 0.0);
 
-  /// True when the nominal and every present coefficient are finite. Works
-  /// on both representations (the engines' seal-point NaN scan).
+  /// True when the nominal and every coefficient are finite (the engines'
+  /// seal-point NaN scan).
   bool is_finite() const;
 
  private:
   friend linear_form detail::adopt_pool_result(double, term_pool&, lf_term*,
                                                std::size_t, std::size_t);
-  friend linear_form detail::adopt_dense_result(double, double*, std::size_t,
-                                                std::size_t);
-
-  /// Mixed/dense representation-aware tail of operator== (nominal and term
-  /// counts already matched).
-  static bool equal_slow(const linear_form& a, const linear_form& b);
 
   linear_form(double nominal, const lf_term* borrowed, std::size_t n)
       : nominal_(nominal),
@@ -251,9 +202,6 @@ class linear_form {
   void release_heap() {
     if (owns_heap()) delete[] data_;
   }
-  /// Materializes a dense form into owned sparse storage (inline or heap
-  /// sized for at least `min_capacity` terms).
-  void sparsify(std::size_t min_capacity);
   /// Guarantees owned storage for at least `min_capacity` terms, preserving
   /// the current terms (materializes borrowed spans).
   void ensure_mutable(std::size_t min_capacity);
@@ -262,11 +210,9 @@ class linear_form {
   void assign_terms(const lf_term* src, std::size_t n);
 
   double nominal_ = 0.0;
-  lf_term* data_ = nullptr;       // sbo_, owned heap, borrowed terms, or the
-                                  // borrowed dense plane (extent_ != 0)
-  std::uint32_t size_ = 0;        // terms in use (mask popcount when dense)
+  lf_term* data_ = nullptr;       // sbo_, owned heap, or borrowed terms
+  std::uint32_t size_ = 0;        // terms in use
   std::uint32_t capacity_ = inline_capacity;  // 0 <=> borrowed (non-owning)
-  std::uint32_t extent_ = 0;      // dense plane length; 0 <=> sparse
   lf_term sbo_[inline_capacity];  // small-buffer inline storage
 };
 

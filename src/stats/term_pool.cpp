@@ -35,16 +35,6 @@ lf_term* term_pool::allocate(std::size_t n) {
   return p;
 }
 
-term_pool::plane_span term_pool::allocate_plane(std::size_t extent) {
-  if (extent == 0) return {};
-  // 8 coefficient bytes + 1 mask byte per slot, rounded up to whole terms.
-  const std::size_t n =
-      (extent * (sizeof(double) + 1) + sizeof(lf_term) - 1) / sizeof(lf_term);
-  lf_term* p = allocate(n);
-  auto* coeff = reinterpret_cast<double*>(p);
-  return {coeff, reinterpret_cast<std::uint8_t*>(coeff + extent)};
-}
-
 void term_pool::trim(lf_term* p, std::size_t allocated, std::size_t used) {
   if (allocated == used) return;
   if (chunk_idx_ < chunks_.size() && used_ >= allocated &&

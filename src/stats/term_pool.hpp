@@ -45,19 +45,6 @@ class term_pool {
   /// Returns an uninitialized span of `n` terms, stable until reset().
   lf_term* allocate(std::size_t n);
 
-  /// One dense coefficient plane (extent doubles, indexed by source id)
-  /// followed by its presence mask (extent bytes). See linear_form.hpp's
-  /// dense representation.
-  struct plane_span {
-    double* coeff = nullptr;
-    std::uint8_t* mask = nullptr;
-  };
-
-  /// Returns an uninitialized dense plane of `extent` slots carved from the
-  /// pool (stable until reset(), accounted in term units alongside
-  /// allocate()).
-  plane_span allocate_plane(std::size_t extent);
-
   /// Returns the unused tail of the *most recent* allocation to the pool:
   /// after `p = allocate(max)` wrote only `used` terms, trim(p, max, used)
   /// rewinds the cursor. A no-op when `p` is not the latest allocation.

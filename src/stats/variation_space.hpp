@@ -56,7 +56,7 @@ class variation_space {
   /// All sigmas, indexed by source id (used by the Monte-Carlo sampler).
   const std::vector<double>& sigmas() const { return sigmas_; }
 
-  /// 64-byte-aligned sigma^2 table indexed by source id -- the dense
+  /// 64-byte-aligned sigma^2 table indexed by source id -- the plane
   /// reduction kernels stream it sequentially. Each entry is the exact
   /// product sigma(id) * sigma(id), i.e. bit-identical to `variance(id)`.
   const double* sigma2_data() const { return sigma2_.data(); }

@@ -83,7 +83,8 @@ scan_case make_case(std::uint64_t seed, std::size_t num_types,
   scan_case c;
   for (std::size_t b = 0; b < num_types; ++b) {
     timing::buffer_type t;
-    t.name = "t" + std::to_string(b);
+    t.name = "t";
+    t.name += std::to_string(b);
     t.cap_pf = 0.01 + 0.1 * unit(seed ^ (b * 3 + 1));
     // Coarse grid so equal resistances (ties) actually occur.
     t.res_ohm = 50.0 * (1.0 + static_cast<double>(mix(seed ^ (b * 3 + 2)) % 8));

@@ -4,15 +4,16 @@
 // tiled sweep -- SoA candidate planes + batched one-vs-many moment kernels +
 // the batched interval prefilter -- produces *bit-identical* results to the
 // seed's pairwise sweep: the same surviving candidates in the same order with
-// the same form bits, the same candidates_pruned, on every reachable ISA and
-// in both form representations. Which sweep ran may only move organization
-// counters (tiled_prunes / tile_prefilter_hits / pairs_batched vs
-// dominance_prefilter_hits).
+// the same form bits, the same candidates_pruned, on every reachable ISA.
+// Which sweep ran may only move organization counters (tiled_prunes /
+// tile_prefilter_hits / pairs_batched vs dominance_prefilter_hits).
 //
 // Layers:
-//   1. kernel: the one-vs-many entries match their one-plane counterparts
-//      row for row, bit for bit, on every reachable ISA; prefilter verdicts
-//      implement the exact scalar branch order (NaN falls through to 2).
+//   1. kernel: the one-plane reductions match the sparse linear_form
+//      passes, and the one-vs-many entries match their one-plane
+//      counterparts row for row, bit for bit, on every reachable ISA;
+//      prefilter verdicts implement the exact scalar branch order (NaN falls
+//      through to 2).
 //   2. prune: randomized lists through prune_two_param under forced
 //      pairwise vs forced tiled. The 4P prune has no tiled path: forcing
 //      tiled must leave it bit-identical and untiled.
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -36,7 +38,6 @@
 #include "stats/kernels.hpp"
 #include "stats/linear_form.hpp"
 #include "stats/rng.hpp"
-#include "stats/term_pool.hpp"
 #include "stats/variation_space.hpp"
 #include "timing/buffer_library.hpp"
 #include "tree/benchmarks.hpp"
@@ -60,11 +61,6 @@ struct isa_guard {
   ~isa_guard() { kernels::set_forced_isa(nullptr); }
 };
 
-struct dense_guard {
-  explicit dense_guard(int mode) { stats::set_force_dense(mode); }
-  ~dense_guard() { stats::reset_force_dense_from_env(); }
-};
-
 /// Forces one prune implementation for the scope; restores the
 /// VABI_FORCE_PRUNE environment default on exit.
 struct prune_guard {
@@ -74,10 +70,8 @@ struct prune_guard {
 
 std::vector<kernels::kernel_isa> reachable_isas() {
   std::vector<kernels::kernel_isa> out{kernels::kernel_isa::scalar};
-  for (const auto isa :
-       {kernels::kernel_isa::sse2, kernels::kernel_isa::avx2,
-        kernels::kernel_isa::neon}) {
-    if (kernels::isa_available(isa)) out.push_back(isa);
+  if (kernels::isa_available(kernels::kernel_isa::avx2)) {
+    out.push_back(kernels::kernel_isa::avx2);
   }
   return out;
 }
@@ -135,7 +129,7 @@ std::vector<stat_candidate> random_list(std::size_t k,
   return list;
 }
 
-/// Canonical (id, coefficient-bits) list of a form, representation-agnostic.
+/// Canonical (id, coefficient-bits) list of a form.
 struct form_bits {
   std::uint64_t nominal = 0;
   std::vector<std::pair<stats::source_id, std::uint64_t>> terms;
@@ -200,15 +194,6 @@ TEST(TiledKernels, BatchedReductionsMatchOnePlaneBitwise) {
           << "variance " << kernels::to_string(isa) << " row " << j;
     }
 
-    kt.covariance_row_tile(xp.row(0), rows.data(), m, s2, num_sources,
-                           out.data());
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
-                std::bit_cast<std::uint64_t>(kt.covariance_planes(
-                    xp.row(0), rows[j], s2, num_sources)))
-          << "covariance " << kernels::to_string(isa) << " row " << j;
-    }
-
     kt.sigma_diff_sq_row_tile(xp.row(0), rows.data(), m, s2, num_sources,
                               out.data());
     for (std::size_t j = 0; j < m; ++j) {
@@ -216,6 +201,55 @@ TEST(TiledKernels, BatchedReductionsMatchOnePlaneBitwise) {
                 std::bit_cast<std::uint64_t>(kt.sigma_diff_sq_planes(
                     xp.row(0), rows[j], s2, num_sources)))
           << "sigma_diff_sq " << kernels::to_string(isa) << " row " << j;
+    }
+  }
+}
+
+TEST(TiledKernels, PlaneReductionsMatchSparseFormsBitwise) {
+  // A gathered row holds exactly 0.0 in absent slots, so the one-plane
+  // reductions must reproduce the sparse passes over the forms' terms bit
+  // for bit: variance against linear_form::variance, and the
+  // sigma-of-difference sum against sigma_of_difference after its sqrt.
+  const std::size_t num_sources = 70;  // not a multiple of 8: tail columns
+  const auto space = make_space(num_sources, 13);
+  auto rng = stats::make_rng(41);
+  std::vector<stats::linear_form> forms;
+  for (std::size_t i = 0; i < 12; ++i) {
+    forms.push_back(
+        random_form(rng, num_sources, i % 2 == 0 ? 0.3 : 0.9, -1.0, 1.0));
+  }
+  // Explicit signed zeros (which add_term would skip) and denormals: present
+  // terms whose contributions round to zero, next to absent slots.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  forms.emplace_back(0.25, std::vector<stats::lf_term>{{0, 0.0},
+                                                       {3, -0.0},
+                                                       {5, tiny},
+                                                       {6, -tiny},
+                                                       {9, 0.03},
+                                                       {64, -0.0},
+                                                       {69, 1e-310}});
+
+  stats::candidate_plane plane;
+  plane.reset(num_sources);
+  for (const auto& f : forms) plane.add_row(f);
+  const double* s2 = space.sigma2_data();
+
+  for (const auto isa : reachable_isas()) {
+    const auto& kt = kernels::table_for(isa);
+    for (std::size_t i = 0; i < forms.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    kt.variance_plane(plane.row(i), s2, num_sources)),
+                std::bit_cast<std::uint64_t>(forms[i].variance(space)))
+          << "variance " << kernels::to_string(isa) << " form " << i;
+      for (std::size_t j = 0; j < forms.size(); ++j) {
+        const double sq = kt.sigma_diff_sq_planes(plane.row(i), plane.row(j),
+                                                  s2, num_sources);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(std::sqrt(std::max(sq, 0.0))),
+                  std::bit_cast<std::uint64_t>(
+                      stats::sigma_of_difference(forms[i], forms[j], space)))
+            << "sigma_diff " << kernels::to_string(isa) << " forms " << i
+            << ", " << j;
+      }
     }
   }
 }
@@ -340,48 +374,6 @@ INSTANTIATE_TEST_SUITE_P(Confidence, TiledDifferential,
                            return "p" + std::to_string(static_cast<int>(
                                             info.param * 100));
                          });
-
-TEST(TiledDifferentialDense, TwoParamMatchesAcrossRepresentations) {
-  // Densified candidates (pooled ops under force-dense) must gather and
-  // prune to the same bits as their sparse twins.
-  two_param_rule rule;
-  rule.p_load = 0.8;
-  rule.p_rat = 0.8;
-  const std::size_t num_sources = 48;
-  const auto space = make_space(num_sources, 3);
-  const auto base = random_list(96, num_sources, 11);
-
-  stats::term_pool pool;
-  std::vector<stat_candidate> dense_base;
-  {
-    dense_guard dg{1};
-    for (const auto& c : base) {
-      stat_candidate d;
-      d.load = stats::pooled_add(c.load, stats::linear_form{0.0}, pool);
-      d.rat = stats::pooled_add(c.rat, stats::linear_form{0.0}, pool);
-      dense_base.push_back(std::move(d));
-    }
-  }
-  ASSERT_TRUE(dense_base.front().load.is_dense());
-
-  auto sparse_pair = base;
-  auto sparse_tile = base;
-  auto dense_tile = std::move(dense_base);
-  dp_stats s1, s2, s3;
-  {
-    prune_guard guard{-1};
-    prune_two_param(rule, sparse_pair, space, s1);
-  }
-  {
-    prune_guard guard{1};
-    prune_two_param(rule, sparse_tile, space, s2);
-    prune_two_param(rule, dense_tile, space, s3);
-  }
-  EXPECT_EQ(s1.candidates_pruned, s2.candidates_pruned);
-  EXPECT_EQ(s1.candidates_pruned, s3.candidates_pruned);
-  expect_lists_bitwise_equal(sparse_pair, sparse_tile, "sparse tiled");
-  expect_lists_bitwise_equal(sparse_pair, dense_tile, "dense tiled");
-}
 
 TEST(TiledDifferentialFourParam, MatchesPairwiseBitwise) {
   // VABI_FORCE_PRUNE pins only the 2P sweep: a forced-tiled 4P prune runs

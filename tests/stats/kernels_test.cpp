@@ -1,14 +1,11 @@
-// Differential suite for the adaptive dense representation and the
-// runtime-dispatched SIMD kernels.
+// Dispatch suite for the runtime-dispatched SIMD kernels, plus the pooled
+// merge counter and the aligned sigma^2 storage they stream.
 //
-// The contract under test (kernels.hpp "Bit-identity contract"): every pooled
-// canonical-form operation produces the same *bits* whether the result is
-// computed on the sparse (id, coeff) path or the dense coefficient-plane
-// path, and on every instruction set the CPU can run. The golden engine
-// hashes depend on this; here it is proven directly by running randomized
-// operand sets through every (representation, ISA) combination and comparing
-// nominals, term supports and coefficient bit patterns against the scalar
-// sparse reference.
+// The kernels' bit-identity contract (kernels.hpp) is proven where they are
+// used: tests/core/tiled_prune_test.cpp compares the plane reductions with
+// the sparse linear_form passes and the batched row forms with the
+// one-plane ones on every reachable ISA, and li_shi_test.cpp does the same
+// for the buffered-key argmax.
 #include "stats/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -31,28 +28,10 @@ namespace {
 // Helpers.
 // ---------------------------------------------------------------------------
 
-/// Forces one kernel ISA for the scope; restores autodetection (which honors
-/// VABI_FORCE_KERNEL, so a suite-wide env override survives) on exit.
-struct isa_guard {
-  explicit isa_guard(kernels::kernel_isa isa) {
-    kernels::set_forced_isa(kernels::to_string(isa));
-  }
-  ~isa_guard() { kernels::set_forced_isa(nullptr); }
-};
-
-/// Forces the dense-representation mode for the scope; restores the
-/// environment default on exit (so a suite-wide VABI_FORCE_DENSE survives).
-struct dense_guard {
-  explicit dense_guard(int mode) { set_force_dense(mode); }
-  ~dense_guard() { reset_force_dense_from_env(); }
-};
-
 std::vector<kernels::kernel_isa> reachable_isas() {
   std::vector<kernels::kernel_isa> out{kernels::kernel_isa::scalar};
-  for (const auto isa :
-       {kernels::kernel_isa::sse2, kernels::kernel_isa::avx2,
-        kernels::kernel_isa::neon}) {
-    if (kernels::isa_available(isa)) out.push_back(isa);
+  if (kernels::isa_available(kernels::kernel_isa::avx2)) {
+    out.push_back(kernels::kernel_isa::avx2);
   }
   return out;
 }
@@ -67,209 +46,7 @@ variation_space make_space(std::size_t num_sources, std::uint64_t seed) {
   return space;
 }
 
-/// A random form over ids [0, num_sources): each id present with probability
-/// `density`; coefficients span signs and magnitudes and are occasionally an
-/// exact (signed) zero -- the corner that distinguishes a true per-slot
-/// select from a sum-with-zero.
-linear_form random_form(std::mt19937_64& rng, std::size_t num_sources,
-                        double density) {
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::uniform_real_distribution<double> coeff(-3.0, 3.0);
-  std::uniform_real_distribution<double> mean(-500.0, 500.0);
-  linear_form f{mean(rng)};
-  for (std::size_t id = 0; id < num_sources; ++id) {
-    if (unit(rng) >= density) continue;
-    double c = coeff(rng);
-    const double r = unit(rng);
-    if (r < 0.05) c = 0.0;
-    if (r >= 0.05 && r < 0.10) c = -0.0;
-    if (r >= 0.10 && r < 0.15) c *= 1e-9;  // term-drop fodder
-    f.add_term(static_cast<source_id>(id), c);
-  }
-  return f;
-}
-
-/// Canonical (id, coefficient-bits) list of a form, independent of its
-/// representation: a copy is re-homed (which sparsifies dense planes).
-struct form_bits {
-  std::uint64_t nominal = 0;
-  std::vector<std::pair<source_id, std::uint64_t>> terms;
-
-  bool operator==(const form_bits&) const = default;
-};
-
-form_bits bits_of(const linear_form& f) {
-  linear_form c = f;
-  c.own_terms();
-  form_bits out;
-  out.nominal = std::bit_cast<std::uint64_t>(c.mean());
-  for (const auto& t : c.terms()) {
-    out.terms.emplace_back(t.id, std::bit_cast<std::uint64_t>(t.coeff));
-  }
-  return out;
-}
-
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Everything one (representation, ISA) configuration computes from a fixed
-/// operand pair: the pooled form-producing ops and the moment reductions,
-/// all captured as bit patterns.
-struct snapshot {
-  form_bits add, sub, sub_scaled, add_scaled, blend, smin, smin_eps;
-  std::uint64_t var_a = 0, var_b = 0, cov = 0, sigma_diff = 0;
-  bool eq_ab = false, eq_self = true;
-
-  bool operator==(const snapshot&) const = default;
-};
-
-snapshot run_ops(const linear_form& a, const linear_form& b,
-                 const variation_space& space) {
-  term_pool pool;
-  snapshot s;
-  s.add = bits_of(pooled_add(a, b, pool));
-  s.sub = bits_of(pooled_sub(a, b, pool));
-  s.sub_scaled = bits_of(pooled_sub_scaled(a, 3.25, b, pool));
-  s.add_scaled = bits_of(pooled_add_scaled(a, -0.5, b, pool));
-  s.blend = bits_of(pooled_blend(0.375, a, 0.625, b, pool));
-  s.smin = bits_of(statistical_min(a, b, space, pool));
-  s.smin_eps = bits_of(statistical_min(a, b, space, pool, 1e-6));
-  // Re-home the operands through a pooled op so the active policy decides
-  // their representation; the moment reductions then exercise that path.
-  const linear_form zero{0.0};
-  const linear_form ra = pooled_add(a, zero, pool);
-  const linear_form rb = pooled_add(b, zero, pool);
-  s.var_a = bits(ra.variance(space));
-  s.var_b = bits(rb.variance(space));
-  s.cov = bits(covariance(ra, rb, space));
-  s.sigma_diff = bits(sigma_of_difference(ra, rb, space));
-  s.eq_ab = (ra == rb);
-  s.eq_self = (ra == ra) && (pooled_add(a, zero, pool) == ra);
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// The differential sweep.
-// ---------------------------------------------------------------------------
-
-TEST(KernelsDifferential, PooledOpsBitIdenticalAcrossRepsAndIsas) {
-  const auto isas = reachable_isas();
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    for (const std::size_t nsrc : {8u, 24u, 64u, 200u}) {
-      const variation_space space = make_space(nsrc, seed);
-      auto rng = make_rng(seed);
-      // Densities chosen to hit full planes, half-full planes, tiny sparse
-      // forms (inline storage), and asymmetric supports.
-      const double da = seed % 2 == 0 ? 1.0 : 0.6;
-      const double db = seed % 3 == 0 ? 0.1 : 0.9;
-      const linear_form a = random_form(rng, nsrc, da);
-      const linear_form b = random_form(rng, nsrc, db);
-
-      snapshot ref;
-      {
-        isa_guard isa{kernels::kernel_isa::scalar};
-        dense_guard dense{-1};
-        ref = run_ops(a, b, space);
-      }
-      for (const auto isa : isas) {
-        for (const int mode : {-1, +1}) {
-          isa_guard ig{isa};
-          dense_guard dg{mode};
-          const snapshot got = run_ops(a, b, space);
-          EXPECT_EQ(got, ref)
-              << "isa=" << kernels::to_string(isa) << " dense=" << mode
-              << " seed=" << seed << " nsrc=" << nsrc;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsDifferential, AdaptivePolicyMatchesForcedPaths) {
-  // The adaptive default must pick *some* mix of the two representations --
-  // whichever it picks, results must equal the forced-sparse reference.
-  const variation_space space = make_space(64, 99);
-  auto rng = make_rng(99);
-  const linear_form a = random_form(rng, 64, 1.0);
-  const linear_form b = random_form(rng, 64, 0.95);
-  snapshot ref;
-  {
-    isa_guard isa{kernels::kernel_isa::scalar};
-    dense_guard dense{-1};
-    ref = run_ops(a, b, space);
-  }
-  dense_guard dense{0};  // adaptive
-  const std::size_t dense0 = dense_forms_produced();
-  EXPECT_EQ(run_ops(a, b, space), ref);
-  EXPECT_GT(dense_forms_produced(), dense0)
-      << "saturated 64-source operands should have switched dense";
-}
-
-// ---------------------------------------------------------------------------
-// Edge cases.
-// ---------------------------------------------------------------------------
-
-TEST(KernelsDifferential, SaturatedTightnessDropsLoserTerms) {
-  // A overwhelmingly wins the statistical min: the tightness probability
-  // saturates to exactly 1, the blend's losing side scales by exactly 0.0,
-  // and the loser's ids must vanish from the result -- identically on both
-  // representations (the dense path views a zero-scaled side as an empty
-  // plane rather than multiplying through zero).
-  const variation_space space = make_space(32, 7);
-  linear_form a{-1e6};
-  linear_form b{1e6};
-  for (source_id id = 0; id < 32; ++id) {
-    a.add_term(id, 0.5 + 0.01 * id);
-    b.add_term(id, -0.25 - 0.01 * id);
-  }
-  form_bits ref;
-  {
-    dense_guard dense{-1};
-    isa_guard isa{kernels::kernel_isa::scalar};
-    term_pool pool;
-    ref = bits_of(statistical_min(a, b, space, pool, 1e-3));
-  }
-  for (const auto isa : reachable_isas()) {
-    dense_guard dense{+1};
-    isa_guard ig{isa};
-    term_pool pool;
-    const linear_form m = statistical_min(a, b, space, pool, 1e-3);
-    EXPECT_EQ(bits_of(m), ref) << kernels::to_string(isa);
-    // Winner takes all: the result is exactly a's canonical form.
-    EXPECT_EQ(bits_of(m), bits_of(a)) << kernels::to_string(isa);
-  }
-}
-
-TEST(KernelsDifferential, RelativeEpsilonDropIdenticalAcrossPaths) {
-  // drop_rel_eps > 0 prunes blend results against eps * max|coeff|; the
-  // threshold and the survivors must agree bit-for-bit across paths even
-  // when coefficients straddle the cutoff.
-  const variation_space space = make_space(48, 21);
-  auto rng = make_rng(21);
-  linear_form a{10.0};
-  linear_form b{-4.0};
-  std::uniform_real_distribution<double> tiny(-1e-7, 1e-7);
-  std::uniform_real_distribution<double> big(-2.0, 2.0);
-  for (source_id id = 0; id < 48; ++id) {
-    a.add_term(id, id % 3 == 0 ? tiny(rng) : big(rng));
-    b.add_term(id, id % 4 == 0 ? tiny(rng) : big(rng));
-  }
-  form_bits ref;
-  {
-    dense_guard dense{-1};
-    isa_guard isa{kernels::kernel_isa::scalar};
-    term_pool pool;
-    ref = bits_of(statistical_min(a, b, space, pool, 1e-4));
-  }
-  for (const auto isa : reachable_isas()) {
-    for (const int mode : {-1, +1}) {
-      dense_guard dense{mode};
-      isa_guard ig{isa};
-      term_pool pool;
-      EXPECT_EQ(bits_of(statistical_min(a, b, space, pool, 1e-4)), ref)
-          << kernels::to_string(isa) << " dense=" << mode;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Dispatch and override hooks.
@@ -289,7 +66,7 @@ TEST(KernelsDispatch, ForcedIsaInstallsRequestedTable) {
 TEST(KernelsDispatch, UnavailableIsaClampsToBestAvailable) {
 #if defined(__x86_64__) || defined(_M_X64)
   const auto got = kernels::set_forced_isa("neon");
-  EXPECT_NE(got, kernels::kernel_isa::neon);
+  EXPECT_EQ(got, kernels::set_forced_isa("avx2"));
   EXPECT_TRUE(kernels::isa_available(got));
 #else
   const auto got = kernels::set_forced_isa("avx2");
@@ -310,45 +87,18 @@ TEST(KernelsDispatch, KernelEnvOverrideHonored) {
   EXPECT_TRUE(kernels::isa_available(kernels::active_isa()));
 }
 
-TEST(KernelsDispatch, DenseEnvOverrideHonored) {
-  const variation_space space = make_space(8, 3);
-  auto rng = make_rng(3);
-  const linear_form a = random_form(rng, 8, 1.0);
-  const linear_form b = random_form(rng, 8, 1.0);
-  // An 8-slot plane is below the adaptive threshold; only the env override
-  // can make it dense.
-  ::setenv("VABI_FORCE_DENSE", "1", 1);
-  reset_force_dense_from_env();
-  {
-    term_pool pool;
-    const std::size_t dense0 = dense_forms_produced();
-    (void)pooled_add(a, b, pool);
-    EXPECT_GT(dense_forms_produced(), dense0);
-  }
-  ::setenv("VABI_FORCE_DENSE", "never", 1);
-  reset_force_dense_from_env();
-  {
-    term_pool pool;
-    const std::size_t dense0 = dense_forms_produced();
-    (void)pooled_add(a, b, pool);
-    EXPECT_EQ(dense_forms_produced(), dense0);
-  }
-  ::unsetenv("VABI_FORCE_DENSE");
-  reset_force_dense_from_env();
-}
-
 TEST(KernelsCounters, MergeCountersAdvance) {
-  const variation_space space = make_space(32, 5);
-  auto rng = make_rng(5);
-  const linear_form a = random_form(rng, 32, 1.0);
-  const linear_form b = random_form(rng, 32, 1.0);
-  dense_guard dense{+1};
+  // Overlapping supports, a on ids [0, 24) and b on [8, 32): the counter
+  // advances by the sparse union (32 terms), not by the operands' sum (48).
+  linear_form a{1.0};
+  linear_form b{-2.0};
+  for (source_id id = 0; id < 24; ++id) a.add_term(id, 0.5 + id);
+  for (source_id id = 8; id < 32; ++id) b.add_term(id, 0.25 - id);
   term_pool pool;
-  const std::size_t dense0 = dense_forms_produced();
   const std::size_t terms0 = pooled_terms_merged();
-  (void)pooled_add(a, b, pool);
-  EXPECT_EQ(dense_forms_produced() - dense0, 1u);
+  const linear_form sum = pooled_add(a, b, pool);
   EXPECT_EQ(pooled_terms_merged() - terms0, 32u);
+  EXPECT_EQ(sum.num_terms(), 32u);
 }
 
 // ---------------------------------------------------------------------------
