@@ -7,7 +7,9 @@
 //   - linear merge + sweep prune (2P) vs cross-product merge + pairwise
 //     prune (4P) on identical candidate lists -- Fig. 1 vs Section 2.2;
 //   - the Fig. 1 deterministic linear merge;
-//   - device characterization (eqs. 19-24) of one buffer position.
+//   - device characterization (eqs. 19-24) of one buffer position;
+//   - the buffered-candidate step (eqs. 35-36 plus the 95%-yield choice of
+//     one candidate per type) of one buffer position.
 //
 // Machine-readable output: run with
 //   --benchmark_format=json --benchmark_out=BENCH_micro_ops.json
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dp_engine.hpp"
 #include "core/pruning.hpp"
 #include "json_out.hpp"
 #include "layout/process_model.hpp"
@@ -37,6 +40,7 @@
 #include "stats/term_pool.hpp"
 #include "stats/rng.hpp"
 #include "timing/buffer_library.hpp"
+#include "timing/wire_sizing.hpp"
 
 // Global allocation counter: every operator new in the process bumps it, so
 // the allocs_per_op counters below cover the term vectors, list buffers, and
@@ -506,6 +510,87 @@ void BM_CharacterizePosition(benchmark::State& state) {
   allocs.report(state);
 }
 BENCHMARK(BM_CharacterizePosition);
+
+void BM_BufferedSelection(benchmark::State& state) {
+  // One op is one buffer position's buffered step for every library type:
+  // dp_worker::add_buffered_candidates on a list of range(0) WID candidates
+  // under 95%-yield selection, with the 3-type standard library or a
+  // range(1)-type parameterized one. The position's devices are
+  // characterized once and handed out as borrowing copies (the parallel
+  // engine reads a pre-built cache the same way), so the op is the choice
+  // and the builds. Each candidate's RAT carries the delays of three devices
+  // at random locations (G, their Y cells, their X) and its load one
+  // device's cap, the term structure a WID solve produces.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto types = static_cast<std::size_t>(state.range(1));
+  core::stat_options options;
+  options.library = types == 3 ? timing::standard_library()
+                               : timing::make_parameterized_library(types);
+  options.selection_percentile = 0.05;
+  const timing::wire_menu menu =
+      timing::make_wire_menu(options.wire, options.wire_width_multipliers);
+  layout::process_model_config config;
+  config.mode = layout::wid_mode();
+  config.spatial.profile = layout::spatial_profile::heterogeneous;
+  layout::process_model model(layout::square_die(10000.0), config);
+  tree::routing_tree tree({0.0, 0.0});
+  const tree::node_id id = tree.add_steiner(tree.root(), {5000.0, 5000.0});
+
+  auto rng = stats::make_rng(41);
+  std::uniform_real_distribution<double> coord(3000.0, 7000.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const timing::buffer_type ref = timing::standard_library()[0];
+  core::detail::cand_list list;
+  for (std::size_t k = 0; k < n; ++k) {
+    core::stat_candidate c;
+    const double load0 = 0.01 + 0.2 * unit(rng);
+    c.rat = stats::linear_form(800.0 + 1500.0 * load0);
+    for (int d = 0; d < 3; ++d) {
+      c.rat -= model.characterize({coord(rng), coord(rng)}, ref.cap_pf,
+                                  ref.delay_ps).delay;
+    }
+    c.load = model.characterize({coord(rng), coord(rng)}, load0, 1.0).cap;
+    list.push_back(std::move(c));
+  }
+  std::vector<layout::device_variation> devices;
+  for (const auto& type : options.library.types()) {
+    devices.push_back(model.characterize(tree.node(id).location, type.cap_pf,
+                                         type.delay_ps));
+  }
+  const auto borrow = [](const stats::linear_form& f) {
+    return stats::linear_form::from_pooled(f.nominal(), f.terms());
+  };
+
+  core::decision_arena arena;
+  core::detail::worker_arena mem;
+  core::dp_stats dps;
+  std::size_t published = 0;
+  core::detail::dp_worker worker{
+      .tree = tree,
+      .space = model.space(),
+      .options = options,
+      .menu = menu,
+      .devices =
+          [&](tree::node_id, timing::buffer_index b) {
+            return layout::device_variation{borrow(devices[b].cap),
+                                            borrow(devices[b].delay),
+                                            devices[b].random_source};
+          },
+      .arena = arena,
+      .pool = mem,
+      .dps = dps,
+      .guard = core::detail::resource_guard{options, dps, published}};
+  alloc_meter allocs;
+  for (auto _ : state) {
+    worker.add_buffered_candidates(list, id);
+    benchmark::DoNotOptimize(list.back().rat.nominal());
+    list.resize(n);
+    mem.end_node();
+    arena.reset();
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_BufferedSelection)->ArgsProduct({{2, 8, 32}, {3, 64}});
 
 void BM_DetPrune(benchmark::State& state) {
   std::vector<core::det_candidate> base;

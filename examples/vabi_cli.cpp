@@ -292,8 +292,9 @@ cli_options parse(int argc, char** argv) {
 
 /// Flat JSON dump of one solve's dp_stats plus run context (the schema
 /// documented in README.md). Every counter is emitted, including the
-/// session-only slab-cache triple and li_shi_nodes, so downstream tooling
-/// never has to guess which fields a build knows about.
+/// session-only slab-cache triple and the path counters (li_shi_nodes,
+/// selection_bounded, selection_exact), so downstream tooling never has to
+/// guess which fields a build knows about.
 bool write_stats_json(const std::string& path, const core::stat_result& r,
                       const cli_options& cli) {
   std::ofstream os(path);
@@ -315,6 +316,8 @@ bool write_stats_json(const std::string& path, const core::stat_result& r,
      << "  \"dominance_prefilter_hits\": "
      << r.stats.dominance_prefilter_hits << ",\n"
      << "  \"li_shi_nodes\": " << r.stats.li_shi_nodes << ",\n"
+     << "  \"selection_bounded\": " << r.stats.selection_bounded << ",\n"
+     << "  \"selection_exact\": " << r.stats.selection_exact << ",\n"
      << "  \"tiled_prunes\": " << r.stats.tiled_prunes << ",\n"
      << "  \"tile_prefilter_hits\": " << r.stats.tile_prefilter_hits << ",\n"
      << "  \"pairs_batched\": " << r.stats.pairs_batched << ",\n"

@@ -48,6 +48,7 @@
 #include "core/solution.hpp"
 #include "core/solve_status.hpp"
 #include "core/statistical_dp.hpp"
+#include "stats/normal.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace vabi::core::detail {
@@ -61,6 +62,34 @@ using dp_clock = std::chrono::steady_clock;
 struct node_list {
   cand_list cands;
   stats::term_block slab;
+};
+
+/// Per-worker scratch of the buffered-candidate step (eqs. 35-36): the
+/// position's gathered devices, which every selection path reads, and the
+/// tables of the bounded selection (dp_worker::select_buffered). Like the
+/// term pool it keeps its high-water storage across nodes and runs; the
+/// source-id slots are returned to zero by touched index before each use.
+struct selection_scratch {
+  struct id_slot {
+    double load = 0.0;      ///< sigma^2 * L_k coefficient, candidate in flight
+    std::uint32_t row = 0;  ///< this id's delay-table row, 0 = none
+  };
+  std::vector<layout::device_variation> devices;  ///< the position's, by type
+  std::vector<id_slot> slots;                      ///< indexed by source id
+  std::vector<stats::source_id> touched;           ///< ids holding a row
+  /// Row-major [row][type]: sigma^2 * the T_b coefficient of the row's id;
+  /// row 0 is all zeros.
+  std::vector<double> rows;
+  std::vector<double> var_delay;         ///< per type: Var(T_b)
+  std::vector<std::size_t> delay_terms;  ///< per type: terms of T_b
+  std::vector<double> var_rat;           ///< per candidate: Var(T_k)
+  std::vector<double> var_load;          ///< per candidate: Var(L_k)
+  std::vector<double> cov_rat_load;      ///< per candidate: Cov(T_k, L_k)
+  std::vector<std::size_t> terms;        ///< per candidate: terms of T_k, L_k
+  std::vector<double> cov_rat;   ///< [candidate][type]: Cov(T_k, T_b)
+  std::vector<double> cov_load;  ///< [candidate][type]: Cov(L_k, T_b)
+  std::vector<double> lo;        ///< per candidate: the type's key bounds
+  std::vector<double> hi;
 };
 
 /// Per-worker memory arena of the DP: recycled candidate-list buffers, the
@@ -78,6 +107,9 @@ class worker_arena {
   /// planes + batch buffers). Like the term pool it is never shared across
   /// threads and keeps its high-water storage across nodes and runs.
   prune_scratch& pruning_scratch() { return prune_scratch_; }
+
+  /// Per-worker scratch of the buffered-candidate step.
+  selection_scratch& selection() { return selection_; }
 
   cand_list acquire() {
     if (free_lists_.empty()) return {};
@@ -173,6 +205,7 @@ class worker_arena {
   static constexpr std::size_t max_pooled = 64;
   stats::term_pool scratch_;
   prune_scratch prune_scratch_;
+  selection_scratch selection_;
   std::vector<cand_list> free_lists_;
   std::vector<stats::term_block> free_blocks_;
   std::vector<stats::term_block> retired_;
@@ -214,12 +247,54 @@ inline bool li_shi_engaged(const stat_options& options) {
 /// worker on the classic scan path.
 struct li_shi_state {
   const buffer_frontier* frontier = nullptr;
-  std::vector<layout::device_variation> devices;  ///< gathered per node
-  std::vector<std::size_t> best;                  ///< per-type argmax output
+  std::vector<std::size_t> best;  ///< per-type argmax output
   std::vector<double> loads;   ///< packed mean loads (D&C eval keys)
   std::vector<double> rats;    ///< packed mean RATs
   std::vector<double> delays;  ///< packed mean device delays per type
   std::vector<double> res;     ///< packed library resistances (per run)
+};
+
+/// Scalar figure of merit the active rule uses to pick the single buffered
+/// candidate per type (all buffered versions share the load form C_b, so
+/// only the RAT distinguishes them; keeping one per type is the classic van
+/// Ginneken convention and what keeps every rule's lists from multiplying at
+/// each position): the selection percentile of the buffered RAT, or at 0.5
+/// the rule's own key -- the mean for 2P (Lemma 4: P-order is mean order),
+/// the conservative corner pi_{beta_l} for 4P (eq. 3), pi_{1-q} for the
+/// corner rule. Resolved once per worker: z is one normal_quantile call, and
+/// every key goes through normal_percentile's `sigma == 0 ? mean : mean +
+/// sigma * z`, so keys are the bits stats::percentile gives and the bounds
+/// of dp_worker::select_buffered evaluate the same expression.
+struct selection_key {
+  bool mean_only = false;  ///< the 2P rule at 0.5: the key is the mean
+  double z = 0.0;          ///< standard-normal quantile of the key
+
+  static selection_key for_run(const stat_options& options) {
+    double p = options.selection_percentile;
+    if (p == 0.5) {
+      switch (options.rule) {
+        case pruning_kind::two_param:
+          return {true, 0.0};
+        case pruning_kind::four_param:
+          p = options.four_param.beta_lo;
+          break;
+        case pruning_kind::corner:
+          p = 1.0 - options.corner.percentile;
+          break;
+      }
+    }
+    return {false, stats::normal_quantile(p)};
+  }
+
+  /// The percentile key of a RAT with this mean and standard deviation.
+  double at(double mean, double sigma) const {
+    return sigma == 0.0 ? mean : mean + sigma * z;
+  }
+
+  double of(const stats::linear_form& rat,
+            const stats::variation_space& space) const {
+    return mean_only ? rat.mean() : at(rat.mean(), rat.stddev(space));
+  }
 };
 
 /// Resource-cap state shared by all workers of one parallel run. Counters are
@@ -362,6 +437,8 @@ struct dp_worker {
   /// Non-null only when li_shi_engaged(options) held for this run (so the
   /// rule is the 2P mean rule with mean selection).
   li_shi_state* li_shi = nullptr;
+  /// The run's buffered-candidate selection key.
+  selection_key select = selection_key::for_run(options);
 
   bool over_budget(std::size_t list_size) { return guard.over_budget(list_size); }
 
@@ -507,26 +584,17 @@ struct dp_worker {
 
   // -- per-node processing --------------------------------------------------
 
-  /// Scalar figure of merit the active rule uses to pick the single buffered
-  /// candidate per type (all buffered versions share the load form C_b, so
-  /// only the RAT distinguishes them; keeping one per type is the classic
-  /// van Ginneken convention and what keeps every rule's lists from
-  /// multiplying at each position).
-  double rat_selection_key(const stats::linear_form& rat) const {
-    if (options.selection_percentile != 0.5) {
-      return stats::percentile(rat, space, options.selection_percentile);
+  /// Gathers the position's device forms, types ascending, into the worker's
+  /// scratch: device_fn runs exactly once per (node, type), in the
+  /// characterization order that allocates source ids, whichever selection
+  /// path then reads them.
+  std::span<const layout::device_variation> gather_devices(tree::node_id id) {
+    auto& devs = pool.selection().devices;
+    devs.resize(options.library.size());
+    for (timing::buffer_index b = 0; b < options.library.size(); ++b) {
+      devs[b] = devices(id, b);
     }
-    switch (options.rule) {
-      case pruning_kind::two_param:
-        return rat.mean();  // Lemma 4: P-ordering == mean ordering
-      case pruning_kind::four_param:
-        // The baseline's conservative corner pi_{beta_l} (eq. 3).
-        return stats::percentile(rat, space, options.four_param.beta_lo);
-      case pruning_kind::corner:
-        return stats::percentile(rat, space,
-                                 1.0 - options.corner.percentile);
-    }
-    return rat.mean();
+    return devs;
   }
 
   /// Returns true when the Li-Shi frontier path ran (the caller then prunes
@@ -534,24 +602,15 @@ struct dp_worker {
   bool add_buffered_candidates(cand_list& list, tree::node_id id) {
     const std::size_t base = list.size();
     if (base == 0) return false;
-    const bool mean_rule = options.rule == pruning_kind::two_param &&
-                           options.two_param.is_mean_rule() &&
-                           options.selection_percentile == 0.5;
+    const auto devs = gather_devices(id);
     if (li_shi != nullptr) {
       // Li-Shi frontier (li_shi.hpp): one monotone divide-and-conquer pass
-      // over the mean keys replaces the per-type scans. Devices are gathered
-      // b-ascending first (the characterization order allocates source ids,
-      // so it is part of the bit-identity contract), then the winners are
+      // over the mean keys replaces the per-type scans. The winners are
       // located without touching the pools, then the buffered candidates are
       // emitted b-ascending -- the scan path's exact pooled-op sequence per
       // type (cap copy, RAT subs) with the identical selections.
-      auto& devs = li_shi->devices;
-      devs.clear();
       li_shi->delays.clear();
-      for (timing::buffer_index b = 0; b < options.library.size(); ++b) {
-        devs.push_back(devices(id, b));
-        li_shi->delays.push_back(devs.back().delay.mean());
-      }
+      for (const auto& dv : devs) li_shi->delays.push_back(dv.delay.mean());
       // Pack the per-candidate mean keys contiguously: the divide-and-conquer
       // revisits rows many times and the packed reads keep it out of the
       // canonical forms entirely.
@@ -584,53 +643,255 @@ struct dp_worker {
       ++dps.li_shi_nodes;
       return true;
     }
+    // Every rule but the 2P mean rule takes the bounded selection.
+    if (!(options.rule == pruning_kind::two_param &&
+          options.two_param.is_mean_rule() &&
+          options.selection_percentile == 0.5)) {
+      select_buffered(list, id, devs);
+      return false;
+    }
     for (timing::buffer_index b = 0; b < options.library.size(); ++b) {
       const auto& type = options.library[b];
       // One physical device per (node, type): every candidate buffered here
       // shares the same characterized forms (and random source).
-      const layout::device_variation dv = devices(id, b);
+      const layout::device_variation& dv = devs[b];
       // Pin C_b into the scratch epoch once; every buffered candidate's load
       // then borrows it instead of copying the device form per candidate.
       const stats::linear_form cap = stats::pooled_copy(dv.cap, pool.scratch());
-      if (mean_rule) {
-        // Mean-rule fast path: the selection key is linear in means, so the
-        // winner is found without materializing any candidate form.
-        // best_k starts at 0 (not sentinel): with finite means some k always
-        // beats -inf so selection is unchanged, and a NaN-poisoned device
-        // (all comparisons false) yields candidate 0 -- which then carries
-        // the NaN forward for check_finite to catch -- instead of an
-        // out-of-range read.
-        double best_mean = -std::numeric_limits<double>::infinity();
-        std::size_t best_k = 0;
-        for (std::size_t k = 0; k < base; ++k) {
-          const double mean = list[k].rat.mean() - dv.delay.mean() -
-                              type.res_ohm * list[k].load.mean();
-          if (mean > best_mean) {
-            best_mean = mean;
-            best_k = k;
-          }
+      // Mean-rule fast path: the selection key is linear in means, so the
+      // winner is found without materializing any candidate form.
+      // best_k starts at 0 (not sentinel): with finite means some k always
+      // beats -inf so selection is unchanged, and a NaN-poisoned device
+      // (all comparisons false) yields candidate 0 -- which then carries
+      // the NaN forward for check_finite to catch -- instead of an
+      // out-of-range read.
+      double best_mean = -std::numeric_limits<double>::infinity();
+      std::size_t best_k = 0;
+      for (std::size_t k = 0; k < base; ++k) {
+        const double mean = list[k].rat.mean() - dv.delay.mean() -
+                            type.res_ohm * list[k].load.mean();
+        if (mean > best_mean) {
+          best_mean = mean;
+          best_k = k;
         }
-        list.push_back(buffered(list[best_k], id, b, dv, cap));
-      } else {
-        // General rules: the key needs each resulting form's sigma, so
-        // materialize candidates one at a time and keep the best.
-        std::optional<stat_candidate> best;
-        double best_key = -std::numeric_limits<double>::infinity();
-        for (std::size_t k = 0; k < base; ++k) {
-          stat_candidate cand = buffered(list[k], id, b, dv, cap);
-          const double key = rat_selection_key(cand.rat);
-          // `!best` keeps the first candidate even when its key is NaN (all
-          // comparisons false); finite keys always beat -inf, so selection is
-          // unchanged and poisoned forms survive to check_finite.
-          if (!best.has_value() || key > best_key) {
-            best_key = key;
-            best = std::move(cand);
-          }
-        }
-        if (best.has_value()) list.push_back(std::move(*best));
       }
+      list.push_back(buffered(list[best_k], id, b, dv, cap));
     }
     return false;
+  }
+
+  /// The general rules' choice of one buffered candidate per type: the
+  /// leftmost candidate with the largest selection key, i.e. the scan
+  /// `!best || key > best_key` over every candidate in index order. Only the
+  /// candidates whose key bound reaches the best lower bound are built
+  /// (DESIGN.md, "Bounded buffered-candidate selection"): a lone survivor is
+  /// built without its key, a one-candidate list scores nothing, and a type
+  /// with a non-finite bound keeps every candidate, which is the full scan.
+  /// candidates_created still counts every scored (candidate, type) pair.
+  void select_buffered(cand_list& list, tree::node_id id,
+                       std::span<const layout::device_variation> devs) {
+    const std::size_t base = list.size();
+    const bool scored = base > 1;
+    // Moment bounds only where their rounding slack is proven.
+    const bool bounded =
+        scored && (select.mean_only || space.moderate_variances());
+    if (bounded && !select.mean_only) gather_moments(list, base, devs);
+    const selection_scratch& s = pool.selection();
+    for (timing::buffer_index b = 0; b < devs.size(); ++b) {
+      const stats::linear_form cap =
+          stats::pooled_copy(devs[b].cap, pool.scratch());
+      const bool every =
+          scored && !(bounded && key_bounds(list, base, b, devs[b]));
+      double best_lo = -std::numeric_limits<double>::infinity();
+      if (scored && !every) {
+        for (std::size_t k = 0; k < base; ++k) {
+          best_lo = std::max(best_lo, s.lo[k]);
+        }
+      }
+      const auto survives = [&](std::size_t k) {
+        return !scored || every || s.hi[k] >= best_lo;
+      };
+      std::size_t survivors = 0;
+      for (std::size_t k = 0; k < base; ++k) survivors += survives(k) ? 1 : 0;
+
+      std::optional<stat_candidate> best;
+      double best_key = -std::numeric_limits<double>::infinity();
+      std::size_t built = 0;
+      for (std::size_t k = 0; k < base; ++k) {
+        if (!survives(k)) continue;
+        stat_candidate cand = buffered(list[k], id, b, devs[b], cap);
+        ++built;
+        if (survivors == 1) {
+          best = std::move(cand);
+          break;
+        }
+        const double key = select.of(cand.rat, space);
+        // `!best` keeps the first candidate even when its key is NaN (all
+        // comparisons false); finite keys always beat -inf, so selection is
+        // unchanged and poisoned forms survive to check_finite.
+        if (!best.has_value() || key > best_key) {
+          best_key = key;
+          best = std::move(cand);
+        }
+      }
+      list.push_back(std::move(*best));
+      dps.candidates_created += base - built;
+      if (scored) {
+        ++(survivors == 1 ? dps.selection_bounded : dps.selection_exact);
+      }
+    }
+  }
+
+  /// The moments every type's key bound reads: one pass over the L_k and
+  /// one over the T_k of each of the first `base` candidates give Var(T_k),
+  /// Var(L_k) and Cov(T_k, L_k), and -- through the position's table of
+  /// sigma^2-scaled delay coefficients, whose rows are looked up by source
+  /// id -- Cov(T_k, T_b) and Cov(L_k, T_b) for all types at once.
+  void gather_moments(const cand_list& list, std::size_t base,
+                      std::span<const layout::device_variation> devs) {
+    selection_scratch& s = pool.selection();
+    const std::size_t types = devs.size();
+    const double* s2 = space.sigma2_data();
+    // The previous position's rows are released here rather than when it
+    // ends: a bad_alloc out of its builds then cannot leave stale rows for
+    // this arena's next solve.
+    for (const stats::source_id id : s.touched) s.slots[id].row = 0;
+    s.touched.clear();
+    if (s.slots.size() < space.size()) s.slots.resize(space.size());
+
+    // Row 0 is all zeros and stands for every id without a row. Rows are
+    // zeroed as they are claimed, so the storage is only ever grown.
+    if (s.rows.size() < types) s.rows.resize(types);
+    std::fill_n(s.rows.begin(), types, 0.0);
+    s.var_delay.resize(types);
+    s.delay_terms.resize(types);
+    for (std::size_t b = 0; b < types; ++b) {
+      double var = 0.0;
+      for (const auto& t : devs[b].delay.terms()) {
+        auto& slot = s.slots[t.id];
+        if (slot.row == 0) {
+          // The slot points at its row only once the row exists and
+          // `touched` records the id.
+          const std::size_t row = s.touched.size() + 1;
+          if (s.rows.size() < (row + 1) * types) {
+            s.rows.resize(std::max((row + 1) * types, 2 * s.rows.size()));
+          }
+          std::fill_n(&s.rows[row * types], types, 0.0);
+          s.touched.push_back(t.id);
+          slot.row = static_cast<std::uint32_t>(row);
+        }
+        s.rows[slot.row * types + b] = t.coeff * s2[t.id];
+        var += t.coeff * t.coeff * s2[t.id];
+      }
+      s.var_delay[b] = var;
+      s.delay_terms[b] = devs[b].delay.num_terms();
+    }
+
+    s.var_rat.resize(base);
+    s.var_load.resize(base);
+    s.cov_rat_load.resize(base);
+    s.terms.resize(base);
+    s.cov_rat.assign(base * types, 0.0);
+    s.cov_load.assign(base * types, 0.0);
+    for (std::size_t k = 0; k < base; ++k) {
+      // The three-type standard library, which every statistical workload
+      // uses, keeps its per-type sums in registers: 1.11x yield_batch
+      // throughput over the generic loop (DESIGN.md, "Cost").
+      if (types == 3) {
+        candidate_moments<3>(list[k], k, types);
+      } else {
+        candidate_moments<0>(list[k], k, types);
+      }
+    }
+  }
+
+  /// gather_moments for candidate k. With W != 0 (a W-type library) the
+  /// per-type covariance sums live in registers and read row 0 for ids
+  /// without a row instead of branching on it; W == 0 sums any number of
+  /// types in the scratch rows and skips those ids.
+  template <std::size_t W>
+  void candidate_moments(const stat_candidate& c, std::size_t k,
+                         std::size_t types) {
+    selection_scratch& s = pool.selection();
+    const double* s2 = space.sigma2_data();
+    const std::size_t width = W != 0 ? W : types;
+    double reg_load[W != 0 ? W : 1] = {};
+    double reg_rat[W != 0 ? W : 1] = {};
+    double* cov_load = W != 0 ? reg_load : &s.cov_load[k * types];
+    double* cov_rat = W != 0 ? reg_rat : &s.cov_rat[k * types];
+    double var_load = 0.0;
+    for (const auto& t : c.load.terms()) {
+      auto& slot = s.slots[t.id];
+      slot.load = t.coeff * s2[t.id];
+      var_load += t.coeff * slot.load;
+      if (W != 0 || slot.row != 0) {
+        const double* row = &s.rows[slot.row * types];
+        for (std::size_t b = 0; b < width; ++b) cov_load[b] += t.coeff * row[b];
+      }
+    }
+    double var_rat = 0.0;
+    double cov_rat_load = 0.0;
+    for (const auto& t : c.rat.terms()) {
+      const auto& slot = s.slots[t.id];
+      var_rat += t.coeff * (t.coeff * s2[t.id]);
+      cov_rat_load += t.coeff * slot.load;
+      if (W != 0 || slot.row != 0) {
+        const double* row = &s.rows[slot.row * types];
+        for (std::size_t b = 0; b < width; ++b) cov_rat[b] += t.coeff * row[b];
+      }
+    }
+    for (const auto& t : c.load.terms()) s.slots[t.id].load = 0.0;
+    if constexpr (W != 0) {
+      std::copy_n(reg_load, W, &s.cov_load[k * types]);
+      std::copy_n(reg_rat, W, &s.cov_rat[k * types]);
+    }
+    s.var_rat[k] = var_rat;
+    s.var_load[k] = var_load;
+    s.cov_rat_load[k] = cov_rat_load;
+    s.terms[k] = c.rat.num_terms() + c.load.num_terms();
+  }
+
+  /// Fills [lo, hi] around the exact key for type b of each of the first
+  /// `base` candidates -- the key select.of would read off the RAT
+  /// buffered() builds. The mean is that RAT's nominal bit for bit; the
+  /// variance comes from the moments with a rounding slack (DESIGN.md).
+  /// Returns false when a bound is non-finite or the variances leave the
+  /// range the slack is proven for.
+  bool key_bounds(const cand_list& list, std::size_t base, std::size_t b,
+                  const layout::device_variation& dv) {
+    selection_scratch& s = pool.selection();
+    const std::size_t types = options.library.size();
+    const double res = options.library[b].res_ohm;
+    const double res2 = res * res;
+    const double delay_mean = dv.delay.mean();
+    s.lo.resize(base);
+    s.hi.resize(base);
+    for (std::size_t k = 0; k < base; ++k) {
+      // pooled_sub's nominal, then pooled_sub_scaled's.
+      const double mean =
+          (list[k].rat.mean() - delay_mean) - res * list[k].load.mean();
+      if (select.mean_only) {
+        s.lo[k] = mean;
+        s.hi[k] = mean;
+      } else {
+        const double sum =
+            (s.var_rat[k] + s.var_delay[b]) + res2 * s.var_load[k];
+        const double var = ((sum - 2.0 * s.cov_rat[k * types + b]) -
+                            2.0 * res * s.cov_rat_load[k]) +
+                           2.0 * res * s.cov_load[k * types + b];
+        if (!(sum <= 0x1p900)) return false;
+        const double terms =
+            static_cast<double>(s.terms[k] + s.delay_terms[b]);
+        const double slack = 8.0 * (terms + 16.0) * 0x1p-53 * (sum + 0x1p-947);
+        const double at_lo =
+            select.at(mean, std::sqrt(std::max(var - slack, 0.0)));
+        const double at_hi = select.at(mean, std::sqrt(var + slack));
+        s.lo[k] = select.z < 0.0 ? at_hi : at_lo;
+        s.hi[k] = select.z < 0.0 ? at_lo : at_hi;
+      }
+      if (!std::isfinite(s.lo[k]) || !std::isfinite(s.hi[k])) return false;
+    }
+    return true;
   }
 
   /// Computes the candidate list of `id` from its children's lists (which are

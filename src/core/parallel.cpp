@@ -384,6 +384,8 @@ struct parallel_run {
       total.terms_merged += st.dps.terms_merged;
       total.dominance_prefilter_hits += st.dps.dominance_prefilter_hits;
       total.li_shi_nodes += st.dps.li_shi_nodes;
+      total.selection_bounded += st.dps.selection_bounded;
+      total.selection_exact += st.dps.selection_exact;
       total.cache_hits += st.dps.cache_hits;
       total.cache_misses += st.dps.cache_misses;
       total.nodes_reused += st.dps.nodes_reused;

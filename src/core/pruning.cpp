@@ -57,8 +57,21 @@ prune_scratch& fallback_prune_scratch() {
 /// with the exact pass.
 constexpr double k_prefilter_slack = 1e-6;
 
+/// The standard-normal thresholds z_p = Phi^-1(p) of a 2P rule, resolved
+/// once per prune call (the mean rule compares means and needs none).
+struct two_param_z {
+  double load = 0.0;
+  double rat = 0.0;
+
+  explicit two_param_z(const two_param_rule& rule) {
+    if (rule.is_mean_rule()) return;
+    load = stats::normal_quantile(rule.p_load);
+    rat = stats::normal_quantile(rule.p_rat);
+  }
+};
+
 /// P(x < y) >= p with the identical-form tie convention (see file comment of
-/// pruning.hpp), for p > 0.5 strictly.
+/// pruning.hpp), for p > 0.5 strictly; z_p = Phi^-1(p).
 ///
 /// `sigma_x` / `sigma_y` are the callers' cached stddevs of x and y. The
 /// stddev of the difference d = y - x is bracketed by
@@ -81,13 +94,13 @@ constexpr double k_prefilter_slack = 1e-6;
 /// every comparison and fall through to the exact path. Prefilter verdicts
 /// are counted into *prefilter_hits when given.
 bool prob_less_at_least(const stats::linear_form& x,
-                        const stats::linear_form& y, double p, double sigma_x,
-                        double sigma_y, const stats::variation_space& space,
+                        const stats::linear_form& y, double p, double z_p,
+                        double sigma_x, double sigma_y,
+                        const stats::variation_space& space,
                         sigma_diff_cache* sigmas,
                         std::size_t* prefilter_hits) {
   if (x == y) return true;
   const double mu_d = y.mean() - x.mean();
-  const double z_p = stats::normal_quantile(p);  // > 0 since p > 0.5
   if (mu_d > (z_p + k_prefilter_slack) * (sigma_x + sigma_y)) {
     if (prefilter_hits != nullptr) ++*prefilter_hits;
     return true;
@@ -105,22 +118,23 @@ bool prob_less_at_least(const stats::linear_form& x,
   return stats::normal_exceedance(mu_d, sigma, 0.0) >= p;
 }
 
-/// dominates(two_param_rule) with prefilter-hit accounting and an optional
-/// sigma memo for the sweep.
-bool dominates_2p(const two_param_rule& rule, const stat_candidate& a,
-                  const stat_candidate& b, const stats::variation_space& space,
+/// dominates(two_param_rule) with the rule's resolved thresholds,
+/// prefilter-hit accounting and an optional sigma memo for the sweep.
+bool dominates_2p(const two_param_rule& rule, const two_param_z& z,
+                  const stat_candidate& a, const stat_candidate& b,
+                  const stats::variation_space& space,
                   sigma_diff_cache* sigmas, std::size_t* prefilter_hits) {
   if (rule.is_mean_rule()) {
     // Lemma 4: P(. > .) >= 0.5 is exactly a comparison of means (also for
     // degenerate zero-variance differences, per the tie convention).
     return a.load.mean() <= b.load.mean() && a.rat.mean() >= b.rat.mean();
   }
-  return prob_less_at_least(a.load, b.load, rule.p_load,
+  return prob_less_at_least(a.load, b.load, rule.p_load, z.load,
                             a.load_stddev(space), b.load_stddev(space), space,
                             sigmas, prefilter_hits) &&
-         prob_less_at_least(b.rat, a.rat, rule.p_rat, b.rat_stddev(space),
-                            a.rat_stddev(space), space, sigmas,
-                            prefilter_hits);
+         prob_less_at_least(b.rat, a.rat, rule.p_rat, z.rat,
+                            b.rat_stddev(space), a.rat_stddev(space), space,
+                            sigmas, prefilter_hits);
 }
 
 }  // namespace
@@ -225,7 +239,7 @@ void prune_deterministic_sorted(std::vector<det_candidate>& list,
 
 bool dominates(const two_param_rule& rule, const stat_candidate& a,
                const stat_candidate& b, const stats::variation_space& space) {
-  return dominates_2p(rule, a, b, space, nullptr, nullptr);
+  return dominates_2p(rule, two_param_z(rule), a, b, space, nullptr, nullptr);
 }
 
 std::size_t sigma_diff_cache::key_hash::operator()(const key& k) const {
@@ -263,7 +277,7 @@ double sigma_diff_cache::get_stddev(const stats::linear_form& f,
 bool dominates(const two_param_rule& rule, const stat_candidate& a,
                const stat_candidate& b, const stats::variation_space& space,
                sigma_diff_cache& sigmas) {
-  return dominates_2p(rule, a, b, space, &sigmas, nullptr);
+  return dominates_2p(rule, two_param_z(rule), a, b, space, &sigmas, nullptr);
 }
 
 namespace {
@@ -329,13 +343,11 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       list, scr.rat_planes, space, scr,
       [](stat_candidate& c) -> double& { return c.var_rat; });
 
-  // z thresholds are resolved lazily, exactly when the pairwise path would
-  // first call normal_quantile (it throws for p == 1, and only ever runs for
-  // a non-identical pair).
-  bool z_load_ready = false;
-  bool z_rat_ready = false;
-  double z_load_hi = 0.0, z_load_lo = 0.0;
-  double z_rat_hi = 0.0, z_rat_lo = 0.0;
+  const two_param_z z(rule);
+  const double z_load_hi = z.load + k_prefilter_slack;
+  const double z_load_lo = z.load - k_prefilter_slack;
+  const double z_rat_hi = z.rat + k_prefilter_slack;
+  const double z_rat_lo = z.rat - k_prefilter_slack;
 
   const std::size_t window = std::max<std::size_t>(1, rule.sweep_window);
   std::vector<stat_candidate> kept;
@@ -366,12 +378,6 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       scr.pair_idx.push_back(j);
     }
     if (!scr.mu_d.empty()) {
-      if (!z_load_ready) {
-        const double z = stats::normal_quantile(rule.p_load);
-        z_load_hi = z + k_prefilter_slack;
-        z_load_lo = z - k_prefilter_slack;
-        z_load_ready = true;
-      }
       const std::size_t m = scr.mu_d.size();
       scr.verdict.resize(m);
       kt.prefilter_row_tile(scr.mu_d.data(), scr.sigma_x.data(),
@@ -428,12 +434,6 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       scr.pair_idx.push_back(j);
     }
     if (!pruned && !scr.mu_d.empty()) {
-      if (!z_rat_ready) {
-        const double z = stats::normal_quantile(rule.p_rat);
-        z_rat_hi = z + k_prefilter_slack;
-        z_rat_lo = z - k_prefilter_slack;
-        z_rat_ready = true;
-      }
       const std::size_t m = scr.mu_d.size();
       scr.verdict.resize(m);
       kt.prefilter_row_tile(scr.mu_d.data(), scr.sigma_x.data(),
@@ -500,6 +500,7 @@ void prune_two_param(const two_param_rule& rule,
                                              : fallback_prune_scratch());
     return;
   }
+  const two_param_z z(rule);
   std::vector<stat_candidate> kept;
   kept.reserve(list.size());
   const std::size_t window = std::max<std::size_t>(1, rule.sweep_window);
@@ -511,8 +512,8 @@ void prune_two_param(const two_param_rule& rule,
     const std::size_t scan =
         std::min(rule.is_mean_rule() ? std::size_t{1} : window, kept.size());
     for (std::size_t k = 1; k <= scan && !pruned; ++k) {
-      pruned = dominates_2p(rule, kept[kept.size() - k], c, space, nullptr,
-                            &stats.dominance_prefilter_hits);
+      pruned = dominates_2p(rule, z, kept[kept.size() - k], c, space,
+                            nullptr, &stats.dominance_prefilter_hits);
     }
     if (pruned) {
       ++stats.candidates_pruned;

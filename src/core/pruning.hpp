@@ -6,7 +6,7 @@
 // rules compared by the paper:
 //
 //   - two_param_rule (2P; the contribution, Section 2.3):
-//       P(L1 < L2) >= p_L  and  P(T1 > T2) >= p_T,    0.5 <= p <= 1.
+//       P(L1 < L2) >= p_L  and  P(T1 > T2) >= p_T,    0.5 <= p < 1.
 //     Probabilities are exact under the joint-normal canonical-form model
 //     (eq. 8). At p = 0.5 the rule degenerates to comparing *means*
 //     (Lemma 4), which is a total, transitive order (Lemmas 2-3, Theorem 2):
@@ -135,8 +135,8 @@ void prune_deterministic_sorted(std::vector<det_candidate>& list,
 // ---------------------------------------------------------------------------
 
 struct two_param_rule {
-  double p_load = 0.5;  ///< \bar{p_L} of eq. (6), in [0.5, 1]
-  double p_rat = 0.5;   ///< \bar{p_T} of eq. (7), in [0.5, 1]
+  double p_load = 0.5;  ///< \bar{p_L} of eq. (6), in [0.5, 1)
+  double p_rat = 0.5;   ///< \bar{p_T} of eq. (7), in [0.5, 1)
 
   /// How many most-recent kept candidates a sweep compares against when
   /// p > 0.5 (where the order is no longer total). 1 reproduces the strictly

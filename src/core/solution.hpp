@@ -165,7 +165,10 @@ struct stat_candidate {
 /// Instrumentation accumulated by the DP engines. The runtime / capacity
 /// comparison of Table 2 and the scalability study of Fig. 5 read these.
 struct dp_stats {
-  std::size_t candidates_created = 0;  ///< all candidates ever materialized
+  /// Candidates created by the key operations. The buffered step counts
+  /// every scored (candidate, type) pair, whether it was built or its key
+  /// bound ruled it out (see selection_bounded).
+  std::size_t candidates_created = 0;
   std::size_t candidates_pruned = 0;   ///< discarded by the dominance rule
   std::size_t merge_pairs = 0;         ///< pair combinations evaluated
   std::size_t peak_list_size = 0;      ///< largest per-node candidate list
@@ -192,6 +195,17 @@ struct dp_stats {
   /// An organization counter: never part of the bit-identity contract (the
   /// selected candidates are identical).
   std::size_t li_shi_nodes = 0;
+  /// Scored buffered-candidate selections of the general rules (every rule
+  /// but the 2P mean rule, which takes the mean fast path or the Li-Shi
+  /// frontier), one per (position, type) whose list holds two or more
+  /// candidates; a one-candidate list scores nothing and counts in neither.
+  /// selection_bounded counts types the moment bounds decided: a single
+  /// survivor, built without its key. selection_exact counts types that
+  /// built two or more survivors and compared their exact keys, or had a
+  /// non-finite bound. Organization counters like li_shi_nodes: the
+  /// selected candidates are identical either way.
+  std::size_t selection_bounded = 0;
+  std::size_t selection_exact = 0;
   /// Slab-cache traffic (session-oriented solves only; the one-shot entry
   /// points never consult the cache and leave all three at 0). Hits count
   /// subtree roots adopted wholesale from the cache, misses count nodes the

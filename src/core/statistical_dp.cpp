@@ -92,11 +92,12 @@ std::optional<solve_error> check_stat_options(const stat_options& options) {
   switch (options.rule) {
     case pruning_kind::two_param: {
       const auto& r = options.two_param;
-      if (!(r.p_load >= 0.5 && r.p_load <= 1.0)) {
-        return bad("two_param.p_load: must be in [0.5, 1]");
+      // p = 1 would ask for certainty: its z threshold is +inf.
+      if (!(r.p_load >= 0.5 && r.p_load < 1.0)) {
+        return bad("two_param.p_load: must be in [0.5, 1)");
       }
-      if (!(r.p_rat >= 0.5 && r.p_rat <= 1.0)) {
-        return bad("two_param.p_rat: must be in [0.5, 1]");
+      if (!(r.p_rat >= 0.5 && r.p_rat < 1.0)) {
+        return bad("two_param.p_rat: must be in [0.5, 1)");
       }
       if (r.sweep_window == 0) {
         return bad("two_param.sweep_window: must be >= 1");

@@ -89,8 +89,10 @@ struct stat_options {
   /// makes the optimizer *yield-driven*: a buffer whose instance sits in a
   /// high-variation region, or whose marginal nominal gain is smaller than
   /// the sigma it adds, loses the selection. Pruning itself is still
-  /// governed by `rule`, so the complexity guarantees are unchanged (the
-  /// percentile of a canonical form costs one sparse sigma evaluation).
+  /// governed by `rule`, so the complexity guarantees are unchanged: one
+  /// moment pass per candidate bounds its key for every type, and only the
+  /// candidates that can win are built (DESIGN.md, "Bounded
+  /// buffered-candidate selection").
   double selection_percentile = 0.5;
 
   /// Li-Shi per-type frontier for the buffered-candidate step (li_shi.hpp).

@@ -25,8 +25,10 @@ source_id variation_space::add_source(source_kind kind, double sigma,
     throw std::invalid_argument("variation_space: sigma must be >= 0");
   }
   const auto id = static_cast<source_id>(sigmas_.size());
+  const double s2 = sigma * sigma;
   sigmas_.push_back(sigma);
-  sigma2_.push_back(sigma * sigma);
+  sigma2_.push_back(s2);
+  if (!(s2 >= 0x1p-64 && s2 <= 0x1p64)) moderate_ = false;
   kinds_.push_back(kind);
   names_.push_back(std::move(name));
   return id;

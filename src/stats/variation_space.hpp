@@ -65,11 +65,18 @@ class variation_space {
   /// Number of registered sources of a given kind.
   std::size_t count(source_kind kind) const;
 
+  /// True while every registered sigma^2 lies in [2^-64, 2^64]: the range
+  /// over which the DP's bounded buffered-candidate selection proves its
+  /// rounding slack (DESIGN.md, "Bounded buffered-candidate selection").
+  /// Every source the process model registers has sigma = 1.
+  bool moderate_variances() const { return moderate_; }
+
  private:
   std::vector<double> sigmas_;
   kernels::aligned_doubles sigma2_;
   std::vector<source_kind> kinds_;
   std::vector<std::string> names_;
+  bool moderate_ = true;
 };
 
 }  // namespace vabi::stats

@@ -139,6 +139,48 @@ TEST_F(FaultTolerance, PoolExhaustionYieldsMemoryCap) {
   expect_identical(*ref, *again);
 }
 
+TEST_F(FaultTolerance, PoolExhaustionInYieldSelectionLeavesArenaClean) {
+  // 95%-yield selection holds per-worker delay-table rows while it builds a
+  // position's candidates. Whichever allocation throws, the same thread's
+  // next solves -- over the same library or a 64-type one -- must be
+  // bit-identical to never-faulted runs.
+  const auto net = make_net(24, 100 + seed_);
+  auto opt = base_options();
+  opt.selection_percentile = 0.05;
+  auto wide = opt;
+  wide.library = timing::make_parameterized_library(64);
+
+  auto ref_model = make_model(net);
+  const auto ref = solve_statistical_insertion(net, ref_model, opt);
+  ASSERT_TRUE(ref.ok()) << ref.error().message();
+  auto wide_model = make_model(net);
+  const auto ref_wide = solve_statistical_insertion(net, wide_model, wide);
+  ASSERT_TRUE(ref_wide.ok()) << ref_wide.error().message();
+
+  for (std::uint64_t after = 5 + seed_; after < 400; after += 37) {
+    fi::arm("term_pool_alloc:after=" + std::to_string(after));
+    auto poisoned_model = make_model(net);
+    const auto failed = solve_statistical_insertion(net, poisoned_model, opt);
+    fi::disarm();
+    ASSERT_FALSE(failed.ok()) << "after=" << after;
+    EXPECT_EQ(failed.error().code, solve_code::memory_cap);
+
+    auto clean_model = make_model(net);
+    const auto again = solve_statistical_insertion(net, clean_model, opt);
+    ASSERT_TRUE(again.ok()) << again.error().message();
+    expect_identical(*ref, *again);
+
+    fi::arm("term_pool_alloc:after=" + std::to_string(after));
+    auto poisoned_wide = make_model(net);
+    EXPECT_FALSE(solve_statistical_insertion(net, poisoned_wide, opt).ok());
+    fi::disarm();
+    auto clean_wide = make_model(net);
+    const auto wide_again = solve_statistical_insertion(net, clean_wide, wide);
+    ASSERT_TRUE(wide_again.ok()) << wide_again.error().message();
+    expect_identical(*ref_wide, *wide_again);
+  }
+}
+
 TEST_F(FaultTolerance, NanPoisonedDeviceTripsNonfiniteCheck) {
   const auto net = make_net(16, 3);
   auto opt = base_options();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.hpp"
 #include "core/van_ginneken.hpp"
 #include "solved_test_util.hpp"
 #include "tree/generators.hpp"
@@ -155,6 +156,57 @@ TEST(StatisticalDp, RootPercentileValidated) {
   options.root_percentile = 1.0;
   EXPECT_EQ(solve_statistical_insertion(t, model, options).code(),
             solve_code::invalid_options);
+}
+
+TEST(StatisticalDp, CertainConfidenceRejected) {
+  // p = 1 has no finite z threshold: rejected up front, naming the field,
+  // on the serial and the parallel entry points alike.
+  tree::random_tree_options to;
+  to.num_sinks = 30;
+  to.seed = 3;
+  const auto t = tree::make_random_tree(to);
+  thread_pool pool(2);
+  for (const bool load : {true, false}) {
+    auto options = base_options(timing::standard_library());
+    (load ? options.two_param.p_load : options.two_param.p_rat) = 1.0;
+    const char* field = load ? "two_param.p_load" : "two_param.p_rat";
+    auto model = make_model(t, layout::wid_mode());
+    const auto serial = solve_statistical_insertion(t, model, options);
+    ASSERT_FALSE(serial.ok());
+    EXPECT_EQ(serial.code(), solve_code::invalid_options);
+    EXPECT_NE(serial.error().detail.find(field), std::string::npos)
+        << serial.error().detail;
+    auto pmodel = make_model(t, layout::wid_mode());
+    EXPECT_EQ(solve_parallel_insertion(t, pmodel, options, pool).code(),
+              solve_code::invalid_options);
+  }
+}
+
+TEST(StatisticalDp, SelectionCountersReportThePath) {
+  // 95%-yield selection decides types by the moment bounds; the mean rule
+  // (fast path, or the Li-Shi frontier for a larger library) never scores.
+  tree::random_tree_options to;
+  to.num_sinks = 60;
+  to.seed = 5;
+  const auto t = tree::make_random_tree(to);
+
+  auto model = make_model(t, layout::wid_mode());
+  auto yield = base_options(timing::standard_library());
+  yield.selection_percentile = 0.05;
+  const auto ry = solved(solve_statistical_insertion(t, model, yield));
+  EXPECT_GT(ry.stats.selection_bounded, 0u);
+  // Exact keys are for near-ties only.
+  EXPECT_LT(100 * ry.stats.selection_exact, ry.stats.selection_bounded);
+
+  for (const li_shi_mode mode : {li_shi_mode::never, li_shi_mode::always}) {
+    auto mean_model = make_model(t, layout::wid_mode());
+    auto mean = base_options(timing::standard_library());
+    mean.li_shi = mode;
+    const auto rm = solved(solve_statistical_insertion(t, mean_model, mean));
+    EXPECT_EQ(rm.stats.li_shi_nodes > 0, mode == li_shi_mode::always);
+    EXPECT_EQ(rm.stats.selection_bounded, 0u) << to_string(mode);
+    EXPECT_EQ(rm.stats.selection_exact, 0u) << to_string(mode);
+  }
 }
 
 TEST(StatisticalDp, EmptyLibraryRejected) {
