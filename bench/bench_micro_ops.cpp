@@ -21,6 +21,7 @@
 // --benchmark_min_time so CI and humans share one spelling.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -354,7 +355,11 @@ BENCHMARK(BM_PruneFourParam)->Range(64, 1024)->Complexity();
 // terms and overlapping means, so the sweeps run the full mixture of
 // prefilter hits and exact sigma-of-difference fallbacks. Survivors are
 // bit-identical by contract (tests/core/tiled_prune_test.cpp proves it);
-// only the time and the organization counters differ.
+// only the time and the organization counters differ. The plain records
+// draw each form's terms over ~70% of the space, so their planes take the
+// identity column map; the /sparse/ records give every form 60 ids in a
+// 2,048-wide space, the shape of confidence_net's prunes, so their planes
+// span only the ids the list carries.
 // ---------------------------------------------------------------------------
 
 /// RAII toggle of the prune-implementation switch (+1 tiled / -1 pairwise);
@@ -397,6 +402,48 @@ std::vector<core::stat_candidate> make_stat_candidates(std::size_t n,
   return out;
 }
 
+/// Terms per form of the sparse-support sweeps.
+constexpr std::size_t kSparseTerms = 60;
+
+/// Candidates shaped like confidence_net's tiled prunes: WID gives every
+/// buffer a private source, so the space is thousands of sources wide while
+/// a list's forms carry about 60 ids each out of ~70 the list uses between
+/// them. Every form here carries `terms` ids of one list-wide pool of
+/// terms * 6 / 5 ids scattered over a `sources`-wide space; means and
+/// coefficients are drawn as in make_stat_candidates.
+std::vector<core::stat_candidate> make_sparse_stat_candidates(
+    std::size_t n, std::size_t sources, std::size_t terms,
+    std::uint64_t seed) {
+  auto rng = stats::make_rng(seed);
+  std::vector<stats::source_id> pool(sources);
+  for (std::size_t id = 0; id < sources; ++id) {
+    pool[id] = static_cast<stats::source_id>(id);
+  }
+  std::shuffle(pool.begin(), pool.end(), rng);
+  pool.resize(terms * 6 / 5);
+  std::uniform_real_distribution<double> load(0.10, 0.35);
+  std::uniform_real_distribution<double> rat(-1300.0, -1000.0);
+  std::uniform_real_distribution<double> lcoeff(-0.02, 0.02);
+  std::uniform_real_distribution<double> rcoeff(-15.0, 15.0);
+  std::vector<core::stat_candidate> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    core::stat_candidate c;
+    c.load = stats::linear_form{load(rng)};
+    c.rat = stats::linear_form{rat(rng)};
+    std::shuffle(pool.begin(), pool.end(), rng);
+    for (std::size_t t = 0; t < terms; ++t) {
+      c.load.add_term(pool[t], lcoeff(rng));
+    }
+    std::shuffle(pool.begin(), pool.end(), rng);
+    for (std::size_t t = 0; t < terms; ++t) {
+      c.rat.add_term(pool[t], rcoeff(rng));
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 /// Reports the tiled-engine organization counters accumulated across the
 /// timed loop (zero on the pairwise runs).
 void report_tiled_counters(benchmark::State& state, const core::dp_stats& s) {
@@ -407,12 +454,14 @@ void report_tiled_counters(benchmark::State& state, const core::dp_stats& s) {
       benchmark::Counter(static_cast<double>(s.pairs_batched) / iters);
 }
 
-void BM_DominanceSweep2P(benchmark::State& state) {
+void BM_DominanceSweep2P(benchmark::State& state, bool sparse) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto sources = static_cast<std::size_t>(state.range(1));
   const bool tiled = state.range(2) != 0;
   form_fixture fx(sources, 0, 0);
-  const auto base = make_stat_candidates(k, sources, 3);
+  const auto base =
+      sparse ? make_sparse_stat_candidates(k, sources, kSparseTerms, 3)
+             : make_stat_candidates(k, sources, 3);
   core::two_param_rule rule;
   rule.p_load = 0.9;
   rule.p_rat = 0.9;
@@ -431,6 +480,10 @@ void BM_DominanceSweep2P(benchmark::State& state) {
     benchmark::DoNotOptimize(list);
   }
   report_tiled_counters(state, s);
+}
+
+void BM_DominanceSweep2P(benchmark::State& state) {
+  BM_DominanceSweep2P(state, false);
 }
 
 void BM_DominanceSweep4P(benchmark::State& state) {
@@ -464,6 +517,15 @@ void dominance_args(benchmark::internal::Benchmark* b) {
   }
 }
 
+// The sparse-support shape: kSparseTerms-term forms in a 2,048-wide space.
+void sparse_dominance_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"k", "sources", "tiled"});
+  for (const std::int64_t k : {32, 128}) {
+    b->Args({k, 2048, 0});
+    b->Args({k, 2048, 1});
+  }
+}
+
 // The 4P prune has no tiled path, so no pairwise/tiled axis.
 void dominance_args_4p(benchmark::internal::Benchmark* b) {
   b->ArgNames({"k", "sources"});
@@ -472,6 +534,9 @@ void dominance_args_4p(benchmark::internal::Benchmark* b) {
   }
 }
 BENCHMARK(BM_DominanceSweep2P)->Apply(dominance_args)->UseManualTime();
+BENCHMARK_CAPTURE(BM_DominanceSweep2P, sparse, true)
+    ->Apply(sparse_dominance_args)
+    ->UseManualTime();
 BENCHMARK(BM_DominanceSweep4P)->Apply(dominance_args_4p)->UseManualTime();
 
 void BM_CharacterizePosition(benchmark::State& state) {

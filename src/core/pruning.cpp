@@ -37,11 +37,12 @@ int force_prune_state() {
 }
 
 /// Adaptive engagement thresholds (see DESIGN.md for the measurement). The
-/// gather costs O(k * sources) up front; it pays off once the batched moment
-/// fill replaces enough per-pair sparse reductions, which needs both a list
-/// long enough to amortize the pass and enough sources per form for the
-/// interleaved plane chains to beat the branchy sparse walks. Below either
-/// threshold the pairwise sweep's lazy evaluation wins.
+/// gather costs O(terms + sources + k * columns) up front, columns being the
+/// source ids the list carries (candidate_plane.hpp); it pays off once the
+/// batched moment fill replaces enough per-pair sparse reductions, which
+/// needs both a list long enough to amortize the pass and enough sources per
+/// form for the interleaved plane chains to beat the branchy sparse walks.
+/// Below either threshold the pairwise sweep's lazy evaluation wins.
 constexpr std::size_t k_tiled_min_list = 32;
 constexpr std::size_t k_tiled_min_sources = 16;
 
@@ -289,7 +290,6 @@ namespace {
 template <typename GetVar>
 std::size_t batch_fill_variances(std::vector<stat_candidate>& list,
                                  const stats::candidate_plane& planes,
-                                 const stats::variation_space& space,
                                  prune_scratch& scr, GetVar get_var) {
   scr.rows.clear();
   scr.row_index.clear();
@@ -302,7 +302,7 @@ std::size_t batch_fill_variances(std::vector<stat_candidate>& list,
   if (scr.rows.empty()) return 0;
   scr.out.resize(scr.rows.size());
   stats::kernels::active().variance_rows(scr.rows.data(), scr.rows.size(),
-                                         space.sigma2_data(), planes.extent(),
+                                         planes.sigma2(), planes.columns(),
                                          scr.out.data());
   for (std::size_t j = 0; j < scr.rows.size(); ++j) {
     get_var(list[scr.row_index[j]]) = scr.out[j];
@@ -323,24 +323,22 @@ void sweep_two_param_tiled(const two_param_rule& rule,
                            const stats::variation_space& space,
                            dp_stats& stats, prune_scratch& scr) {
   const std::size_t n = list.size();
-  const std::size_t ext = space.size();
-  const double* s2 = space.sigma2_data();
   const auto& kt = stats::kernels::active();
   ++stats.tiled_prunes;
 
   // Gather once per prune call: the planes copy every coefficient, so
   // nothing after this point can dangle into the candidate forms.
-  scr.load_planes.reset(ext);
-  scr.rat_planes.reset(ext);
-  for (const auto& c : list) {
-    scr.load_planes.add_row(c.load);
-    scr.rat_planes.add_row(c.rat);
-  }
+  scr.forms.clear();
+  for (const auto& c : list) scr.forms.push_back(&c.load);
+  scr.load_planes.gather(space, scr.forms);
+  scr.forms.clear();
+  for (const auto& c : list) scr.forms.push_back(&c.rat);
+  scr.rat_planes.gather(space, scr.forms);
   stats.pairs_batched += batch_fill_variances(
-      list, scr.load_planes, space, scr,
+      list, scr.load_planes, scr,
       [](stat_candidate& c) -> double& { return c.var_load; });
   stats.pairs_batched += batch_fill_variances(
-      list, scr.rat_planes, space, scr,
+      list, scr.rat_planes, scr,
       [](stat_candidate& c) -> double& { return c.var_rat; });
 
   const two_param_z z(rule);
@@ -401,7 +399,8 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       if (!scr.rows.empty()) {
         scr.out.resize(scr.rows.size());
         kt.sigma_diff_sq_row_tile(scr.load_planes.row(r), scr.rows.data(),
-                                  scr.rows.size(), s2, ext, scr.out.data());
+                                  scr.rows.size(), scr.load_planes.sigma2(),
+                                  scr.load_planes.columns(), scr.out.data());
         stats.pairs_batched += scr.rows.size();
         for (std::size_t e = 0; e < scr.rows.size(); ++e) {
           const std::size_t b = scr.row_index[e];
@@ -456,7 +455,8 @@ void sweep_two_param_tiled(const two_param_rule& rule,
       if (!pruned && !scr.rows.empty()) {
         scr.out.resize(scr.rows.size());
         kt.sigma_diff_sq_row_tile(scr.rat_planes.row(r), scr.rows.data(),
-                                  scr.rows.size(), s2, ext, scr.out.data());
+                                  scr.rows.size(), scr.rat_planes.sigma2(),
+                                  scr.rat_planes.columns(), scr.out.data());
         stats.pairs_batched += scr.rows.size();
         for (std::size_t e = 0; e < scr.rows.size() && !pruned; ++e) {
           const std::size_t b = scr.row_index[e];

@@ -49,7 +49,8 @@ namespace vabi::core {
 //   - pairwise: the seed's per-pair sweep; every dominance test runs its own
 //     sparse one-vs-one moment reductions on demand.
 //   - tiled: gathers the candidate list's forms once into SoA coefficient
-//     planes (stats/candidate_plane.hpp), batch-fills the Var(L)/Var(T)
+//     planes over the source ids the list carries
+//     (stats/candidate_plane.hpp), batch-fills the Var(L)/Var(T)
 //     moment caches with the one-vs-many kernels, and answers each
 //     candidate-vs-sweep-window tile with a batched interval prefilter plus
 //     a batched sigma-of-difference pass for the undecided pairs.
@@ -74,15 +75,16 @@ void reset_force_prune_from_env();
 bool use_tiled_prune(std::size_t k, std::size_t sources);
 
 /// Per-worker scratch of the tiled dominance engine: the gathered candidate
-/// planes plus the batching arrays of the sweep. Re-gathered on every prune
-/// call (so sealed-slab adoption or any form relocation between prunes can
-/// never leave a stale plane behind); storage is retained across calls, so
-/// steady state allocates nothing. Owned by the DP workers (one per worker,
-/// never shared across threads); a null scratch argument falls back to a
-/// thread-local instance.
+/// planes (each with its column map) plus the batching arrays of the sweep.
+/// Re-gathered on every prune call (so sealed-slab adoption or any form
+/// relocation between prunes can never leave a stale plane behind); storage
+/// is retained across calls, so steady state allocates nothing. Owned by the
+/// DP workers (one per worker, never shared across threads); a null scratch
+/// argument falls back to a thread-local instance.
 struct prune_scratch {
   stats::candidate_plane load_planes;
   stats::candidate_plane rat_planes;
+  std::vector<const stats::linear_form*> forms;  ///< one plane's gather input
   std::vector<const double*> rows;      ///< row-pointer batch for the kernels
   std::vector<std::size_t> row_index;   ///< list index per batched row
   std::vector<std::size_t> pair_idx;    ///< window position per batched pair

@@ -21,7 +21,7 @@ const char* to_string(source_kind kind) {
 
 source_id variation_space::add_source(source_kind kind, double sigma,
                                       std::string name) {
-  if (sigma < 0.0) {
+  if (!(sigma >= 0.0)) {  // also rejects NaN, for which sigma < 0 is false
     throw std::invalid_argument("variation_space: sigma must be >= 0");
   }
   const auto id = static_cast<source_id>(sigmas_.size());

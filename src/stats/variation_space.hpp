@@ -42,7 +42,8 @@ const char* to_string(source_kind kind);
 /// Sources are append-only: ids are dense indices and never invalidated.
 class variation_space {
  public:
-  /// Registers a new independent source ~ N(0, sigma^2). `sigma` must be >= 0.
+  /// Registers a new independent source ~ N(0, sigma^2). `sigma` must be
+  /// >= 0: a negative or NaN sigma throws std::invalid_argument.
   source_id add_source(source_kind kind, double sigma, std::string name = {});
 
   std::size_t size() const { return sigmas_.size(); }

@@ -15,8 +15,10 @@
 //      prefilter verdicts implement the exact scalar branch order (NaN falls
 //      through to 2).
 //   2. prune: randomized lists through prune_two_param under forced
-//      pairwise vs forced tiled. The 4P prune has no tiled path: forcing
-//      tiled must leave it bit-identical and untiled.
+//      pairwise vs forced tiled, including lists sparse in a wide space,
+//      whose planes span only the columns the list carries. The 4P prune
+//      has no tiled path: forcing tiled must leave it bit-identical and
+//      untiled.
 //   3. engine: full serial + parallel solves (threads x li_shi) under both
 //      modes compare root RAT bits, assignments and work counters.
 #include "core/pruning.hpp"
@@ -27,8 +29,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <limits>
+#include <memory>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -129,6 +135,110 @@ std::vector<stat_candidate> random_list(std::size_t k,
   return list;
 }
 
+/// Width of the spaces the column-limited cases gather from: wide enough
+/// that a list's forms touch few of its ids, as under WID, where every
+/// buffer brings a private source.
+constexpr std::size_t kWideSpace = 4096;
+
+/// `count` distinct ids drawn from `pool`, ascending.
+std::vector<stats::source_id> draw_ids(std::mt19937_64& rng,
+                                       std::vector<stats::source_id> pool,
+                                       std::size_t count) {
+  std::shuffle(pool.begin(), pool.end(), rng);
+  pool.resize(count);
+  std::sort(pool.begin(), pool.end());
+  return pool;
+}
+
+/// A form carrying exactly `ids`, coefficients uniform in [-scale, scale].
+/// The explicit-terms constructor keeps zero coefficients present.
+stats::linear_form form_over(std::mt19937_64& rng,
+                             const std::vector<stats::source_id>& ids,
+                             double mean_lo, double mean_hi, double scale) {
+  const double mean = std::uniform_real_distribution<double>(mean_lo,
+                                                             mean_hi)(rng);
+  std::uniform_real_distribution<double> coeff(-scale, scale);
+  std::vector<stats::lf_term> terms;
+  terms.reserve(ids.size());
+  for (const auto id : ids) terms.push_back({id, coeff(rng)});
+  return stats::linear_form{mean, std::move(terms)};
+}
+
+/// `f` with term `index` set to `coeff` (kept present, also when zero).
+stats::linear_form with_coeff(const stats::linear_form& f, std::size_t index,
+                              double coeff) {
+  std::vector<stats::lf_term> terms(f.terms().begin(), f.terms().end());
+  terms[index].coeff = coeff;
+  return stats::linear_form{f.mean(), std::move(terms)};
+}
+
+/// `f` plus a term on `id` (absent from `f`) with coefficient `coeff`.
+stats::linear_form with_term(const stats::linear_form& f, stats::source_id id,
+                             double coeff) {
+  std::vector<stats::lf_term> terms(f.terms().begin(), f.terms().end());
+  terms.push_back({id, coeff});
+  return stats::linear_form{f.mean(), std::move(terms)};
+}
+
+/// An id outside every sparse_list pool: only a corner puts it on a form.
+constexpr stats::source_id kLoneId = 2049;
+
+/// A confidence_net-shaped list (k ~ 60 forms of ~60 terms in a space of
+/// thousands): every form carries `per_form` ids of one list-wide pool of
+/// `pool_size` ids scattered over the wide space. The pool always holds ids
+/// 0 and size() - 1, and candidate 0 carries the whole pool. Corners:
+///   - identical-form ties: candidate 3 shares 2's load, 5 duplicates 4;
+///   - -0.0 coefficients: on a pooled id of candidate 6's load, and on
+///     kLoneId, which only candidate 6's RAT form carries;
+///   - NaN coefficients, in candidate 7's RAT form. normal_exceedance
+///     asserts sigma >= 0, so a NaN reaching an exact pass would abort a
+///     Debug build on either sweep; candidate 7's load therefore carries a
+///     sigma in the hundreds, which lets the prefilter decide every load
+///     condition it takes part in from the moments alone. Its RAT form is
+///     still gathered, and its variance batch-filled, by the tiled sweep.
+std::vector<stat_candidate> sparse_list(std::size_t k, std::size_t pool_size,
+                                        std::size_t per_form,
+                                        std::uint64_t seed) {
+  auto rng = stats::make_rng(seed);
+  std::vector<stats::source_id> inner;
+  for (stats::source_id id = 1; id + 1 < kWideSpace; ++id) {
+    if (id != kLoneId) inner.push_back(id);
+  }
+  auto pool = draw_ids(rng, inner, pool_size - 2);
+  pool.insert(pool.begin(), 0);
+  pool.push_back(static_cast<stats::source_id>(kWideSpace - 1));
+
+  std::vector<stat_candidate> list;
+  list.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto load_ids = i == 0 ? pool : draw_ids(rng, pool, per_form);
+    const auto rat_ids = i == 0 ? pool : draw_ids(rng, pool, per_form);
+    list.push_back({form_over(rng, load_ids, 0.0, 2.0, 0.05),
+                    form_over(rng, rat_ids, -100.0, 100.0, 0.05), nullptr});
+  }
+  list[3].load = list[2].load;
+  list[5] = {list[4].load, list[4].rat, nullptr};
+  list[6].load = with_coeff(list[6].load, 1, -0.0);
+  list[6].rat = with_term(list[6].rat, kLoneId, -0.0);
+  list[7].load = form_over(rng, draw_ids(rng, pool, per_form), 0.0, 2.0, 50.0);
+  list[7].rat = with_coeff(list[7].rat, 0,
+                           std::numeric_limits<double>::quiet_NaN());
+  list[7].rat = with_coeff(list[7].rat, per_form - 1,
+                           std::numeric_limits<double>::quiet_NaN());
+  return list;
+}
+
+/// The ids some `c.*form` of `list` carries.
+std::set<stats::source_id> carried_ids(
+    const std::vector<stat_candidate>& list,
+    stats::linear_form stat_candidate::*form) {
+  std::set<stats::source_id> ids;
+  for (const auto& c : list) {
+    for (const auto& t : (c.*form).terms()) ids.insert(t.id);
+  }
+  return ids;
+}
+
 /// Canonical (id, coefficient-bits) list of a form.
 struct form_bits {
   std::uint64_t nominal = 0;
@@ -168,13 +278,13 @@ TEST(TiledKernels, BatchedReductionsMatchOnePlaneBitwise) {
   auto rng = stats::make_rng(77);
 
   stats::candidate_plane plane;
-  plane.reset(num_sources);
+  plane.reset(space);
   const std::size_t m = 37;  // not a multiple of 4: remainder rows
   for (std::size_t i = 0; i < m; ++i) {
     plane.add_row(random_form(rng, num_sources, 0.5, -1.0, 1.0));
   }
   stats::candidate_plane xp;
-  xp.reset(num_sources);
+  xp.reset(space);
   xp.add_row(random_form(rng, num_sources, 0.5, -1.0, 1.0));
 
   std::vector<const double*> rows(m);
@@ -230,7 +340,7 @@ TEST(TiledKernels, PlaneReductionsMatchSparseFormsBitwise) {
                                                        {69, 1e-310}});
 
   stats::candidate_plane plane;
-  plane.reset(num_sources);
+  plane.reset(space);
   for (const auto& f : forms) plane.add_row(f);
   const double* s2 = space.sigma2_data();
 
@@ -259,7 +369,7 @@ TEST(TiledKernels, BatchedReductionsMatchScalarAcrossIsas) {
   const auto space = make_space(num_sources, 5);
   auto rng = stats::make_rng(6);
   stats::candidate_plane plane;
-  plane.reset(num_sources);
+  plane.reset(space);
   const std::size_t m = 19;
   for (std::size_t i = 0; i < m; ++i) {
     plane.add_row(random_form(rng, num_sources, 0.7, -1.0, 1.0));
@@ -282,6 +392,78 @@ TEST(TiledKernels, BatchedReductionsMatchScalarAcrossIsas) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
                 std::bit_cast<std::uint64_t>(ref[j]))
           << kernels::to_string(isa) << " row " << j;
+    }
+  }
+}
+
+TEST(TiledKernels, CarriedColumnsMatchFullWidthBitwise) {
+  // A carried-column gather drops only the columns every row is absent
+  // from and keeps id order, so the batched reductions over it must
+  // reproduce the full-width gather's outputs bit for bit -- NaN, -0.0,
+  // ids 0 and size() - 1, and a row with no terms included. The planes are
+  // reused for a second list over other ids, as a worker's scratch is:
+  // its columns must be that list's own.
+  const auto space = make_space(kWideSpace, 19);
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      if (std::bit_cast<std::uint64_t>(a[j]) !=
+          std::bit_cast<std::uint64_t>(b[j])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  stats::candidate_plane full;
+  stats::candidate_plane limited;
+  for (const std::uint64_t seed : {5u, 6u}) {
+    const auto list = sparse_list(37, 80, 60, seed);
+    const stats::linear_form constant{1.5};
+    std::vector<const stats::linear_form*> forms;
+    for (const auto& c : list) {
+      forms.push_back(&c.load);
+      forms.push_back(&c.rat);
+    }
+    forms.push_back(&constant);
+    std::set<stats::source_id> carried;
+    for (const auto* f : forms) {
+      for (const auto& t : f->terms()) carried.insert(t.id);
+    }
+    ASSERT_TRUE(carried.count(0) == 1 && carried.count(kWideSpace - 1) == 1);
+
+    full.reset(space);
+    for (const auto* f : forms) full.add_row(*f);
+    limited.gather(space, forms);
+    ASSERT_EQ(full.columns(), kWideSpace);
+    ASSERT_EQ(limited.columns(), carried.size()) << "seed " << seed;
+    const std::size_t m = forms.size();
+    std::vector<const double*> full_rows(m);
+    std::vector<const double*> limited_rows(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      full_rows[i] = full.row(i);
+      limited_rows[i] = limited.row(i);
+    }
+
+    for (const auto isa : reachable_isas()) {
+      const auto& kt = kernels::table_for(isa);
+      std::vector<double> want(m);
+      std::vector<double> got(m);
+      kt.variance_rows(full_rows.data(), m, full.sigma2(), full.columns(),
+                       want.data());
+      kt.variance_rows(limited_rows.data(), m, limited.sigma2(),
+                       limited.columns(), got.data());
+      EXPECT_TRUE(same_bits(want, got))
+          << "variance_rows " << kernels::to_string(isa) << " seed " << seed;
+      for (std::size_t x = 0; x < m; ++x) {
+        kt.sigma_diff_sq_row_tile(full.row(x), full_rows.data(), m,
+                                  full.sigma2(), full.columns(), want.data());
+        kt.sigma_diff_sq_row_tile(limited.row(x), limited_rows.data(), m,
+                                  limited.sigma2(), limited.columns(),
+                                  got.data());
+        EXPECT_TRUE(same_bits(want, got))
+            << "sigma_diff_sq_row_tile " << kernels::to_string(isa)
+            << " seed " << seed << " x " << x;
+      }
     }
   }
 }
@@ -450,6 +632,153 @@ TEST(TiledDifferential, SurvivorsAreMutuallyNonDominated) {
       EXPECT_FALSE(list.empty());
       EXPECT_TRUE(is_mutually_non_dominated(rule4, list, space))
           << "4P seed " << seed;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Column-limited planes: lists sparse in a wide space.
+// ---------------------------------------------------------------------------
+
+/// Prunes `base` forced pairwise and forced tiled on every reachable ISA and
+/// requires bit-identical survivors. Returns the tiled run's load and RAT
+/// plane widths.
+std::pair<std::size_t, std::size_t> expect_tiled_matches_pairwise(
+    const two_param_rule& rule, const std::vector<stat_candidate>& base,
+    const stats::variation_space& space, const char* what) {
+  std::pair<std::size_t, std::size_t> widths{0, 0};
+  for (const auto isa : reachable_isas()) {
+    isa_guard ig{isa};
+    auto a = base;
+    auto b = base;
+    dp_stats sa, sb;
+    prune_scratch scratch;
+    {
+      prune_guard guard{-1};
+      prune_two_param(rule, a, space, sa);
+    }
+    {
+      prune_guard guard{1};
+      prune_two_param(rule, b, space, sb, &scratch);
+    }
+    EXPECT_EQ(sb.tiled_prunes, 1u) << what;
+    EXPECT_GT(sa.candidates_pruned, 0u) << what;
+    EXPECT_EQ(sa.candidates_pruned, sb.candidates_pruned)
+        << what << " " << kernels::to_string(isa);
+    expect_lists_bitwise_equal(a, b, what);
+    widths = {scratch.load_planes.columns(), scratch.rat_planes.columns()};
+  }
+  return widths;
+}
+
+TEST(TiledSparseDifferential, TwoParamMatchesPairwiseBitwise) {
+  // confidence_net's shape: ~60-term forms from a pool of ~80 ids in a
+  // space of thousands. The planes span the carried ids only.
+  const auto space = make_space(kWideSpace, 11);
+  for (const double p : {0.6, 0.9}) {
+    two_param_rule rule;
+    rule.p_load = p;
+    rule.p_rat = p;
+    for (const std::size_t k : {37u, 128u}) {
+      const auto base = sparse_list(k, 80, 60, k * 7 + 1);
+      const auto [load_cols, rat_cols] =
+          expect_tiled_matches_pairwise(rule, base, space, "sparse");
+      EXPECT_EQ(load_cols, carried_ids(base, &stat_candidate::load).size());
+      EXPECT_EQ(rat_cols, carried_ids(base, &stat_candidate::rat).size());
+      EXPECT_LT(load_cols, 100u);
+    }
+  }
+}
+
+TEST(TiledSparseDifferential, IdentityRuleSidesMatchPairwiseBitwise) {
+  // A plane takes the identity map once its forms' terms cover the space,
+  // 2 * terms >= k * space.size(). Two lists straddle that boundary by one
+  // term; neither carries ids 0-2 and 2049, so the identity map is wider
+  // than the carried columns and the plane widths tell the sides apart.
+  const std::size_t k = 32;
+  const std::size_t per_form = kWideSpace / 2;
+  const auto space = make_space(kWideSpace, 23);
+  std::vector<stats::source_id> pool;
+  for (stats::source_id id = 3; id < kWideSpace; ++id) {
+    if (id != kLoneId) pool.push_back(id);
+  }
+  auto rng = stats::make_rng(29);
+  const double scale = 0.05 * std::sqrt(60.0 / per_form);
+  std::vector<stat_candidate> at_rule;
+  for (std::size_t i = 0; i < k; ++i) {
+    at_rule.push_back(
+        {form_over(rng, draw_ids(rng, pool, per_form), 0.0, 2.0, scale),
+         form_over(rng, draw_ids(rng, pool, per_form), -100.0, 100.0, scale),
+         nullptr});
+  }
+  at_rule[3].load = at_rule[2].load;
+  at_rule[5] = {at_rule[4].load, at_rule[4].rat, nullptr};
+  auto below_rule = at_rule;
+  for (auto* f : {&below_rule[9].load, &below_rule[9].rat}) {
+    std::vector<stats::lf_term> terms(f->terms().begin() + 1, f->terms().end());
+    *f = stats::linear_form{f->mean(), std::move(terms)};
+  }
+
+  two_param_rule rule;
+  rule.p_load = 0.8;
+  rule.p_rat = 0.8;
+  const auto identity =
+      expect_tiled_matches_pairwise(rule, at_rule, space, "at rule");
+  EXPECT_EQ(identity.first, kWideSpace);
+  EXPECT_EQ(identity.second, kWideSpace);
+  const auto carried =
+      expect_tiled_matches_pairwise(rule, below_rule, space, "below rule");
+  EXPECT_LT(carried.first, kWideSpace);
+  EXPECT_LT(carried.second, kWideSpace);
+}
+
+TEST(TiledSparseDifferential, PoolWorkersMatchSerial) {
+  // Tiled prunes on pool workers, the way the engine runs them: every task
+  // sweeps all lists, in its own order, through one scratch it owns (or
+  // the thread-local fallback), so column maps are reused across lists of
+  // different columns while other workers gather theirs. Each result must
+  // equal the serial pairwise sweep's.
+  two_param_rule rule;
+  rule.p_load = 0.9;
+  rule.p_rat = 0.9;
+  const auto space = make_space(kWideSpace, 31);
+  constexpr std::size_t kLists = 6;
+  std::vector<std::vector<stat_candidate>> bases;
+  std::vector<std::vector<stat_candidate>> want;
+  for (std::size_t i = 0; i < kLists; ++i) {
+    bases.push_back(sparse_list(48 + 8 * i, 60 + 10 * i, 50, 101 + i));
+    want.push_back(bases.back());
+    dp_stats s;
+    prune_guard guard{-1};
+    prune_two_param(rule, want.back(), space, s);
+  }
+
+  constexpr std::size_t kTasks = 4;
+  std::vector<std::vector<std::vector<stat_candidate>>> got(kTasks);
+  {
+    prune_guard guard{1};
+    thread_pool pool{kTasks};
+    std::vector<std::future<void>> done;
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      auto task = std::make_shared<std::packaged_task<void()>>([&, t] {
+        prune_scratch own;
+        got[t].resize(kLists);
+        for (std::size_t j = 0; j < kLists; ++j) {
+          const std::size_t i = (j + t) % kLists;
+          got[t][i] = bases[i];
+          dp_stats s;
+          prune_two_param(rule, got[t][i], space, s,
+                          t % 2 == 0 ? &own : nullptr);
+        }
+      });
+      done.push_back(task->get_future());
+      pool.submit([task] { (*task)(); });
+    }
+    for (auto& f : done) f.get();
+  }
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    for (std::size_t i = 0; i < kLists; ++i) {
+      expect_lists_bitwise_equal(want[i], got[t][i], "pool worker");
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace vabi::stats {
 namespace {
 
@@ -35,6 +38,17 @@ TEST(VariationSpace, RejectsNegativeSigma) {
   variation_space space;
   EXPECT_THROW(space.add_source(source_kind::random_device, -1.0),
                std::invalid_argument);
+}
+
+TEST(VariationSpace, RejectsNanSigma) {
+  // `sigma < 0` is false for NaN, so the contract sigma >= 0 needs its own
+  // check; a rejected source must leave the space untouched.
+  variation_space space;
+  EXPECT_THROW(space.add_source(source_kind::random_device,
+                                std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_TRUE(space.empty());
+  EXPECT_TRUE(space.moderate_variances());
 }
 
 TEST(VariationSpace, AllowsZeroSigma) {
