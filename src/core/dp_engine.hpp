@@ -133,9 +133,11 @@ class worker_arena {
 
   /// Seals `working` into a self-contained node_list: every form still
   /// borrowing scratch or a child slab re-homes its terms (inline when they
-  /// fit, else into one exactly-sized recycled block). Pure byte copies --
-  /// the forms' values are untouched.
-  node_list seal(cand_list&& working) {
+  /// fit, else into one recycled block). Pure byte copies -- the forms'
+  /// values are untouched. An `exact` seal (a list the slab cache will keep)
+  /// takes a fresh block of exactly the sealed size instead: a recycled
+  /// block may be larger, and the cache would hold on to the slack.
+  node_list seal(cand_list&& working, bool exact) {
     std::size_t total = 0;
     for (const auto& c : working) {
       if (!c.load.owns_terms() &&
@@ -150,7 +152,7 @@ class worker_arena {
     node_list out;
     stats::lf_term* cursor = nullptr;
     if (total != 0) {
-      if (!free_blocks_.empty()) {
+      if (!exact && !free_blocks_.empty()) {
         out.slab = std::move(free_blocks_.back());
         free_blocks_.pop_back();
       }
@@ -897,8 +899,10 @@ struct dp_worker {
   /// Computes the candidate list of `id` from its children's lists (which are
   /// consumed). On a resource-cap abort dps.aborted is set and the returned
   /// list is meaningless. Wraps one scratch epoch: all form math hits the
-  /// worker's scratch pool, the surviving list is sealed, the pool rewinds.
-  node_list solve_node(tree::node_id id, std::span<node_list> lists) {
+  /// worker's scratch pool, the surviving list is sealed (`exact`: see
+  /// worker_arena::seal), the pool rewinds.
+  node_list solve_node(tree::node_id id, std::span<node_list> lists,
+                       bool exact) {
     if (guard.begin_node(id, pool)) return {};
     const std::size_t alloc0 =
         pool.allocations() + stats::term_heap_allocations();
@@ -908,7 +912,7 @@ struct dp_worker {
     if (!dps.aborted && options.check_nonfinite) check_finite(here);
     node_list out;
     if (!dps.aborted) {
-      out = pool.seal(std::move(here));
+      out = pool.seal(std::move(here), exact);
     } else {
       // Aborted lists are meaningless; drop the borrowed forms before the
       // epoch ends and recycle the buffer.
@@ -934,7 +938,8 @@ struct dp_worker {
       for (tree::node_id child : n.children) {
         cand_list up = std::move(lists[child].cands);
         // The child's slab must outlive this node: `up`'s forms (and copies
-        // of them) borrow it until the seal.
+        // of them) borrow it until the seal. A session view has none -- its
+        // slab stays with the cache entry.
         pool.retire_block(std::move(lists[child].slab));
         lists[child] = node_list{};
         propagate_wire(up, child, tree.node(child).parent_wire_um);
@@ -1040,13 +1045,15 @@ struct dp_worker {
 
 struct session_state;
 
-/// Session (ECO) mode of a driver run: only nodes with marked[id] != 0 are
-/// solved -- the rest were adopted from the slab cache, their lists
-/// pre-filled -- every solved node counts as a cache miss, and with `store`
-/// its sealed list is cloned into the cache before the parent consumes it.
+/// Session (ECO) mode of a driver run: only the nodes in `order` (those with
+/// marked[id] != 0, in postorder) are solved -- the rest were adopted from
+/// the slab cache, their lists pre-filled with views borrowing the entries'
+/// slabs -- every solved node counts as a cache miss, and with `store` its
+/// sealed list moves into the cache and the parent consumes a view of it.
 struct session_pass {
   session_state& state;
   const std::vector<std::uint8_t>& marked;
+  const std::vector<tree::node_id>& order;
   bool store = false;
 };
 

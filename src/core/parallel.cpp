@@ -219,6 +219,9 @@ struct parallel_run {
   /// this run -- cached candidates keep borrowing them), and only the nodes
   /// the pass marks are scheduled; see detail::session_pass.
   const detail::session_pass* session;
+  /// The nodes this run schedules, in postorder: every attached node
+  /// one-shot, the pass's marked nodes in session mode.
+  const std::vector<tree::node_id>& order;
 
   std::vector<worker_state> states;
   std::vector<detail::node_list> lists;
@@ -240,6 +243,7 @@ struct parallel_run {
                const stats::variation_space& sp, const device_cache* c,
                thread_pool& p, const cancel_token* ct,
                const detail::session_pass* s,
+               const std::vector<tree::node_id>& ord,
                std::vector<detail::node_list>&& l,
                detail::dp_clock::time_point t_start)
       : tree(t),
@@ -250,12 +254,13 @@ struct parallel_run {
         pool(p),
         cancel(ct),
         session(s),
+        order(ord),
         states(p.size()),
         lists(std::move(l)),
         pending(t.num_nodes()) {
     // A node waits for its scheduled children only: an adopted (unmarked)
     // child never runs a task, so it must not hold its parent's counter.
-    for (tree::node_id id = 0; id < tree.num_nodes(); ++id) {
+    for (const tree::node_id id : order) {
       std::uint32_t n = 0;
       for (const tree::node_id c : tree.node(id).children) {
         n += scheduled(c) ? 1u : 0u;
@@ -311,14 +316,16 @@ struct parallel_run {
     try {
       if (!budget.aborted.load(std::memory_order_acquire)) {
         detail::dp_worker worker = make_worker(w);
-        detail::node_list here = worker.solve_node(id, lists);
+        const bool store = session != nullptr && session->store;
+        detail::node_list here = worker.solve_node(id, lists, store);
         if (!states[w].dps.aborted) {
           if (session != nullptr) {
             ++states[w].dps.cache_misses;
-            // Clone into the cache before the parent consumes the list; a
+            // Move into the cache before the parent consumes the list; a
             // tripped node (or its never-solved ancestors) stores nothing.
-            if (session->store) {
-              session->state.store(id, tree.subtree_hash(id), here);
+            if (store) {
+              here = session->state.store(id, tree.subtree_hash(id),
+                                          std::move(here));
             }
           }
           lists[id] = std::move(here);
@@ -354,8 +361,7 @@ struct parallel_run {
     // counters here instead would race the cascade: a worker can drain a
     // parent's counter to zero (and submit it) while this loop is still
     // walking, and a second submission of the same node corrupts the run.
-    for (tree::node_id id : tree.postorder()) {
-      if (!scheduled(id)) continue;
+    for (const tree::node_id id : order) {
       // Structural leaves of the scheduled DAG: no children in one-shot
       // mode, no *marked* children in session mode (adopted children are
       // data, not tasks). Static info only -- testing the live pending
@@ -424,8 +430,9 @@ stat_result run_parallel_impl(const tree::routing_tree& tree,
                               const stat_options& options, thread_pool& pool,
                               const cancel_token* cancel) {
   const device_cache cache(tree, model, options.library);
+  const std::vector<tree::node_id> order = tree.postorder();
   parallel_run run{tree, options, model.space(), &cache, pool, cancel, nullptr,
-                   std::vector<detail::node_list>(tree.num_nodes()),
+                   order, std::vector<detail::node_list>(tree.num_nodes()),
                    detail::dp_clock::now()};
   return run.run();
 }
@@ -447,8 +454,8 @@ stat_result session_solve_parallel(const session_pass& pass,
   }
   for (auto& w : ss.workers) w->mem.begin_run();
   parallel_run run{tree,  options, ss.model->space(), nullptr,
-                   pool,  cancel,  &pass,             std::move(lists),
-                   t_start};
+                   pool,  cancel,  &pass,             pass.order,
+                   std::move(lists), t_start};
   return run.run();
 }
 

@@ -1,7 +1,7 @@
 #include "core/slab_cache.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "core/fingerprint.hpp"
@@ -20,36 +20,6 @@ std::uint64_t form_hash(const stats::linear_form& f) {
 }
 
 namespace detail {
-
-node_list clone_node_list(const node_list& src) {
-  node_list out;
-  // Shallow candidate copy: borrowed forms still point into src's slab,
-  // owned/inline forms and why/moment caches copy through.
-  out.cands = src.cands;
-  // The sealed-prefix size: exactly the `total` seal() computed, because
-  // after relocation every non-owned form of a sealed list borrows this slab
-  // and every borrowed-but-small form went inline.
-  std::size_t used = 0;
-  for (const auto& c : src.cands) {
-    if (!c.load.owns_terms() &&
-        c.load.num_terms() > stats::linear_form::inline_capacity) {
-      used += c.load.num_terms();
-    }
-    if (!c.rat.owns_terms() &&
-        c.rat.num_terms() > stats::linear_form::inline_capacity) {
-      used += c.rat.num_terms();
-    }
-  }
-  if (used == 0) return out;
-  const stats::lf_term* old_base = src.slab.data();
-  stats::lf_term* new_base = out.slab.ensure(used);
-  std::memcpy(new_base, old_base, used * sizeof(stats::lf_term));
-  for (auto& c : out.cands) {
-    c.load.rebase_terms(old_base, used, new_base);
-    c.rat.rebase_terms(old_base, used, new_base);
-  }
-  return out;
-}
 
 void session_state::flush_entries() {
   for (auto& e : entries) e.valid = false;
@@ -97,29 +67,6 @@ void session_state::prepare(const tree::routing_tree& tree,
   if (devices.size() < tree.num_nodes() * lib) {
     devices.resize(tree.num_nodes() * lib);
   }
-  // Fill missing/moved entries in the serial engine's lazy order (postorder,
-  // types ascending): on a fresh session the source-id allocation therefore
-  // matches a one-shot solve on a fresh model exactly, and every later
-  // solve -- serial, parallel, warm or cold -- reads the same memo.
-  for (const tree::node_id id : tree.postorder()) {
-    const auto& n = tree.node(id);
-    if (n.is_source()) continue;
-    bool fresh = false;
-    for (std::size_t b = 0; b < lib; ++b) {
-      const auto& e = devices[static_cast<std::size_t>(id) * lib + b];
-      if (!e.valid || e.loc != n.location) {
-        fresh = true;
-        break;
-      }
-    }
-    if (!fresh) continue;
-    for (timing::buffer_index b = 0; b < lib; ++b) {
-      auto& e = devices[static_cast<std::size_t>(id) * lib + b];
-      e.dv = characterize_device(*model, tree, id, options.library[b]);
-      e.loc = n.location;
-      e.valid = true;
-    }
-  }
 }
 
 session_state::mark_result session_state::mark(const tree::routing_tree& tree,
@@ -133,23 +80,54 @@ session_state::mark_result session_state::mark(const tree::routing_tree& tree,
     stack.pop_back();
     if (use_cache && id < entries.size() && entries[id].valid &&
         entries[id].hash == tree.subtree_hash(id)) {
-      lists[id] = clone_node_list(entries[id].list);
+      lists[id].cands = entries[id].list.cands;
       ++r.hits;
-      r.reused += tree.subtree_size(id);
       continue;
     }
     r.marked[id] = 1;
+    r.order.push_back(id);
     for (const tree::node_id c : tree.node(id).children) stack.push_back(c);
   }
+  std::reverse(r.order.begin(), r.order.end());
   return r;
 }
 
-void session_state::store(tree::node_id id, std::uint64_t hash,
-                          const node_list& solved) {
+void session_state::refresh_devices(const tree::routing_tree& tree,
+                                    const stat_options& options,
+                                    const std::vector<tree::node_id>& order) {
+  const std::size_t lib = options.library.size();
+  for (const tree::node_id id : order) {
+    const auto& n = tree.node(id);
+    if (n.is_source()) continue;
+    device_entry* row = &devices[static_cast<std::size_t>(id) * lib];
+    if (std::all_of(row, row + lib, [&n](const device_entry& e) {
+          return e.valid && e.loc == n.location;
+        })) {
+      continue;
+    }
+    for (timing::buffer_index b = 0; b < lib; ++b) {
+      row[b].dv = characterize_device(*model, tree, id, options.library[b]);
+      row[b].loc = n.location;
+      row[b].valid = true;
+    }
+    // Every entry whose subtree holds this node was built on the replaced
+    // forms; an undo would restore their hashes.
+    for (tree::node_id a = id; a != tree::invalid_node;
+         a = tree.node(a).parent) {
+      entries[a].valid = false;
+    }
+  }
+}
+
+node_list session_state::store(tree::node_id id, std::uint64_t hash,
+                               node_list&& solved) {
   cache_entry& e = entries[id];
-  e.list = clone_node_list(solved);
+  // A fresh, exactly-sized copy of the candidates for the entry; the slab
+  // moves in, so the returned view keeps borrowing it.
+  e.list = node_list{solved.cands, std::move(solved.slab)};
   e.hash = hash;
   e.valid = true;
+  return {std::move(solved.cands), {}};
 }
 
 stat_result session_solve(session_state& ss, const tree::routing_tree& tree,
@@ -159,7 +137,8 @@ stat_result session_solve(session_state& ss, const tree::routing_tree& tree,
   ss.prepare(tree, options);
   std::vector<node_list> lists(tree.num_nodes());
   const auto marks = ss.mark(tree, lists, use_cache);
-  const session_pass pass{ss, marks.marked, use_cache};
+  ss.refresh_devices(tree, options, marks.order);
+  const session_pass pass{ss, marks.marked, marks.order, use_cache};
 
   stat_result result;
   if (pool != nullptr && marks.marked[tree.root()] != 0) {
@@ -180,7 +159,8 @@ stat_result session_solve(session_state& ss, const tree::routing_tree& tree,
         ss.arena, ss.mem, lists, &pass, cancel, t_start);
   }
   result.stats.cache_hits = marks.hits;
-  result.stats.nodes_reused = marks.reused;
+  result.stats.nodes_reused =
+      tree.num_nodes() - tree.num_detached() - marks.order.size();
   result.stats.wall_seconds =
       std::chrono::duration<double>(dp_clock::now() - t_start).count();
   return result;

@@ -18,19 +18,30 @@
 //     (never reset while the session lives, so cached backpointers stay
 //     valid).
 //
-// A warm solve adopts every subtree whose hash is unchanged (cloning the
-// cached list -- one memcpy per slab) and re-solves only the rest: after a
-// single-sink edit that is the root path. Because the cached lists are the
+// A warm solve adopts every subtree whose hash is unchanged and re-solves
+// only the rest: after a single-sink edit that is the root path. It walks
+// only that path: the device memo is refreshed for the re-solved nodes
+// alone, and no slab is copied -- an adopted subtree's list is a shallow
+// copy of the entry's candidates borrowing the entry's slab, and a
+// re-solved node's sealed list moves into its entry while the parent
+// consumes the same kind of view. Refreshing only the re-solved nodes is
+// sound because re-characterizing a node invalidates every entry on its
+// root path, so a valid entry's subtree holds the device forms the entry
+// was built with (the current root path only: DESIGN.md names the one
+// prune/graft sequence this misses). Because the cached lists are the
 // sealed outputs of the very same DP, and device forms come from the shared
 // memo, a warm solve is bit-identical to solve_cold() (same session, cache
 // bypassed) by construction -- the differential tests and the nightly
 // edit-script fuzzer pin this across 2P/4P/corner x threads x li_shi_mode.
 //
 // Interplay with the rest of the engine:
-//   - resource_guard trips: an aborted solve stores no entry for the tripped
-//     node or its ancestors (they were never sealed), so a trip invalidates
-//     exactly the affected path; entries stored before the trip are complete
-//     lists and stay valid.
+//   - resource_guard trips: an aborted solve stores nothing for the tripped
+//     node or its never-solved ancestors; entries sealed before the trip
+//     are complete lists and stay valid. The trip itself invalidates no
+//     entry: the path's older entries are adopted again only when their
+//     subtree hash matches again (an undo) and no node under them was
+//     re-characterized since, whichever solve -- warm, cold or aborted --
+//     did the re-characterizing.
 //   - degrade policies: a degraded retry runs the corner rule through the
 //     non-cached serial engine; the cache keeps serving the primary rule.
 //   - any option change (rule parameters, caps, li_shi, percentiles, ...)

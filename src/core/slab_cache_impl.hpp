@@ -13,12 +13,6 @@
 
 namespace vabi::core::detail {
 
-/// Byte-clones a sealed node_list: the candidate vector is copied (borrowed
-/// spans stay shallow), the slab's sealed prefix is memcpy'd, and every
-/// borrowed form is re-based onto the copy. Decision backpointers and cached
-/// moments copy through. Bit-identical by construction.
-node_list clone_node_list(const node_list& src);
-
 struct cache_entry {
   std::uint64_t hash = 0;
   bool valid = false;
@@ -44,8 +38,11 @@ struct session_state {
   bool has_library_fp = false;
 
   // Device memo: characterized forms per (node, type), guarded by the
-  // node's location. Pre-filled in serial lazy postorder order so the
-  // session's source-id allocation matches the one-shot serial engine's.
+  // node's location. Filled in serial lazy postorder order so the session's
+  // source-id allocation matches the one-shot serial engine's. Invariant:
+  // every node under a valid entry's subtree holds the forms that entry was
+  // built with -- re-characterizing a node invalidates its current root
+  // path (DESIGN.md, "Memo/entry invariant", names what that misses).
   struct device_entry {
     layout::device_variation dv;
     layout::point loc;
@@ -59,29 +56,40 @@ struct session_state {
   worker_arena mem;      ///< serial solves
   std::vector<std::unique_ptr<session_worker>> workers;  ///< parallel solves
 
-  /// Refreshes fingerprints (flushing on change), sizes the entry table,
-  /// warms the tree's subtree hashes, and fills the device memo for every
-  /// attached non-source node whose entry is missing or whose location
-  /// moved. Serial; call before mark().
+  /// Refreshes fingerprints (flushing on change), sizes the entry table and
+  /// the device memo, and warms the tree's subtree hashes. Serial; call
+  /// before mark().
   void prepare(const tree::routing_tree& tree, const stat_options& options);
 
   struct mark_result {
     std::vector<std::uint8_t> marked;  ///< nodes the solve must visit
+    std::vector<tree::node_id> order;  ///< the marked nodes, in postorder
     std::size_t hits = 0;              ///< adopted subtree roots
-    std::size_t reused = 0;            ///< nodes under adopted roots
   };
 
   /// Top-down pass from the root: subtrees whose hash matches their cached
-  /// entry are adopted (cloned into `lists`) and not descended into;
-  /// everything else is marked for re-solving. With use_cache false every
-  /// attached node is marked.
+  /// entry are adopted (`lists` borrows the entry's candidates and slab) and
+  /// not descended into; everything else is marked for re-solving. With
+  /// use_cache false every attached node is marked. Walks the postorder's
+  /// own stack discipline, so the reversed visit order of the marked nodes
+  /// is tree.postorder() restricted to them.
   mark_result mark(const tree::routing_tree& tree,
                    std::vector<node_list>& lists, bool use_cache) const;
 
-  /// Stores a freshly sealed list for `id` (clones it; the original moves on
-  /// into the solve). Safe to call concurrently for distinct ids once
-  /// `entries` is sized and the tree's hashes are warm.
-  void store(tree::node_id id, std::uint64_t hash, const node_list& solved);
+  /// Fills the device memo of every marked non-source node whose forms are
+  /// missing or whose location moved, in `order` (postorder, types
+  /// ascending), and invalidates the entries on each re-characterized
+  /// node's root path. Unmarked nodes sit under adopted entries, whose
+  /// forms the invariant above keeps current. Serial; call after mark().
+  void refresh_devices(const tree::routing_tree& tree,
+                       const stat_options& options,
+                       const std::vector<tree::node_id>& order);
+
+  /// Moves a freshly sealed list for `id` into the cache and returns the
+  /// view the solve continues with: its own copy of the candidates,
+  /// borrowing the entry's slab. Safe to call concurrently for distinct ids
+  /// once `entries` is sized and the tree's hashes are warm.
+  node_list store(tree::node_id id, std::uint64_t hash, node_list&& solved);
 
   const layout::device_variation& device(tree::node_id id,
                                          timing::buffer_index b) const {

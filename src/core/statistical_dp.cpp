@@ -170,18 +170,21 @@ stat_result run_serial(const tree::routing_tree& tree,
     worker.li_shi = &li_state;
   }
 
-  for (const tree::node_id id : tree.postorder()) {
-    if (session != nullptr && session->marked[id] == 0) continue;  // adopted
+  // A session solves only its marked nodes; the rest are adopted views.
+  const std::vector<tree::node_id> whole =
+      session == nullptr ? tree.postorder() : std::vector<tree::node_id>{};
+  const bool store = session != nullptr && session->store;
+  for (const tree::node_id id : session != nullptr ? session->order : whole) {
     if (dps.aborted) break;
-    node_list here = worker.solve_node(id, lists);
+    node_list here = worker.solve_node(id, lists, store);
     if (dps.aborted) break;
     if (session != nullptr) {
       ++dps.cache_misses;
       // Store before the parent consumes the list. An aborted node (and its
-      // never-solved ancestors) stores nothing -- the trip invalidates
-      // exactly the affected path while earlier sealed entries stay valid.
-      if (session->store) {
-        session->state.store(id, tree.subtree_hash(id), here);
+      // never-solved ancestors) stores nothing; entries sealed before the
+      // trip are complete and stay valid.
+      if (store) {
+        here = session->state.store(id, tree.subtree_hash(id), std::move(here));
       }
     }
     lists[id] = std::move(here);

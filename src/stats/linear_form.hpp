@@ -119,19 +119,6 @@ class linear_form {
   /// the number of terms written). Owned forms are untouched (returns 0).
   std::size_t relocate_terms(lf_term* dst);
 
-  /// Cache-cloning primitive: after a sealed slab of `extent` terms based at
-  /// `old_base` has been byte-copied to `new_base`, re-points a borrowed
-  /// span at the same offset inside the copy. Owned, empty, and out-of-slab
-  /// forms are untouched, so it is safe to call on every form of a cloned
-  /// candidate list.
-  void rebase_terms(const lf_term* old_base, std::size_t extent,
-                    lf_term* new_base) {
-    if (capacity_ != 0 || size_ == 0) return;
-    if (data_ >= old_base && data_ + size_ <= old_base + extent) {
-      data_ = new_base + (data_ - old_base);
-    }
-  }
-
   /// Coefficient on source `id` (0 if absent).
   double coefficient(source_id id) const;
 

@@ -109,12 +109,6 @@ class term_block {
   std::size_t capacity() const { return cap_; }
   bool empty() const { return cap_ == 0; }
 
-  /// Base pointer of the slab (nullptr when empty). The slab-cache clone
-  /// path memcpys the sealed prefix and rebases borrowed forms onto the
-  /// copy; lf_term is trivially copyable so a byte copy is exact.
-  const lf_term* data() const { return data_.get(); }
-  lf_term* data() { return data_.get(); }
-
  private:
   std::unique_ptr<lf_term[]> data_;
   std::size_t cap_ = 0;

@@ -248,6 +248,97 @@ TEST(EcoSession, ParallelWarmMatchesSerialWarm) {
   expect_same_result(ws.value(), wp.value());
 }
 
+// A solve that re-characterizes a moved sink but stores nothing on its root
+// path -- solve_cold, or a session solve cancelled before its first node --
+// must still retire the entries built on the sink's replaced device forms:
+// undoing the move restores their hashes, and the next warm solve must not
+// adopt them.
+TEST(EcoSession, UndoAfterColdOrAbortedSolveMatchesCold) {
+  tree::random_tree_options to;
+  to.num_sinks = 100;
+  to.die_side_um = 12000.0;
+  to.seed = 53;
+  const auto options = base_options(pruning_kind::two_param,
+                                    li_shi_mode::automatic);
+  for (const bool aborted : {false, true}) {
+    SCOPED_TRACE(aborted ? "aborted solve" : "solve_cold");
+    auto t = tree::make_random_tree(to);
+    auto model = make_wid_model(t);
+    solve_session session(model);
+    const auto first = session.solve(t, options);
+    ASSERT_TRUE(first.ok());
+
+    std::vector<tree::node_id> buffered;
+    for (const tree::node_id s : t.sinks()) {
+      if (first.value().assignment.has_buffer(s)) buffered.push_back(s);
+    }
+    if (buffered.size() > 5) buffered.resize(5);
+    ASSERT_FALSE(buffered.empty());
+
+    cancel_token stopped;
+    stopped.request_stop();
+    for (const tree::node_id s : buffered) {
+      SCOPED_TRACE(s);
+      const layout::point at = t.node(s).location;
+      const double wire = t.node(s).parent_wire_um;
+      t.apply_edit(tree::tree_edit::move_sink(s, {at.x + 150.0, at.y - 90.0}));
+      if (aborted) {
+        const auto r = session.solve(t, options, &stopped);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.code(), solve_code::cancelled);
+      } else {
+        ASSERT_TRUE(session.solve_cold(t, options).ok());
+      }
+      t.apply_edit(tree::tree_edit::move_sink(s, at, wire));
+
+      const auto warm = session.solve(t, options);
+      const auto cold = session.solve_cold(t, options);
+      ASSERT_TRUE(warm.ok());
+      ASSERT_TRUE(cold.ok());
+      expect_same_result(warm.value(), cold.value());
+    }
+  }
+}
+
+// Sessions across structural edits: pruning a subtree and grafting it back
+// re-solves only the edited root path, and every attached node is either
+// reused or solved.
+TEST(EcoSession, PruneAndGraftBackMatchCold) {
+  const auto options = base_options(pruning_kind::two_param,
+                                    li_shi_mode::automatic);
+  for (const std::uint64_t seed : {61u, 62u, 63u, 64u}) {
+    SCOPED_TRACE(seed);
+    auto t = make_tree(pruning_kind::two_param, seed);
+    auto model = make_wid_model(t);
+    solve_session session(model);
+    ASSERT_TRUE(session.solve(t, options).ok());
+
+    const auto check = [&] {
+      const auto warm = session.solve(t, options);
+      ASSERT_TRUE(warm.ok());
+      const auto& s = warm.value().stats;
+      EXPECT_GT(s.cache_hits, 0u);
+      EXPECT_EQ(s.nodes_reused + s.cache_misses,
+                t.num_nodes() - t.num_detached());
+      const auto cold = session.solve_cold(t, options);
+      ASSERT_TRUE(cold.ok());
+      expect_same_result(warm.value(), cold.value());
+    };
+
+    // A non-root internal node's subtree, re-attached under its own parent.
+    const tree::node_id parent = t.node(t.sinks()[seed % 7]).parent;
+    ASSERT_NE(parent, t.root());
+    const tree::node_id grand = t.node(parent).parent;
+    const double wire = t.node(parent).parent_wire_um;
+    t.apply_edit(tree::tree_edit::prune_subtree(parent));
+    ASSERT_GT(t.num_detached(), 0u);
+    check();
+    t.apply_edit(tree::tree_edit::graft_subtree(parent, grand, wire));
+    EXPECT_EQ(t.num_detached(), 0u);
+    check();
+  }
+}
+
 TEST(DetSession, WarmEqualsFreshVanGinneken) {
   auto t = make_tree(pruning_kind::two_param, 97);
   det_options d;
