@@ -10,12 +10,6 @@
 // the wall-clock scaling on a realistic many-nets workload (the jobs are
 // generated from fixed per-job seeds, so every thread count solves the
 // identical batch).
-// A third section exercises ECO mode: a VPR-style net (10k+ nodes; 100k+
-// sinks under VABI_FULL=1) is solved once through a solve_session, one sink
-// is moved, and the incremental re-solve is timed against a cache-bypassing
-// cold solve of the identical edited tree. The JSON records carry the cache
-// hit/miss/reuse counters and both root-RAT form hashes, so CI can assert
-// the bit-identity *and* the speedup, not just eyeball the table.
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -28,11 +22,9 @@
 
 #include "core/journal.hpp"
 #include "core/parallel.hpp"
-#include "core/slab_cache.hpp"
 #include "harness.hpp"
 #include "json_out.hpp"
 #include "shard/shard_coordinator.hpp"
-#include "tree/vpr_import.hpp"
 
 namespace {
 
@@ -324,91 +316,6 @@ int main(int argc, char** argv) {
             << "resume from complete journal: "
             << analysis::fmt(restore_seconds, 2) << " s to restore "
             << restored << "/" << num_jobs << " nets (no re-solving)\n";
-  // -- ECO: incremental re-solve on a VPR-style net -------------------------
-  // Session-oriented solve of a switch-block net, then a single-sink move.
-  // The warm re-solve touches only the edited root path; everything else is
-  // adopted from the slab cache. solve_cold runs the same edited tree with
-  // the cache bypassed, making the speedup and the bit-identity claims
-  // measurable in one run.
-  {
-    tree::vpr_net_options vo;
-    vo.num_sinks = bench::full_mode() ? 100'000 : 10'000;
-    vo.seed = 77;
-    auto eco_net = tree::make_vpr_style_net(vo);
-
-    layout::bbox die = eco_net.bounding_box();
-    die.expand({die.lo.x - 1.0, die.lo.y - 1.0});
-    die.expand({die.hi.x + 1.0, die.hi.y + 1.0});
-    layout::process_model model{
-        die, bench::make_model_config(cfg, layout::wid_mode(),
-                                      layout::spatial_profile::heterogeneous)};
-    core::stat_options so =
-        bench::make_stat_options(cfg, core::pruning_kind::two_param);
-    so.wire = {vo.wire_res_per_um, vo.wire_cap_per_um};
-
-    core::solve_session session{model};
-    const auto first = session.solve(eco_net, so);
-
-    const auto sinks = eco_net.sinks();
-    const tree::node_id moved = sinks[sinks.size() / 2];
-    const layout::point at = eco_net.node(moved).location;
-    eco_net.apply_edit(
-        tree::tree_edit::move_sink(moved, {at.x + 40.0, at.y - 25.0}));
-
-    const auto warm = session.solve(eco_net, so);
-    const auto cold = session.solve_cold(eco_net, so);
-
-    std::cout << "\n=== ECO: single-sink move on a VPR-style net ("
-              << eco_net.num_nodes() << " nodes, " << eco_net.num_sinks()
-              << " sinks, 2P WID) ===\n";
-    if (first.ok() && warm.ok() && cold.ok()) {
-      const double warm_s = warm->stats.wall_seconds;
-      const double cold_s = cold->stats.wall_seconds;
-      const std::uint64_t warm_hash = core::form_hash(warm->root_rat);
-      const std::uint64_t cold_hash = core::form_hash(cold->root_rat);
-      const bool bit_identical = warm_hash == cold_hash;
-      char warm_hex[24];
-      char cold_hex[24];
-      std::snprintf(warm_hex, sizeof warm_hex, "%016llx",
-                    static_cast<unsigned long long>(warm_hash));
-      std::snprintf(cold_hex, sizeof cold_hex, "%016llx",
-                    static_cast<unsigned long long>(cold_hash));
-      std::cout << "initial solve: " << analysis::fmt(first->stats.wall_seconds, 3)
-                << " s; warm re-solve: " << analysis::fmt(warm_s, 3)
-                << " s vs cold " << analysis::fmt(cold_s, 3) << " s ("
-                << analysis::fmt(cold_s / std::max(warm_s, 1e-9), 1)
-                << "x), " << warm->stats.cache_hits << " hits / "
-                << warm->stats.cache_misses << " re-solved / "
-                << warm->stats.nodes_reused << " nodes reused\n"
-                << "root RAT form hash warm " << warm_hex << " cold "
-                << cold_hex
-                << (bit_identical ? " (bit-identical)" : " (MISMATCH)")
-                << "\n";
-      status.begin()
-          .str("section", "eco")
-          .num("nodes", static_cast<std::uint64_t>(eco_net.num_nodes()))
-          .num("sinks", static_cast<std::uint64_t>(eco_net.num_sinks()))
-          .num("initial_seconds", first->stats.wall_seconds)
-          .num("warm_seconds", warm_s)
-          .num("cold_seconds", cold_s)
-          .num("speedup", cold_s / std::max(warm_s, 1e-9))
-          .num("cache_hits",
-               static_cast<std::uint64_t>(warm->stats.cache_hits))
-          .num("cache_misses",
-               static_cast<std::uint64_t>(warm->stats.cache_misses))
-          .num("nodes_reused",
-               static_cast<std::uint64_t>(warm->stats.nodes_reused))
-          .str("root_hash_warm", warm_hex)
-          .str("root_hash_cold", cold_hex)
-          .boolean("bit_identical", bit_identical);
-    } else {
-      const auto code = !first.ok() ? first.code()
-                                    : (!warm.ok() ? warm.code() : cold.code());
-      std::cout << "eco section failed: " << core::to_string(code) << "\n";
-      status.begin().str("section", "eco").str("status",
-                                               core::to_string(code));
-    }
-  }
 
   status.begin()
       .str("status", "journal_summary")

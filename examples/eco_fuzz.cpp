@@ -1,11 +1,15 @@
 // eco_fuzz -- incremental-consistency fuzzer for the ECO solve_session.
 //
 // Generates seeded random trees, drives each through a stream of random
-// edits (sink moves, RAT retargets, wire resizes), and after every edit
-// requires the session's warm incremental re-solve to be bit-identical --
-// equal root-RAT form hashes -- to a cache-bypassing cold solve of the same
-// edited tree. The nightly workflow runs this under VABI_FORCE_KERNEL=scalar
-// and VABI_FORCE_PRUNE=tiled, the engine's least-exercised corner.
+// edits (sink moves, RAT retargets, wire resizes, and a subtree pruned and
+// grafted back within one step), and after every edit requires the
+// session's warm incremental re-solve to be bit-identical -- equal root-RAT
+// form hashes -- to a cache-bypassing cold solve of the same edited tree.
+// Trees rotate through the 2P mean rule, the 2P rule at p = 0.9 (the only
+// one of the three the tiled prune serves) and the corner rule. CI and the
+// nightly workflow run it under VABI_FORCE_PRUNE=tiled (nightly also under
+// VABI_FORCE_KERNEL=scalar), so every p = 0.9 prune takes the tiled sweep;
+// each tree's line reports how many did.
 //
 //   eco_fuzz [--trees N] [--edits M] [--sinks S] [--seed X]
 //            [--fail-script PATH]
@@ -103,11 +107,14 @@ layout::process_model make_model(const tree::routing_tree& t) {
 /// One random edit; appends its replayable description to `script`.
 void random_edit(tree::routing_tree& t, std::mt19937_64& rng,
                  double die_side_um, std::vector<std::string>& script) {
-  const auto sinks = t.sinks();
+  const tree::routing_tree& view = t;  // reads keep the hashes warm
+  const auto sinks = view.sinks();
   std::uniform_int_distribution<std::size_t> pick_sink(0, sinks.size() - 1);
+  std::uniform_int_distribution<tree::node_id> pick_node(
+      1, static_cast<tree::node_id>(view.num_nodes() - 1));
   std::uniform_real_distribution<double> coord(0.0, die_side_um);
   std::ostringstream line;
-  switch (rng() % 3) {
+  switch (rng() % 4) {
     case 0: {
       const tree::node_id s = sinks[pick_sink(rng)];
       const layout::point to{coord(rng), coord(rng)};
@@ -118,19 +125,44 @@ void random_edit(tree::routing_tree& t, std::mt19937_64& rng,
     case 1: {
       const tree::node_id s = sinks[pick_sink(rng)];
       std::uniform_real_distribution<double> delta(-250.0, 250.0);
-      const double rat = t.node(s).sink_rat_ps + delta(rng);
+      const double rat = view.node(s).sink_rat_ps + delta(rng);
       t.apply_edit(tree::tree_edit::retarget_rat(s, rat));
       line << "retarget_rat " << s << ' ' << rat;
       break;
     }
-    default: {
-      std::uniform_int_distribution<tree::node_id> pick_node(
-          1, static_cast<tree::node_id>(t.num_nodes() - 1));
+    case 2: {
       const tree::node_id n = pick_node(rng);
       std::uniform_real_distribution<double> len(1.0, 600.0);
       const double um = len(rng);
       t.apply_edit(tree::tree_edit::resize_wire(n, um));
       line << "resize_wire " << n << ' ' << um;
+      break;
+    }
+    default: {
+      // Prune a subtree and graft it back: under its old parent (after its
+      // siblings, same wire) or, when the old parent keeps another child,
+      // under a lower-numbered Steiner node. Every node under n has a larger
+      // id than n, so no such node is inside the pruned subtree.
+      const tree::node_id n = pick_node(rng);
+      const tree::node_id from = view.node(n).parent;
+      tree::node_id to = from;
+      double um = view.node(n).parent_wire_um;
+      if (view.node(from).children.size() > 1 && rng() % 2 == 0) {
+        std::vector<tree::node_id> steiner;
+        for (tree::node_id m = 1; m < n; ++m) {
+          if (view.node(m).kind == tree::node_kind::steiner &&
+              !view.node(m).detached) {
+            steiner.push_back(m);
+          }
+        }
+        if (!steiner.empty()) {
+          to = steiner[rng() % steiner.size()];
+          um = -1.0;  // Manhattan to the new parent
+        }
+      }
+      t.apply_edit(tree::tree_edit::prune_subtree(n));
+      t.apply_edit(tree::tree_edit::graft_subtree(n, to, um));
+      line << "prune_graft " << n << ' ' << to << ' ' << um;
       break;
     }
   }
@@ -179,8 +211,14 @@ int main(int argc, char** argv) {
     // covers the full rule x frontier matrix.
     so.rule = ti % 3 == 2 ? core::pruning_kind::corner
                           : core::pruning_kind::two_param;
+    if (ti % 3 == 1) {
+      so.two_param.p_load = 0.9;
+      so.two_param.p_rat = 0.9;
+    }
     so.li_shi =
         ti % 2 == 0 ? core::li_shi_mode::always : core::li_shi_mode::never;
+    const std::string rule = ti % 3 == 1 ? "2P p=0.9"
+                                         : core::to_string(so.rule);
 
     std::vector<std::string> script;
     const auto first = session.solve(t, so);
@@ -189,6 +227,7 @@ int main(int argc, char** argv) {
                           script);
     }
 
+    std::size_t tiled_prunes = first->stats.tiled_prunes;
     auto rng = stats::make_rng(tree_seed, 97);
     for (std::size_t e = 0; e < o.edits; ++e) {
       random_edit(t, rng, die_side_um, script);
@@ -207,10 +246,12 @@ int main(int argc, char** argv) {
                             "warm root RAT hash != cold root RAT hash",
                             script);
       }
+      tiled_prunes += warm->stats.tiled_prunes + cold->stats.tiled_prunes;
     }
-    std::cout << "tree " << ti << " (" << core::to_string(so.rule) << ", "
-              << o.edits << " edits): warm == cold after every edit, "
-              << session.cached_nodes() << " nodes cached\n";
+    std::cout << "tree " << ti << " (" << rule << ", " << o.edits
+              << " edits): warm == cold after every edit, "
+              << session.cached_nodes() << " nodes cached, " << tiled_prunes
+              << " tiled prunes\n";
   }
   std::cout << "eco_fuzz: " << o.trees << " trees x " << o.edits
             << " edits, all incremental re-solves bit-identical\n";

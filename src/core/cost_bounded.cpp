@@ -197,6 +197,30 @@ cost_bounded_result run_cost_bounded(const tree::routing_tree& tree,
   return result;
 }
 
+/// nullopt when the options are valid, otherwise an invalid_options error
+/// whose detail names the offending field.
+std::optional<solve_error> check_cost_options(
+    const cost_bounded_options& options) {
+  if (auto det = detail::check_det_options(options.base)) return det;
+  const auto bad = [](const char* detail) {
+    return solve_error{solve_code::invalid_options, tree::invalid_node,
+                       detail};
+  };
+  if (!options.buffer_costs.empty() &&
+      options.buffer_costs.size() != options.base.library.size()) {
+    return bad("buffer_costs: size differs from the library's");
+  }
+  // A NaN cost breaks prune_3d's strict weak order; a negative one makes a
+  // buffer pay for itself.
+  for (const double c : options.buffer_costs) {
+    if (!(c >= 0.0)) return bad("buffer_costs: every cost must be >= 0");
+  }
+  if (!(options.max_cost >= 0.0)) {
+    return bad("max_cost: must be >= 0 (0 = unbounded)");
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<cost_rat_point> cost_bounded_result::cheapest_meeting(
@@ -209,14 +233,9 @@ std::optional<cost_rat_point> cost_bounded_result::cheapest_meeting(
 
 solve_outcome<cost_bounded_result> solve_cost_bounded_insertion(
     const tree::routing_tree& tree, const cost_bounded_options& options) {
-  std::optional<solve_error> bad = detail::check_det_options(options.base);
-  if (!bad && !options.buffer_costs.empty() &&
-      options.buffer_costs.size() != options.base.library.size()) {
-    bad = solve_error{solve_code::invalid_options, tree::invalid_node,
-                      "buffer_costs: size differs from the library's"};
-  }
   return detail::guarded_solve<cost_bounded_result>(
-      tree, std::move(bad), [&] { return run_cost_bounded(tree, options); });
+      tree, check_cost_options(options),
+      [&] { return run_cost_bounded(tree, options); });
 }
 
 }  // namespace vabi::core

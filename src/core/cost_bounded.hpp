@@ -50,8 +50,9 @@ struct cost_bounded_result {
 };
 
 /// Computes the full cost/RAT frontier at the root. Validates the tree and
-/// options (buffer_costs must be empty or one per library type) and maps
-/// every failure into the solve_code taxonomy instead of throwing.
+/// options (buffer_costs must be empty or one cost >= 0 per library type,
+/// max_cost >= 0) and maps every failure into the solve_code taxonomy
+/// instead of throwing.
 solve_outcome<cost_bounded_result> solve_cost_bounded_insertion(
     const tree::routing_tree& tree, const cost_bounded_options& options);
 

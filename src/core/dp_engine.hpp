@@ -1045,22 +1045,21 @@ struct dp_worker {
 
 struct session_state;
 
-/// Session (ECO) mode of a driver run: only the nodes in `order` (those with
-/// marked[id] != 0, in postorder) are solved -- the rest were adopted from
-/// the slab cache, their lists pre-filled with views borrowing the entries'
-/// slabs -- every solved node counts as a cache miss, and with `store` its
-/// sealed list moves into the cache and the parent consumes a view of it.
+/// Session (ECO) mode of a run_serial run: only the nodes in `order`
+/// (postorder) are solved -- the rest were adopted from the slab cache,
+/// their lists pre-filled with views borrowing the entries' slabs -- every
+/// solved node counts as a cache miss, and with `store` its sealed list
+/// moves into the cache and the parent consumes a view of it.
 struct session_pass {
   session_state& state;
-  const std::vector<std::uint8_t>& marked;
   const std::vector<tree::node_id>& order;
   bool store = false;
 };
 
-/// The serial postorder driver of every statistical solve (one-shot, session
-/// and a parallel session solve left with only the root to select): one
-/// dp_worker over `arena` / `mem` solves the nodes into `lists`, then picks
-/// the root. `t_start` anchors max_wall_seconds and wall_seconds.
+/// The serial postorder driver of every one-shot serial and every session
+/// solve: one dp_worker over `arena` / `mem` solves the nodes into `lists`,
+/// then picks the root. `t_start` anchors max_wall_seconds and
+/// wall_seconds.
 stat_result run_serial(const tree::routing_tree& tree,
                        const stats::variation_space& space,
                        const stat_options& options, device_fn devices,

@@ -23,22 +23,15 @@ std::uint64_t hash_library(const timing::buffer_library& lib,
   return h;
 }
 
-/// The fields stat_options and det_options share, in their common order.
-template <class Options>
-std::uint64_t hash_design_fields(const Options& o, std::uint64_t h) {
+}  // namespace
+
+std::uint64_t hash_stat_options(const stat_options& o, std::uint64_t h) {
   h = fnv1a_f64(o.wire.res_per_um, h);
   h = fnv1a_f64(o.wire.cap_per_um, h);
   h = hash_library(o.library, h);
   h = fnv1a_f64(o.driver_res_ohm, h);
   h = fnv1a_u64(o.wire_width_multipliers.size(), h);
   for (const double m : o.wire_width_multipliers) h = fnv1a_f64(m, h);
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t hash_stat_options(const stat_options& o, std::uint64_t h) {
-  h = hash_design_fields(o, h);
   h = fnv1a_u64(static_cast<std::uint64_t>(o.rule), h);
   h = fnv1a_f64(o.two_param.p_load, h);
   h = fnv1a_f64(o.two_param.p_rat, h);
@@ -63,11 +56,6 @@ std::uint64_t hash_stat_options(const stat_options& o, std::uint64_t h) {
 std::uint64_t fingerprint_stat_options(const stat_options& o) {
   return fnv1a_u64(static_cast<std::uint64_t>(o.li_shi),
                    hash_stat_options(o, fnv1a_seed));
-}
-
-std::uint64_t fingerprint_det_options(const det_options& o) {
-  return fnv1a_u64(static_cast<std::uint64_t>(o.li_shi),
-                   hash_design_fields(o, fnv1a_seed));
 }
 
 std::uint64_t fingerprint_library(const timing::buffer_library& library) {

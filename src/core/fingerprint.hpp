@@ -1,6 +1,6 @@
 // Option fingerprints: the FNV-1a recipes (stats/fnv1a.hpp) that key the
 // result journal (fingerprint_job in core/parallel.hpp) and the session
-// caches (core/slab_cache.hpp). Every value is persisted or compared across
+// cache (core/slab_cache.hpp). Every value is persisted or compared across
 // runs, so a recipe change must be deliberate: a drifted job fingerprint
 // turns a resume of an older journal into journal_mismatch, a drifted session
 // fingerprint silently flushes warm caches. tests/core/fingerprint_test.cpp
@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "core/statistical_dp.hpp"
-#include "core/van_ginneken.hpp"
 
 namespace vabi::core {
 
@@ -23,9 +22,6 @@ std::uint64_t hash_stat_options(const stat_options& options, std::uint64_t h);
 /// its slab cache when this changes, so cached lists are reproducible under
 /// exactly one configuration.
 std::uint64_t fingerprint_stat_options(const stat_options& options);
-
-/// Every solver-relevant det_options field; a change flushes a det_session.
-std::uint64_t fingerprint_det_options(const det_options& options);
 
 /// The buffer library alone; a change additionally flushes a session's
 /// device memo (entries are indexed by buffer type).

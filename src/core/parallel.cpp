@@ -15,7 +15,6 @@
 #include "core/dp_engine.hpp"
 #include "core/fingerprint.hpp"
 #include "core/journal.hpp"
-#include "core/slab_cache_impl.hpp"
 #include "stats/rng.hpp"
 #include "testing/fault_injection.hpp"
 
@@ -211,17 +210,11 @@ struct parallel_run {
   const stat_options& options;
   const stats::variation_space& space;
   const timing::wire_menu menu;
-  const device_cache* cache;  ///< one-shot mode; null in session mode
+  const device_cache& cache;
   thread_pool& pool;
   const cancel_token* cancel;
-  /// Session (ECO) mode: devices come from the session memo, decisions and
-  /// term storage from the session-owned worker arenas (they must outlive
-  /// this run -- cached candidates keep borrowing them), and only the nodes
-  /// the pass marks are scheduled; see detail::session_pass.
-  const detail::session_pass* session;
-  /// The nodes this run schedules, in postorder: every attached node
-  /// one-shot, the pass's marked nodes in session mode.
-  const std::vector<tree::node_id>& order;
+  /// Every attached node, in postorder: one task each.
+  const std::vector<tree::node_id> order;
 
   std::vector<worker_state> states;
   std::vector<detail::node_list> lists;
@@ -237,15 +230,10 @@ struct parallel_run {
   std::mutex error_mu;
   std::exception_ptr error;
 
-  /// `lists` holds the adopted subtree roots' lists in session mode (empty
-  /// lists otherwise); `t_start` anchors the wall cap.
+  /// The wall cap is anchored here, after `c` was characterized.
   parallel_run(const tree::routing_tree& t, const stat_options& o,
-               const stats::variation_space& sp, const device_cache* c,
-               thread_pool& p, const cancel_token* ct,
-               const detail::session_pass* s,
-               const std::vector<tree::node_id>& ord,
-               std::vector<detail::node_list>&& l,
-               detail::dp_clock::time_point t_start)
+               const stats::variation_space& sp, const device_cache& c,
+               thread_pool& p, const cancel_token* ct)
       : tree(t),
         options(o),
         space(sp),
@@ -253,48 +241,34 @@ struct parallel_run {
         cache(c),
         pool(p),
         cancel(ct),
-        session(s),
-        order(ord),
+        order(t.postorder()),
         states(p.size()),
-        lists(std::move(l)),
+        lists(t.num_nodes()),
         pending(t.num_nodes()) {
-    // A node waits for its scheduled children only: an adopted (unmarked)
-    // child never runs a task, so it must not hold its parent's counter.
+    budget.t_start = detail::dp_clock::now();
     for (const tree::node_id id : order) {
-      std::uint32_t n = 0;
-      for (const tree::node_id c : tree.node(id).children) {
-        n += scheduled(c) ? 1u : 0u;
-      }
-      pending[id].store(n, std::memory_order_relaxed);
+      pending[id].store(
+          static_cast<std::uint32_t>(tree.node(id).children.size()),
+          std::memory_order_relaxed);
     }
-    budget.t_start = t_start;
     if (detail::li_shi_engaged(options)) {
       frontier = buffer_frontier{options.library};
       for (auto& st : states) st.li_shi.frontier = &frontier;
     }
   }
 
-  bool scheduled(tree::node_id id) const {
-    return session == nullptr || session->marked[id] != 0;
-  }
-
   detail::dp_worker make_worker(int w) {
     worker_state& st = states[w];
-    decision_arena& arena =
-        session != nullptr ? session->state.workers[w]->arena : st.arena;
-    detail::worker_arena& mem =
-        session != nullptr ? session->state.workers[w]->mem : st.mem;
     return detail::dp_worker{
         tree,
         space,
         options,
         menu,
         [this](tree::node_id id, timing::buffer_index b) {
-          return session != nullptr ? session->state.device(id, b)
-                                    : cache->get(id, b);
+          return cache.get(id, b);
         },
-        arena,
-        mem,
+        st.arena,
+        st.mem,
         st.dps,
         detail::resource_guard{options, st.dps, st.published, &budget, cancel,
                                {}},
@@ -316,18 +290,8 @@ struct parallel_run {
     try {
       if (!budget.aborted.load(std::memory_order_acquire)) {
         detail::dp_worker worker = make_worker(w);
-        const bool store = session != nullptr && session->store;
-        detail::node_list here = worker.solve_node(id, lists, store);
+        detail::node_list here = worker.solve_node(id, lists, false);
         if (!states[w].dps.aborted) {
-          if (session != nullptr) {
-            ++states[w].dps.cache_misses;
-            // Move into the cache before the parent consumes the list; a
-            // tripped node (or its never-solved ancestors) stores nothing.
-            if (store) {
-              here = session->state.store(id, tree.subtree_hash(id),
-                                          std::move(here));
-            }
-          }
           lists[id] = std::move(here);
         } else {
           worker.guard.publish();
@@ -362,13 +326,7 @@ struct parallel_run {
     // parent's counter to zero (and submit it) while this loop is still
     // walking, and a second submission of the same node corrupts the run.
     for (const tree::node_id id : order) {
-      // Structural leaves of the scheduled DAG: no children in one-shot
-      // mode, no *marked* children in session mode (adopted children are
-      // data, not tasks). Static info only -- testing the live pending
-      // counters here would race the cascade.
-      const auto& kids = tree.node(id).children;
-      if (std::none_of(kids.begin(), kids.end(),
-                       [this](tree::node_id c) { return scheduled(c); })) {
+      if (tree.node(id).children.empty()) {
         pool.submit([this, id] { run_node(id); });
       }
     }
@@ -392,9 +350,6 @@ struct parallel_run {
       total.li_shi_nodes += st.dps.li_shi_nodes;
       total.selection_bounded += st.dps.selection_bounded;
       total.selection_exact += st.dps.selection_exact;
-      total.cache_hits += st.dps.cache_hits;
-      total.cache_misses += st.dps.cache_misses;
-      total.nodes_reused += st.dps.nodes_reused;
       total.tiled_prunes += st.dps.tiled_prunes;
       total.tile_prefilter_hits += st.dps.tile_prefilter_hits;
       total.pairs_batched += st.dps.pairs_batched;
@@ -421,45 +376,16 @@ struct parallel_run {
   }
 };
 
-}  // namespace
-
-namespace {
-
 stat_result run_parallel_impl(const tree::routing_tree& tree,
                               layout::process_model& model,
                               const stat_options& options, thread_pool& pool,
                               const cancel_token* cancel) {
   const device_cache cache(tree, model, options.library);
-  const std::vector<tree::node_id> order = tree.postorder();
-  parallel_run run{tree, options, model.space(), &cache, pool, cancel, nullptr,
-                   order, std::vector<detail::node_list>(tree.num_nodes()),
-                   detail::dp_clock::now()};
+  parallel_run run{tree, options, model.space(), cache, pool, cancel};
   return run.run();
 }
 
 }  // namespace
-
-namespace detail {
-
-stat_result session_solve_parallel(const session_pass& pass,
-                                   const tree::routing_tree& tree,
-                                   const stat_options& options,
-                                   thread_pool& pool,
-                                   const cancel_token* cancel,
-                                   std::vector<node_list>&& lists,
-                                   dp_clock::time_point t_start) {
-  session_state& ss = pass.state;
-  while (ss.workers.size() < pool.size()) {
-    ss.workers.push_back(std::make_unique<session_worker>());
-  }
-  for (auto& w : ss.workers) w->mem.begin_run();
-  parallel_run run{tree,  options, ss.model->space(), nullptr,
-                   pool,  cancel,  &pass,             pass.order,
-                   std::move(lists), t_start};
-  return run.run();
-}
-
-}  // namespace detail
 
 solve_outcome<stat_result> solve_parallel_insertion(
     const tree::routing_tree& tree, layout::process_model& model,

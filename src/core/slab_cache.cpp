@@ -1,8 +1,8 @@
 #include "core/slab_cache.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
+#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/journal.hpp"
@@ -35,7 +35,6 @@ void session_state::reset_all() {
   memo_lib = 0;
   arena.reset();
   mem.begin_run();
-  workers.clear();
 }
 
 void session_state::prepare(const tree::routing_tree& tree,
@@ -55,10 +54,6 @@ void session_state::prepare(const tree::routing_tree& tree,
   library_fp = lfp;
   has_library_fp = true;
 
-  // Warm the subtree hashes now: mark() and concurrent store() calls then
-  // only read them.
-  tree.ensure_subtree_hashes();
-
   const std::size_t lib = options.library.size();
   if (memo_lib != lib) {
     devices.clear();
@@ -73,7 +68,6 @@ session_state::mark_result session_state::mark(const tree::routing_tree& tree,
                                                std::vector<node_list>& lists,
                                                bool use_cache) const {
   mark_result r;
-  r.marked.assign(tree.num_nodes(), 0);
   std::vector<tree::node_id> stack{tree.root()};
   while (!stack.empty()) {
     const tree::node_id id = stack.back();
@@ -84,7 +78,6 @@ session_state::mark_result session_state::mark(const tree::routing_tree& tree,
       ++r.hits;
       continue;
     }
-    r.marked[id] = 1;
     r.order.push_back(id);
     for (const tree::node_id c : tree.node(id).children) stack.push_back(c);
   }
@@ -111,7 +104,15 @@ void session_state::refresh_devices(const tree::routing_tree& tree,
       row[b].valid = true;
     }
     // Every entry whose subtree holds this node was built on the replaced
-    // forms; an undo would restore their hashes.
+    // forms, and an undo would restore their hashes. With no prune or graft
+    // since the last full flush those are the entries on its root path.
+    // After one, an entry built while the node hung under a former parent
+    // comes back with a graft-back, so every entry goes.
+    if (tree.topology_edits() != flushed_topology) {
+      flush_entries();
+      flushed_topology = tree.topology_edits();
+      continue;
+    }
     for (tree::node_id a = id; a != tree::invalid_node;
          a = tree.node(a).parent) {
       entries[a].valid = false;
@@ -130,53 +131,39 @@ node_list session_state::store(tree::node_id id, std::uint64_t hash,
   return {std::move(solved.cands), {}};
 }
 
-stat_result session_solve(session_state& ss, const tree::routing_tree& tree,
-                          const stat_options& options, thread_pool* pool,
-                          const cancel_token* cancel, bool use_cache) {
-  const dp_clock::time_point t_start = dp_clock::now();
-  ss.prepare(tree, options);
-  std::vector<node_list> lists(tree.num_nodes());
-  const auto marks = ss.mark(tree, lists, use_cache);
-  ss.refresh_devices(tree, options, marks.order);
-  const session_pass pass{ss, marks.marked, marks.order, use_cache};
+}  // namespace detail
 
-  stat_result result;
-  if (pool != nullptr && marks.marked[tree.root()] != 0) {
-    result = session_solve_parallel(pass, tree, options, *pool, cancel,
-                                    std::move(lists), t_start);
-  } else {
-    // Serial solve, or a parallel one whose whole tree was adopted: only
-    // the root selection is left, which runs here like the one-task DAG it
-    // replaces. The session arena is never reset (cached `why` chains live
-    // there); the worker memory only recycles its scratch, which no sealed
-    // list borrows.
+namespace {
+
+/// One session solve: refreshes the fingerprints and device memo, adopts
+/// every cached subtree (none with use_cache false, the solve_cold reference
+/// path), and solves the rest through run_serial.
+solve_outcome<stat_result> session_entry(detail::session_state& ss,
+                                         const tree::routing_tree& tree,
+                                         const stat_options& options,
+                                         const cancel_token* cancel,
+                                         bool use_cache) {
+  return detail::stat_entry(tree, *ss.model, options, cancel, [&] {
+    const detail::dp_clock::time_point t_start = detail::dp_clock::now();
+    ss.prepare(tree, options);
+    std::vector<detail::node_list> lists(tree.num_nodes());
+    const auto marks = ss.mark(tree, lists, use_cache);
+    ss.refresh_devices(tree, options, marks.order);
+    const detail::session_pass pass{ss, marks.order, use_cache};
+    // The session arena is never reset (cached `why` chains live there);
+    // the worker memory only recycles its scratch, which no sealed list
+    // borrows.
     ss.mem.begin_run();
-    result = run_serial(
+    stat_result result = detail::run_serial(
         tree, ss.model->space(), options,
         [&ss](tree::node_id id, timing::buffer_index b) {
           return ss.device(id, b);
         },
         ss.arena, ss.mem, lists, &pass, cancel, t_start);
-  }
-  result.stats.cache_hits = marks.hits;
-  result.stats.nodes_reused =
-      tree.num_nodes() - tree.num_detached() - marks.order.size();
-  result.stats.wall_seconds =
-      std::chrono::duration<double>(dp_clock::now() - t_start).count();
-  return result;
-}
-
-}  // namespace detail
-
-namespace {
-
-solve_outcome<stat_result> session_entry(detail::session_state& ss,
-                                         const tree::routing_tree& tree,
-                                         const stat_options& options,
-                                         const cancel_token* cancel,
-                                         thread_pool* pool, bool use_cache) {
-  return detail::stat_entry(tree, *ss.model, options, cancel, [&] {
-    return detail::session_solve(ss, tree, options, pool, cancel, use_cache);
+    result.stats.cache_hits = marks.hits;
+    result.stats.nodes_reused =
+        tree.num_nodes() - tree.num_detached() - marks.order.size();
+    return result;
   });
 }
 
@@ -194,19 +181,13 @@ solve_session& solve_session::operator=(solve_session&&) noexcept = default;
 solve_outcome<stat_result> solve_session::solve(const tree::routing_tree& tree,
                                                 const stat_options& options,
                                                 const cancel_token* cancel) {
-  return session_entry(*state_, tree, options, cancel, nullptr, true);
-}
-
-solve_outcome<stat_result> solve_session::solve_parallel(
-    const tree::routing_tree& tree, const stat_options& options,
-    thread_pool& pool, const cancel_token* cancel) {
-  return session_entry(*state_, tree, options, cancel, &pool, true);
+  return session_entry(*state_, tree, options, cancel, true);
 }
 
 solve_outcome<stat_result> solve_session::solve_cold(
     const tree::routing_tree& tree, const stat_options& options,
     const cancel_token* cancel) {
-  return session_entry(*state_, tree, options, cancel, nullptr, false);
+  return session_entry(*state_, tree, options, cancel, false);
 }
 
 void solve_session::reset() { state_->reset_all(); }

@@ -14,9 +14,12 @@
 //   - a *device memo*: the characterized device forms per (node, type),
 //     guarded by the node's location, so re-solves reuse the same variation
 //     source ids (the precondition for bit-identical re-solves);
-//   - the decision arenas backing the cached candidates' `why` chains
-//     (never reset while the session lives, so cached backpointers stay
-//     valid).
+//   - the decision arena backing the cached candidates' `why` chains (never
+//     reset while the session lives, so cached backpointers stay valid).
+//
+// Every session solve runs on the serial engine (run_serial): after an edit
+// the re-solved nodes form one root path, each waiting for its child, so
+// there is nothing to schedule in parallel.
 //
 // A warm solve adopts every subtree whose hash is unchanged and re-solves
 // only the rest: after a single-sink edit that is the root path. It walks
@@ -25,14 +28,15 @@
 // copy of the entry's candidates borrowing the entry's slab, and a
 // re-solved node's sealed list moves into its entry while the parent
 // consumes the same kind of view. Refreshing only the re-solved nodes is
-// sound because re-characterizing a node invalidates every entry on its
-// root path, so a valid entry's subtree holds the device forms the entry
-// was built with (the current root path only: DESIGN.md names the one
-// prune/graft sequence this misses). Because the cached lists are the
-// sealed outputs of the very same DP, and device forms come from the shared
-// memo, a warm solve is bit-identical to solve_cold() (same session, cache
-// bypassed) by construction -- the differential tests and the nightly
-// edit-script fuzzer pin this across 2P/4P/corner x threads x li_shi_mode.
+// sound because re-characterizing a node invalidates every entry built
+// with it: its root path, or every entry when a prune or graft since the
+// last such flush may have moved it out from under older entries. A valid
+// entry's subtree thus holds the device forms the entry was built with.
+// Because the cached lists are the sealed outputs of the very same DP, and
+// device forms come from the shared memo, a warm solve is bit-identical to
+// solve_cold() (same session, cache bypassed) by construction -- the
+// differential tests and the edit-script fuzzer (eco_fuzz) pin this across
+// 2P/4P/corner x li_shi_mode x prune mode.
 //
 // Interplay with the rest of the engine:
 //   - resource_guard trips: an aborted solve stores nothing for the tripped
@@ -54,15 +58,11 @@
 
 #include "core/solve_status.hpp"
 #include "core/statistical_dp.hpp"
-#include "core/van_ginneken.hpp"
 
 namespace vabi::core {
 
-class thread_pool;
-
 namespace detail {
 struct session_state;
-struct det_session_state;
 }  // namespace detail
 
 /// FNV-1a hash over a sparse canonical form: the nominal value plus every
@@ -74,8 +74,7 @@ std::uint64_t form_hash(const stats::linear_form& f);
 /// A statistical-solver session: solve -> edit the tree -> solve again, with
 /// unchanged subtrees adopted from the cache. One session per net and per
 /// process_model; the model must outlive the session. Not thread-safe --
-/// solves are issued one at a time (solve_parallel fans one solve across a
-/// caller-owned pool internally).
+/// solves are issued one at a time.
 class solve_session {
  public:
   explicit solve_session(layout::process_model& model);
@@ -90,14 +89,6 @@ class solve_session {
                                    const stat_options& options,
                                    const cancel_token* cancel = nullptr);
 
-  /// Incremental solve with per-node tasks on `pool` (bit-identical to the
-  /// serial solve, like solve_parallel_insertion is to the serial engine).
-  solve_outcome<stat_result> solve_parallel(const tree::routing_tree& tree,
-                                            const stat_options& options,
-                                            thread_pool& pool,
-                                            const cancel_token* cancel =
-                                                nullptr);
-
   /// Reference solve: bypasses the cache entirely (adopts nothing, stores
   /// nothing) but shares the session's device memo, so its result is
   /// bit-identical to what a warm solve of the same tree must produce.
@@ -105,7 +96,7 @@ class solve_session {
                                         const stat_options& options,
                                         const cancel_token* cancel = nullptr);
 
-  /// Drops every cached entry, the device memo, and the decision arenas.
+  /// Drops every cached entry, the device memo, and the decision arena.
   void reset();
 
   /// Number of nodes with a valid cached survivor list.
@@ -115,33 +106,6 @@ class solve_session {
 
  private:
   std::unique_ptr<detail::session_state> state_;
-};
-
-/// The deterministic (van Ginneken) counterpart of solve_session: candidate
-/// lists are plain (load, RAT) doubles, so entries are cached by value with
-/// no slab machinery, keyed by the same subtree hashes.
-class det_session {
- public:
-  det_session();
-  ~det_session();
-  det_session(det_session&&) noexcept;
-  det_session& operator=(det_session&&) noexcept;
-  det_session(const det_session&) = delete;
-  det_session& operator=(const det_session&) = delete;
-
-  /// Incremental solve: consults and updates the cache.
-  solve_outcome<det_result> solve(const tree::routing_tree& tree,
-                                  const det_options& options);
-
-  /// Cache-bypassing reference solve inside this session.
-  solve_outcome<det_result> solve_cold(const tree::routing_tree& tree,
-                                       const det_options& options);
-
-  void reset();
-  std::size_t cached_nodes() const;
-
- private:
-  std::unique_ptr<detail::det_session_state> state_;
 };
 
 }  // namespace vabi::core

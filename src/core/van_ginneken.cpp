@@ -2,38 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/fingerprint.hpp"
 #include "core/pruning.hpp"
-#include "core/slab_cache.hpp"
 
 namespace vabi::core {
-
-namespace detail {
-
-/// State of a det_session (slab_cache.hpp). Deterministic candidates are
-/// plain (load, RAT, why) triples, so cached lists are stored by value; the
-/// session-owned decision arena is never reset while the session lives
-/// because cached `why` chains point into it.
-struct det_session_state {
-  struct entry {
-    std::uint64_t hash = 0;
-    bool valid = false;
-    std::vector<det_candidate> list;
-  };
-  std::vector<entry> entries;
-  std::uint64_t options_fp = 0;
-  bool has_options_fp = false;
-  decision_arena arena;
-};
-
-}  // namespace detail
 
 namespace {
 
@@ -102,13 +79,9 @@ cand_list merge_lists(const cand_list& a, const cand_list& b,
   return out;
 }
 
-/// The shared postorder DP. With a session: subtrees whose content hash
-/// matches their cached entry are adopted (list copied, subtree skipped) and
-/// every freshly solved node's list is stored back; decisions go to the
-/// session arena. Without: the classic one-shot behavior on `arena`.
+/// The postorder DP; decisions go to `arena`.
 det_result run_vg_impl(const tree::routing_tree& tree,
-                       const det_options& options, decision_arena& arena,
-                       detail::det_session_state* session, bool use_cache) {
+                       const det_options& options, decision_arena& arena) {
   const timing::wire_menu menu =
       timing::make_wire_menu(options.wire, options.wire_width_multipliers);
   const auto t_start = std::chrono::steady_clock::now();
@@ -134,35 +107,7 @@ det_result run_vg_impl(const tree::routing_tree& tree,
   det_result result;
   std::vector<cand_list> lists(tree.num_nodes());
 
-  // Session mode: adopt every subtree whose content hash matches its cached
-  // entry -- top-down, so a hit skips the whole subtree below it.
-  std::vector<std::uint8_t> marked;
-  if (session != nullptr) {
-    tree.ensure_subtree_hashes();
-    if (session->entries.size() < tree.num_nodes()) {
-      session->entries.resize(tree.num_nodes());
-    }
-    marked.assign(tree.num_nodes(), 0);
-    std::vector<tree::node_id> stack{tree.root()};
-    while (!stack.empty()) {
-      const tree::node_id id = stack.back();
-      stack.pop_back();
-      const auto& e = session->entries[id];
-      if (use_cache && e.valid && e.hash == tree.subtree_hash(id)) {
-        lists[id] = e.list;
-        ++result.stats.cache_hits;
-        result.stats.nodes_reused += tree.subtree_size(id);
-        continue;
-      }
-      marked[id] = 1;
-      for (const tree::node_id c : tree.node(id).children) {
-        stack.push_back(c);
-      }
-    }
-  }
-
   for (tree::node_id id : tree.postorder()) {
-    if (session != nullptr && marked[id] == 0) continue;
     const auto& n = tree.node(id);
     cand_list here;
     if (n.is_sink()) {
@@ -251,15 +196,6 @@ det_result run_vg_impl(const tree::routing_tree& tree,
     }
     result.stats.peak_list_size =
         std::max(result.stats.peak_list_size, here.size());
-    if (session != nullptr) {
-      ++result.stats.cache_misses;
-      if (use_cache) {
-        auto& e = session->entries[id];
-        e.list = here;  // copy: `here` moves on into the solve
-        e.hash = tree.subtree_hash(id);
-        e.valid = true;
-      }
-    }
     lists[id] = std::move(here);
   }
 
@@ -326,56 +262,8 @@ solve_outcome<det_result> solve_van_ginneken(const tree::routing_tree& tree,
         // (extract_design) before returning.
         static thread_local decision_arena t_arena;
         t_arena.reset();
-        return run_vg_impl(tree, options, t_arena, nullptr, false);
+        return run_vg_impl(tree, options, t_arena);
       });
-}
-
-det_session::det_session()
-    : state_(std::make_unique<detail::det_session_state>()) {}
-det_session::~det_session() = default;
-det_session::det_session(det_session&&) noexcept = default;
-det_session& det_session::operator=(det_session&&) noexcept = default;
-
-namespace {
-
-solve_outcome<det_result> det_session_entry(detail::det_session_state& ss,
-                                            const tree::routing_tree& tree,
-                                            const det_options& options,
-                                            bool use_cache) {
-  const std::uint64_t fp = fingerprint_det_options(options);
-  if (ss.has_options_fp && fp != ss.options_fp) {
-    for (auto& e : ss.entries) e.valid = false;
-  }
-  ss.options_fp = fp;
-  ss.has_options_fp = true;
-  return detail::guarded_solve<det_result>(
-      tree, detail::check_det_options(options),
-      [&] { return run_vg_impl(tree, options, ss.arena, &ss, use_cache); });
-}
-
-}  // namespace
-
-solve_outcome<det_result> det_session::solve(const tree::routing_tree& tree,
-                                             const det_options& options) {
-  return det_session_entry(*state_, tree, options, true);
-}
-
-solve_outcome<det_result> det_session::solve_cold(
-    const tree::routing_tree& tree, const det_options& options) {
-  return det_session_entry(*state_, tree, options, false);
-}
-
-void det_session::reset() {
-  state_->entries.clear();
-  state_->entries.shrink_to_fit();
-  state_->has_options_fp = false;
-  state_->arena.reset();
-}
-
-std::size_t det_session::cached_nodes() const {
-  std::size_t n = 0;
-  for (const auto& e : state_->entries) n += e.valid ? 1 : 0;
-  return n;
 }
 
 }  // namespace vabi::core

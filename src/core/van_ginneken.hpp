@@ -59,8 +59,8 @@ solve_outcome<det_result> solve_van_ginneken(const tree::routing_tree& tree,
 namespace detail {
 
 /// Option validation shared by the deterministic entry points (van Ginneken,
-/// det_session, cost-bounded): an empty library or an unusable wire / width
-/// menu is invalid_options naming the field.
+/// cost-bounded): an empty library or an unusable wire / width menu is
+/// invalid_options naming the field.
 std::optional<solve_error> check_det_options(const det_options& options);
 
 }  // namespace detail

@@ -11,7 +11,9 @@ buffer_library::buffer_library(std::vector<buffer_type> types)
 }
 
 void buffer_library::check(const buffer_type& type) const {
-  if (type.cap_pf <= 0.0 || type.res_ohm <= 0.0 || type.delay_ps < 0.0) {
+  // Negated so that a NaN characteristic fails too.
+  if (!(type.cap_pf > 0.0) || !(type.res_ohm > 0.0) ||
+      !(type.delay_ps >= 0.0)) {
     throw std::invalid_argument("buffer_library: invalid characteristics for '" +
                                 type.name + "'");
   }

@@ -191,6 +191,7 @@ void routing_tree::apply_edit(const tree_edit& edit) {
         if (m.is_sink()) --num_sinks_;
         for (const node_id c : m.children) stack.push_back(c);
       }
+      ++topology_edits_;
       rehash_upward(old_parent);
       return;
     }
@@ -229,6 +230,7 @@ void routing_tree::apply_edit(const tree_edit& edit) {
         if (m.is_sink()) ++num_sinks_;
         for (const node_id c : m.children) stack.push_back(c);
       }
+      ++topology_edits_;
       rehash_upward(edit.node);
       return;
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
 #include "solved_test_util.hpp"
@@ -132,6 +135,25 @@ TEST(CostBounded, RejectsBadInput) {
   o.buffer_costs = {1.0};  // wrong size
   EXPECT_EQ(solve_cost_bounded_insertion(t, o).code(),
             solve_code::invalid_options);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_field = [&](const char* field) {
+    const auto r = solve_cost_bounded_insertion(t, o);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), solve_code::invalid_options);
+    EXPECT_NE(r.error().detail.find(field), std::string::npos)
+        << r.error().detail;
+  };
+  o.buffer_costs = {nan, 1.0, 1.0};
+  expect_field("buffer_costs");
+  o.buffer_costs = {-1.0, -1.0, -1.0};
+  expect_field("buffer_costs");
+  o.buffer_costs = {1.0, 2.0, 4.0};
+  ASSERT_TRUE(solve_cost_bounded_insertion(t, o).ok());
+  o.max_cost = nan;
+  expect_field("max_cost");
+  o.max_cost = -1.0;
+  expect_field("max_cost");
 }
 
 TEST(CostBounded, MarginalBuffersAreExposedByTheFrontier) {

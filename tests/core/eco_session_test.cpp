@@ -1,15 +1,18 @@
 // ECO session (core/slab_cache.hpp) differential tests: warm incremental
 // re-solves must be bit-identical to cache-bypassing cold solves across the
-// 2P / 4P / corner engines, serial and parallel drivers, and li_shi modes.
+// 2P / 4P / corner engines, li_shi modes, yield-driven selection, the tiled
+// prune, wire sizing and term pruning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/slab_cache.hpp"
 #include "core/statistical_dp.hpp"
-#include "core/van_ginneken.hpp"
 #include "tree/generators.hpp"
 #include "solved_test_util.hpp"
 
@@ -71,43 +74,63 @@ void apply_eco(tree::routing_tree& t) {
 
 struct eco_case {
   pruning_kind rule;
-  int threads;  // 0 = serial session solve
   li_shi_mode li_shi;
+  /// Names an option variant applied by configure(); empty for the rule's
+  /// defaults.
+  std::string variant;
 };
 
+// "/t0" names the serial session driver; it stays in every case name so the
+// names of the default-option cases do not change.
 std::ostream& operator<<(std::ostream& os, const eco_case& c) {
-  return os << to_string(c.rule) << "/t" << c.threads << "/li_shi="
-            << static_cast<int>(c.li_shi);
+  os << to_string(c.rule) << "/t0/li_shi=" << static_cast<int>(c.li_shi);
+  if (!c.variant.empty()) os << "/" << c.variant;
+  return os;
+}
+
+stat_options configure(const eco_case& c) {
+  stat_options o = base_options(c.rule, c.li_shi);
+  if (c.variant == "sel05") {
+    o.selection_percentile = 0.05;  // what eco_session runs
+  } else if (c.variant == "p90_tiled") {
+    o.two_param.p_load = 0.9;
+    o.two_param.p_rat = 0.9;
+  } else if (c.variant == "widths") {
+    o.wire_width_multipliers = {0.7, 1.0, 1.4};
+  } else if (c.variant == "term_eps") {
+    o.term_prune_rel_eps = 1e-9;
+  }
+  return o;
 }
 
 class EcoDifferential : public ::testing::TestWithParam<eco_case> {};
 
 TEST_P(EcoDifferential, WarmSolveAfterEditIsBitIdenticalToCold) {
   const eco_case c = GetParam();
-  auto t = make_tree(c.rule, 501 + static_cast<std::uint64_t>(c.threads));
+  // Every p = 0.9 prune tiled: the sweeps gather planes from adopted views
+  // that borrow cached slabs.
+  std::optional<testutil::prune_guard> tiled;
+  if (c.variant == "p90_tiled") tiled.emplace(+1);
+  auto t = make_tree(c.rule, 501);
   auto model = make_wid_model(t);
-  const auto options = base_options(c.rule, c.li_shi);
+  const auto options = configure(c);
 
   solve_session session(model);
-  std::unique_ptr<thread_pool> pool;
-  if (c.threads > 0) pool = std::make_unique<thread_pool>(c.threads);
-  const auto run = [&](const tree::routing_tree& tr) {
-    return c.threads > 0 ? session.solve_parallel(tr, options, *pool)
-                         : session.solve(tr, options);
-  };
-
-  const auto first = run(t);
+  const auto first = session.solve(t, options);
   ASSERT_TRUE(first.ok()) << to_string(first.code());
   EXPECT_EQ(first.value().stats.cache_hits, 0u);
   EXPECT_GT(session.cached_nodes(), 0u);
 
   apply_eco(t);
 
-  const auto warm = run(t);
+  const auto warm = session.solve(t, options);
   ASSERT_TRUE(warm.ok()) << to_string(warm.code());
   EXPECT_GT(warm.value().stats.cache_hits, 0u);
   EXPECT_GT(warm.value().stats.nodes_reused, 0u);
   EXPECT_LT(warm.value().stats.cache_misses, t.num_nodes());
+  if (c.variant == "p90_tiled") {
+    EXPECT_GT(warm.value().stats.tiled_prunes, 0u);
+  }
 
   const auto cold = session.solve_cold(t, options);
   ASSERT_TRUE(cold.ok()) << to_string(cold.code());
@@ -118,17 +141,15 @@ TEST_P(EcoDifferential, WarmSolveAfterEditIsBitIdenticalToCold) {
 INSTANTIATE_TEST_SUITE_P(
     RulesThreadsLiShi, EcoDifferential,
     ::testing::Values(
-        eco_case{pruning_kind::two_param, 0, li_shi_mode::never},
-        eco_case{pruning_kind::two_param, 0, li_shi_mode::always},
-        eco_case{pruning_kind::two_param, 1, li_shi_mode::always},
-        eco_case{pruning_kind::two_param, 2, li_shi_mode::never},
-        eco_case{pruning_kind::two_param, 2, li_shi_mode::always},
-        eco_case{pruning_kind::two_param, 8, li_shi_mode::always},
-        eco_case{pruning_kind::corner, 0, li_shi_mode::automatic},
-        eco_case{pruning_kind::corner, 2, li_shi_mode::automatic},
-        eco_case{pruning_kind::corner, 8, li_shi_mode::automatic},
-        eco_case{pruning_kind::four_param, 0, li_shi_mode::automatic},
-        eco_case{pruning_kind::four_param, 2, li_shi_mode::automatic}));
+        eco_case{pruning_kind::two_param, li_shi_mode::never, ""},
+        eco_case{pruning_kind::two_param, li_shi_mode::always, ""},
+        eco_case{pruning_kind::two_param, li_shi_mode::automatic, "sel05"},
+        eco_case{pruning_kind::two_param, li_shi_mode::automatic,
+                 "p90_tiled"},
+        eco_case{pruning_kind::two_param, li_shi_mode::automatic, "widths"},
+        eco_case{pruning_kind::two_param, li_shi_mode::automatic, "term_eps"},
+        eco_case{pruning_kind::corner, li_shi_mode::automatic, ""},
+        eco_case{pruning_kind::four_param, li_shi_mode::automatic, ""}));
 
 TEST(EcoSession, FirstSolveMatchesOneShotEngine) {
   const auto t = make_tree(pruning_kind::two_param, 91);
@@ -222,32 +243,6 @@ TEST(EcoSession, ResetDropsEverything) {
   EXPECT_EQ(r.value().stats.cache_hits, 0u);
 }
 
-TEST(EcoSession, ParallelWarmMatchesSerialWarm) {
-  auto t = make_tree(pruning_kind::two_param, 96);
-  const auto options = base_options(pruning_kind::two_param,
-                                    li_shi_mode::automatic);
-
-  auto m1 = make_wid_model(t);
-  solve_session serial_session(m1);
-  auto m2 = make_wid_model(t);
-  solve_session parallel_session(m2);
-  thread_pool pool(4);
-
-  ASSERT_TRUE(serial_session.solve(t, options).ok());
-  ASSERT_TRUE(parallel_session.solve_parallel(t, options, pool).ok());
-
-  apply_eco(t);
-
-  const auto ws = serial_session.solve(t, options);
-  const auto wp = parallel_session.solve_parallel(t, options, pool);
-  ASSERT_TRUE(ws.ok());
-  ASSERT_TRUE(wp.ok());
-  EXPECT_EQ(ws.value().stats.cache_hits, wp.value().stats.cache_hits);
-  EXPECT_EQ(ws.value().stats.cache_misses, wp.value().stats.cache_misses);
-  EXPECT_EQ(ws.value().stats.nodes_reused, wp.value().stats.nodes_reused);
-  expect_same_result(ws.value(), wp.value());
-}
-
 // A solve that re-characterizes a moved sink but stores nothing on its root
 // path -- solve_cold, or a session solve cancelled before its first node --
 // must still retire the entries built on the sink's replaced device forms:
@@ -339,65 +334,70 @@ TEST(EcoSession, PruneAndGraftBackMatchCold) {
   }
 }
 
-TEST(DetSession, WarmEqualsFreshVanGinneken) {
-  auto t = make_tree(pruning_kind::two_param, 97);
-  det_options d;
-  d.library = timing::standard_library();
-  d.driver_res_ohm = 150.0;
+// A sink re-characterized while it hangs under a foreign parent was built
+// into the entries on its former parent's root path, which the
+// re-characterizing solve cannot reach: its root path now runs through the
+// foreign parent. Grafting it back under the old parent, in the old child
+// order, restores those entries' hashes, and the next warm solve must not
+// adopt them.
+TEST(EcoSession, RecharacterizedUnderForeignParentMatchesColdAfterGraftBack) {
+  const auto options = base_options(pruning_kind::two_param,
+                                    li_shi_mode::automatic);
+  for (std::uint64_t seed = 50; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    tree::random_tree_options to;
+    to.num_sinks = 100;
+    to.die_side_um = 12000.0;
+    to.seed = seed;
+    auto t = tree::make_random_tree(to);
+    const std::uint64_t original = t.subtree_hash(t.root());
+    auto model = make_wid_model(t);
+    solve_session session(model);
+    const auto first = session.solve(t, options);
+    ASSERT_TRUE(first.ok());
 
-  det_session session;
-  const auto first = session.solve(t, d);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value().stats.cache_hits, 0u);
-  EXPECT_GT(session.cached_nodes(), 0u);
-
-  apply_eco(t);
-
-  const auto warm = session.solve(t, d);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_GT(warm.value().stats.cache_hits, 0u);
-  EXPECT_LT(warm.value().stats.cache_misses, t.num_nodes());
-
-  const auto cold = session.solve_cold(t, d);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold.value().stats.cache_hits, 0u);
-  EXPECT_EQ(warm.value().root_rat_ps, cold.value().root_rat_ps);
-  EXPECT_EQ(warm.value().num_buffers, cold.value().num_buffers);
-  for (tree::node_id n = 0; n < warm.value().assignment.num_nodes(); ++n) {
-    ASSERT_EQ(warm.value().assignment.has_buffer(n),
-              cold.value().assignment.has_buffer(n));
-    if (warm.value().assignment.has_buffer(n)) {
-      EXPECT_EQ(warm.value().assignment.buffer(n),
-                cold.value().assignment.buffer(n));
+    tree::node_id s = tree::invalid_node;
+    for (const tree::node_id x : t.sinks()) {
+      if (first.value().assignment.has_buffer(x)) {
+        s = x;
+        break;
+      }
     }
+    ASSERT_NE(s, tree::invalid_node);
+    const tree::node_id g = t.node(s).parent;
+    ASSERT_NE(g, t.root());
+    const layout::point at = t.node(s).location;
+    const double wire = t.node(s).parent_wire_um;
+    // g's children after s, with their wires, re-grafted after s below.
+    std::vector<std::pair<tree::node_id, double>> later;
+    const auto& kids = t.node(g).children;
+    for (auto it = std::find(kids.begin(), kids.end(), s) + 1; it != kids.end();
+         ++it) {
+      later.emplace_back(*it, t.node(*it).parent_wire_um);
+    }
+
+    // Under the source, s is re-characterized by a cold solve.
+    t.apply_edit(tree::tree_edit::prune_subtree(s));
+    t.apply_edit(tree::tree_edit::graft_subtree(s, t.root()));
+    t.apply_edit(tree::tree_edit::move_sink(s, {at.x + 150.0, at.y - 90.0}));
+    ASSERT_TRUE(session.solve_cold(t, options).ok());
+
+    // Back where it was, in g's old child order.
+    t.apply_edit(tree::tree_edit::move_sink(s, at));
+    t.apply_edit(tree::tree_edit::prune_subtree(s));
+    t.apply_edit(tree::tree_edit::graft_subtree(s, g, wire));
+    for (const auto& [c, um] : later) {
+      t.apply_edit(tree::tree_edit::prune_subtree(c));
+      t.apply_edit(tree::tree_edit::graft_subtree(c, g, um));
+    }
+    ASSERT_EQ(t.subtree_hash(t.root()), original);
+
+    const auto warm = session.solve(t, options);
+    const auto cold = session.solve_cold(t, options);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_TRUE(cold.ok());
+    expect_same_result(warm.value(), cold.value());
   }
-
-  // And against the one-shot engine, which never touches a cache.
-  const auto fresh = solved(solve_van_ginneken(t, d));
-  EXPECT_EQ(warm.value().root_rat_ps, fresh.root_rat_ps);
-  EXPECT_EQ(fresh.stats.cache_hits, 0u);
-  EXPECT_EQ(fresh.stats.cache_misses, 0u);
-}
-
-TEST(DetSession, LiShiModesAgreeWarm) {
-  auto t = make_tree(pruning_kind::two_param, 98);
-  det_options never_opts;
-  never_opts.library = timing::standard_library();
-  never_opts.li_shi = li_shi_mode::never;
-  det_options always_opts = never_opts;
-  always_opts.li_shi = li_shi_mode::always;
-
-  det_session s_never;
-  det_session s_always;
-  ASSERT_TRUE(s_never.solve(t, never_opts).ok());
-  ASSERT_TRUE(s_always.solve(t, always_opts).ok());
-  apply_eco(t);
-  const auto rn = s_never.solve(t, never_opts);
-  const auto ra = s_always.solve(t, always_opts);
-  ASSERT_TRUE(rn.ok());
-  ASSERT_TRUE(ra.ok());
-  EXPECT_EQ(rn.value().root_rat_ps, ra.value().root_rat_ps);
-  EXPECT_EQ(rn.value().num_buffers, ra.value().num_buffers);
 }
 
 }  // namespace

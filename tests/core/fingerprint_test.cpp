@@ -1,6 +1,6 @@
 // Pinned values of every persisted or cross-run hash recipe: the journal's
 // per-job and batch fingerprints, the routing tree's subtree hash, and the
-// session caches' option and library fingerprints. A journal written by an
+// session cache's option and library fingerprints. A journal written by an
 // older build resumes only if fingerprint_job still agrees with it, and warm
 // sessions stay warm only while the option fingerprints hold, so a change to
 // any recipe must be deliberate -- and show up here.
@@ -53,16 +53,6 @@ stat_options pin_stat_options() {
   o.check_nonfinite = true;
   o.degrade = degrade_policy::retry_deterministic;
   o.li_shi = li_shi_mode::always;
-  return o;
-}
-
-det_options pin_det_options() {
-  det_options o;
-  o.wire = timing::wire_model{0.08, 0.0002};
-  o.library = pin_library();
-  o.driver_res_ohm = 120.0;
-  o.wire_width_multipliers = {1.0, 2.0};
-  o.li_shi = li_shi_mode::never;
   return o;
 }
 
@@ -125,8 +115,6 @@ TEST(Fingerprint, SubtreeHashIsPinned) {
 TEST(Fingerprint, SessionFingerprintsArePinned) {
   EXPECT_EQ(fingerprint_stat_options(pin_stat_options()),
             0xa7c16c77b8554619ull);
-  EXPECT_EQ(fingerprint_det_options(pin_det_options()),
-            0x9c394d0e1a138dfdull);
   EXPECT_EQ(fingerprint_library(pin_library()), 0xcb26b128f0ca98daull);
 }
 

@@ -73,7 +73,8 @@ double unit(std::uint64_t x) {  // [0, 1)
 
 struct scan_case {
   timing::buffer_library lib;
-  std::vector<double> load;  // strictly increasing (the prune invariant)
+  std::vector<double> delay;  // per type; may hold a poisoned (NaN) device
+  std::vector<double> load;   // strictly increasing (the prune invariant)
   std::vector<double> rat;
 };
 
@@ -88,11 +89,10 @@ scan_case make_case(std::uint64_t seed, std::size_t num_types,
     t.cap_pf = 0.01 + 0.1 * unit(seed ^ (b * 3 + 1));
     // Coarse grid so equal resistances (ties) actually occur.
     t.res_ohm = 50.0 * (1.0 + static_cast<double>(mix(seed ^ (b * 3 + 2)) % 8));
-    double delay = 20.0 + 30.0 * unit(seed ^ (b * 3 + 3));
-    if (nan_device && b == num_types / 2) {
-      delay = std::numeric_limits<double>::quiet_NaN();
-    }
-    t.delay_ps = delay;
+    t.delay_ps = 20.0 + 30.0 * unit(seed ^ (b * 3 + 3));
+    c.delay.push_back(nan_device && b == num_types / 2
+                          ? std::numeric_limits<double>::quiet_NaN()
+                          : t.delay_ps);
     c.lib.add(std::move(t));
   }
   double load = 0.0;
@@ -108,12 +108,12 @@ scan_case make_case(std::uint64_t seed, std::size_t num_types,
   return c;
 }
 
-// buffer_library::check rejects NaN delay? It does not (NaN < 0 is false),
-// which matches the engines: poisoned devices come from fault injection
-// *after* library validation.
+// The NaN delay rides in the case's delay table, not the library:
+// buffer_library::check rejects it, and poisoned devices reach the engines
+// from fault injection *after* library validation.
 void check_against_brute(const scan_case& c) {
   const auto key = [&c](timing::buffer_index b, std::size_t k) {
-    return c.rat[k] - c.lib[b].delay_ps - c.lib[b].res_ohm * c.load[k];
+    return c.rat[k] - c.delay[b] - c.lib[b].res_ohm * c.load[k];
   };
   buffer_frontier frontier{c.lib};
   std::vector<std::size_t> got;

@@ -1,9 +1,11 @@
-// Test helper: unwraps a typed solve the test expects to succeed.
+// Test helpers: unwraps a typed solve the test expects to succeed, and pins
+// the dominance-sweep implementation for a scope.
 #pragma once
 
 #include <stdexcept>
 #include <utility>
 
+#include "core/pruning.hpp"
 #include "core/solve_status.hpp"
 
 namespace vabi::core::testutil {
@@ -17,5 +19,14 @@ T solved(solve_outcome<T>&& out) {
   }
   return std::move(out).value();
 }
+
+/// Forces one prune implementation for the scope (set_force_prune's modes);
+/// restores the VABI_FORCE_PRUNE environment default on exit.
+struct prune_guard {
+  explicit prune_guard(int mode) { set_force_prune(mode); }
+  ~prune_guard() { reset_force_prune_from_env(); }
+  prune_guard(const prune_guard&) = delete;
+  prune_guard& operator=(const prune_guard&) = delete;
+};
 
 }  // namespace vabi::core::testutil

@@ -52,6 +52,7 @@
 namespace vabi::core {
 namespace {
 
+using testutil::prune_guard;
 using testutil::solved;
 
 namespace kernels = stats::kernels;
@@ -65,13 +66,6 @@ struct isa_guard {
     kernels::set_forced_isa(kernels::to_string(isa));
   }
   ~isa_guard() { kernels::set_forced_isa(nullptr); }
-};
-
-/// Forces one prune implementation for the scope; restores the
-/// VABI_FORCE_PRUNE environment default on exit.
-struct prune_guard {
-  explicit prune_guard(int mode) { set_force_prune(mode); }
-  ~prune_guard() { reset_force_prune_from_env(); }
 };
 
 std::vector<kernels::kernel_isa> reachable_isas() {

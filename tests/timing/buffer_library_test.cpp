@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace vabi::timing {
 namespace {
 
@@ -38,6 +40,11 @@ TEST(BufferLibrary, RejectsInvalidCharacteristics) {
   EXPECT_THROW(lib.add({"bad", 0.01, 10.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(buffer_library({{"bad", -0.01, 10.0, 500.0}}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(lib.add({"bad", nan, 10.0, 500.0}), std::invalid_argument);
+  EXPECT_THROW(lib.add({"bad", 0.01, nan, 500.0}), std::invalid_argument);
+  EXPECT_THROW(lib.add({"bad", 0.01, 10.0, nan}), std::invalid_argument);
+  EXPECT_EQ(lib.size(), 0u);
 }
 
 }  // namespace
