@@ -3,11 +3,14 @@
 //
 // The per-node computation of every statistical solve lives here as
 // dp_worker::solve_node: given the (already solved) candidate lists of a
-// node's children it produces the node's own pruned candidate list. The
-// serial driver (run_serial) calls it in postorder on one thread; the
-// parallel driver schedules one task per node on a work-stealing pool, which
-// is sound because a node's list depends only on its children's lists and
-// the statistical merge is a pure function of the two inputs.
+// node's children it produces the node's own pruned candidate list. A sealed
+// list is the subtree as seen from above its parent wire: the wire step
+// (eqs. 33-34) and its prune run at the end of the child's own solve, so a
+// parent only merges (eqs. 37-38), buffers and prunes. The serial driver
+// (run_serial) calls it in postorder on one thread; the parallel driver
+// schedules one task per node on a work-stealing pool, which is sound
+// because a node's list depends only on its children's lists and the
+// statistical merge is a pure function of the two inputs.
 //
 // Bit-identical parallelism rests on three invariants kept here:
 //   1. child lists are merged in the tree's child order (never in completion
@@ -25,11 +28,12 @@
 // trivial) into one exactly-sized term_block owned by the returned node_list,
 // and the scratch pool rewinds. Child lists consumed mid-node retire their
 // blocks into the worker arena, which recycles them only at end_node() --
-// candidates legitimately borrow child storage until then (e.g. a propagated
-// candidate's load form). Net effect: steady-state node solving performs no
-// heap allocation, lists can migrate across threads (a block is a plain
-// heap slab with single ownership), and live memory stays proportional to
-// the surviving lists exactly as in the pre-arena engine.
+// candidates legitimately borrow child storage until then (e.g. a lone
+// child's candidates, which the node keeps as they are). Net effect:
+// steady-state node solving performs no heap allocation, lists can migrate
+// across threads (a block is a plain heap slab with single ownership), and
+// live memory stays proportional to the surviving lists exactly as in the
+// pre-arena engine.
 #pragma once
 
 #include <algorithm>
@@ -126,7 +130,8 @@ class worker_arena {
   }
 
   /// Parks a consumed child list's slab until end_node(): candidates of the
-  /// node in flight may still borrow its terms (e.g. their load forms).
+  /// node in flight may still borrow its terms (e.g. a lone child's
+  /// candidates, which the node keeps as they are).
   void retire_block(stats::term_block&& block) {
     if (!block.empty()) retired_.push_back(std::move(block));
   }
@@ -897,7 +902,9 @@ struct dp_worker {
   }
 
   /// Computes the candidate list of `id` from its children's lists (which are
-  /// consumed). On a resource-cap abort dps.aborted is set and the returned
+  /// consumed), as seen from above its parent wire: merged, buffered, pruned,
+  /// then carried through the wire and pruned again (the root's has no
+  /// wire). On a resource-cap abort dps.aborted is set and the returned
   /// list is meaningless. Wraps one scratch epoch: all form math hits the
   /// worker's scratch pool, the surviving list is sealed (`exact`: see
   /// worker_arena::seal), the pool rewinds.
@@ -936,21 +943,13 @@ struct dp_worker {
       ++dps.candidates_created;
     } else {
       for (tree::node_id child : n.children) {
+        // Already above the child's wire (the child's edge step): merge only.
         cand_list up = std::move(lists[child].cands);
         // The child's slab must outlive this node: `up`'s forms (and copies
         // of them) borrow it until the seal. A session view has none -- its
         // slab stays with the cache entry.
         pool.retire_block(std::move(lists[child].slab));
         lists[child] = node_list{};
-        propagate_wire(up, child, tree.node(child).parent_wire_um);
-        if (li_shi != nullptr && !menu.sizing_enabled()) {
-          // Li-Shi path, single-width wires: the propagation shifts every
-          // mean load by the same wire cap, so the child's pruned (sorted)
-          // list is still sorted -- only the window-1 sweep is needed.
-          prune_two_param_mean_sorted(up, dps);
-        } else {
-          prune(up);
-        }
         if (here.empty()) {
           pool.release(std::move(here));
           here = std::move(up);
@@ -982,7 +981,20 @@ struct dp_worker {
       }
     }
     dps.peak_list_size = std::max(dps.peak_list_size, here.size());
-    over_budget(here.size());
+    if (!over_budget(here.size()) && !n.is_source()) {
+      // The edge step (eqs. 33-34): carry the list up through the wire to
+      // the parent and prune it there, so the sealed list is what the parent
+      // merges. The source has no edge.
+      propagate_wire(here, id, n.parent_wire_um);
+      if (li_shi != nullptr && !menu.sizing_enabled()) {
+        // Li-Shi path, single-width wires: the propagation shifts every
+        // mean load by the same wire cap, so the pruned (sorted) list is
+        // still sorted -- only the window-1 sweep is needed.
+        prune_two_param_mean_sorted(here, dps);
+      } else {
+        prune(here);
+      }
+    }
     guard.publish();
   }
 
@@ -1000,12 +1012,14 @@ struct dp_worker {
     }
   }
 
-  /// Picks the winning root candidate and backtracks it into a design.
-  /// Requires a completed (non-aborted) run; throws on an empty root list.
-  /// When no key is orderable (NaN or -inf everywhere, e.g. a poisoned device
-  /// with check_nonfinite off) it trips nonfinite_value at the root and
-  /// returns an empty result.
-  stat_result select_root(const node_list& root) {
+  /// Picks the winning root candidate and backtracks it into a design,
+  /// through `memo` when given (a warm session solve: only the decisions
+  /// that differ from the memo's last design are walked, and the memo then
+  /// holds this one). Requires a completed (non-aborted) run; throws on an
+  /// empty root list. When no key is orderable (NaN or -inf everywhere, e.g.
+  /// a poisoned device with check_nonfinite off) it trips nonfinite_value at
+  /// the root and returns an empty result, leaving `memo` as it was.
+  stat_result select_root(const node_list& root, design_memo* memo = nullptr) {
     const cand_list& root_list = root.cands;
     if (root_list.empty()) {
       throw std::logic_error("empty root list");
@@ -1035,9 +1049,16 @@ struct dp_worker {
     // load is deterministic); the caller's result must outlive it.
     best_rat.own_terms();
     result.root_rat = std::move(best_rat);
-    design_choice design = extract_design(best->why, tree.num_nodes());
-    result.assignment = std::move(design.buffers);
-    result.wires = std::move(design.wires);
+    if (memo != nullptr) {
+      const design_choice& design =
+          memo->extract(best->why, tree.num_nodes(), arena);
+      result.assignment = design.buffers;
+      result.wires = design.wires;
+    } else {
+      design_choice design = extract_design(best->why, tree.num_nodes());
+      result.assignment = std::move(design.buffers);
+      result.wires = std::move(design.wires);
+    }
     result.num_buffers = result.assignment.count();
     return result;
   }
@@ -1048,8 +1069,9 @@ struct session_state;
 /// Session (ECO) mode of a run_serial run: only the nodes in `order`
 /// (postorder) are solved -- the rest were adopted from the slab cache,
 /// their lists pre-filled with views borrowing the entries' slabs -- every
-/// solved node counts as a cache miss, and with `store` its sealed list
-/// moves into the cache and the parent consumes a view of it.
+/// solved node counts as a cache miss, and with `store` (a warm solve) its
+/// sealed list moves into the cache, the parent consumes a view of it, and
+/// the winner's design goes through the session's design memo.
 struct session_pass {
   session_state& state;
   const std::vector<tree::node_id>& order;

@@ -25,6 +25,14 @@ void session_state::flush_entries() {
   for (auto& e : entries) e.valid = false;
 }
 
+void session_state::invalidate_path(const tree::routing_tree& tree,
+                                    tree::node_id id) {
+  for (tree::node_id a = id; a != tree::invalid_node;
+       a = tree.node(a).parent) {
+    entries[a].valid = false;
+  }
+}
+
 void session_state::reset_all() {
   entries.clear();
   entries.shrink_to_fit();
@@ -33,6 +41,9 @@ void session_state::reset_all() {
   devices.clear();
   devices.shrink_to_fit();
   memo_lib = 0;
+  placed.clear();
+  placed.shrink_to_fit();
+  design.clear();
   arena.reset();
   mem.begin_run();
 }
@@ -40,6 +51,7 @@ void session_state::reset_all() {
 void session_state::prepare(const tree::routing_tree& tree,
                             const stat_options& options) {
   if (entries.size() < tree.num_nodes()) entries.resize(tree.num_nodes());
+  if (lists.size() < tree.num_nodes()) lists.resize(tree.num_nodes());
 
   const std::uint64_t ofp = fingerprint_stat_options(options);
   if (has_options_fp && ofp != options_fp) flush_entries();
@@ -62,32 +74,63 @@ void session_state::prepare(const tree::routing_tree& tree,
   if (devices.size() < tree.num_nodes() * lib) {
     devices.resize(tree.num_nodes() * lib);
   }
+  track_placements(tree);
 }
 
-session_state::mark_result session_state::mark(const tree::routing_tree& tree,
-                                               std::vector<node_list>& lists,
-                                               bool use_cache) const {
-  mark_result r;
+void session_state::track_placements(const tree::routing_tree& tree) {
+  if (placed.size() == tree.num_nodes() &&
+      placed_topology == tree.topology_edits()) {
+    return;
+  }
+  // Nothing is cached before the first scan: it only records.
+  const bool first = placed.empty();
+  placed.resize(tree.num_nodes());
+  const auto place = [&](tree::node_id id, placement now) {
+    placement& was = placed[id];
+    if (was == now) return;
+    if (!first) {
+      if (was.parent != tree::invalid_node && was.parent < tree.num_nodes()) {
+        invalidate_path(tree, was.parent);
+      }
+      if (now.parent != tree::invalid_node) invalidate_path(tree, now.parent);
+    }
+    was = now;
+  };
+  for (tree::node_id id = 0; id < tree.num_nodes(); ++id) {
+    const auto& n = tree.node(id);
+    for (std::uint32_t slot = 0; slot < n.children.size(); ++slot) {
+      place(n.children[slot], {id, slot});
+    }
+    // A pruned subtree's root hangs under nothing.
+    if (n.parent == tree::invalid_node) place(id, {});
+  }
+  placed_topology = tree.topology_edits();
+}
+
+std::size_t session_state::mark(const tree::routing_tree& tree,
+                                bool use_cache) {
+  std::size_t hits = 0;
+  order.clear();
   std::vector<tree::node_id> stack{tree.root()};
   while (!stack.empty()) {
     const tree::node_id id = stack.back();
     stack.pop_back();
-    if (use_cache && id < entries.size() && entries[id].valid &&
-        entries[id].hash == tree.subtree_hash(id)) {
-      lists[id].cands = entries[id].list.cands;
-      ++r.hits;
+    const cache_entry& e = entries[id];
+    if (use_cache && e.valid && e.hash == tree.subtree_hash(id) &&
+        e.wire_um == tree.node(id).parent_wire_um) {
+      lists[id].cands = e.list.cands;
+      ++hits;
       continue;
     }
-    r.order.push_back(id);
+    order.push_back(id);
     for (const tree::node_id c : tree.node(id).children) stack.push_back(c);
   }
-  std::reverse(r.order.begin(), r.order.end());
-  return r;
+  std::reverse(order.begin(), order.end());
+  return hits;
 }
 
 void session_state::refresh_devices(const tree::routing_tree& tree,
-                                    const stat_options& options,
-                                    const std::vector<tree::node_id>& order) {
+                                    const stat_options& options) {
   const std::size_t lib = options.library.size();
   for (const tree::node_id id : order) {
     const auto& n = tree.node(id);
@@ -104,40 +147,39 @@ void session_state::refresh_devices(const tree::routing_tree& tree,
       row[b].valid = true;
     }
     // Every entry whose subtree holds this node was built on the replaced
-    // forms, and an undo would restore their hashes. With no prune or graft
-    // since the last full flush those are the entries on its root path.
-    // After one, an entry built while the node hung under a former parent
-    // comes back with a graft-back, so every entry goes.
-    if (tree.topology_edits() != flushed_topology) {
-      flush_entries();
-      flushed_topology = tree.topology_edits();
-      continue;
-    }
-    for (tree::node_id a = id; a != tree::invalid_node;
-         a = tree.node(a).parent) {
-      entries[a].valid = false;
-    }
+    // forms, and an undo would restore their hashes.
+    invalidate_path(tree, id);
   }
 }
 
-node_list session_state::store(tree::node_id id, std::uint64_t hash,
-                               node_list&& solved) {
+node_list session_state::store(const tree::routing_tree& tree,
+                               tree::node_id id, node_list&& solved) {
   cache_entry& e = entries[id];
   // A fresh, exactly-sized copy of the candidates for the entry; the slab
   // moves in, so the returned view keeps borrowing it.
   e.list = node_list{solved.cands, std::move(solved.slab)};
-  e.hash = hash;
+  e.hash = tree.subtree_hash(id);
+  e.wire_um = tree.node(id).parent_wire_um;
   e.valid = true;
   return {std::move(solved.cands), {}};
+}
+
+void session_state::clear_lists(const tree::routing_tree& tree) {
+  lists[tree.root()] = node_list{};
+  for (const tree::node_id id : order) {
+    lists[id] = node_list{};
+    for (const tree::node_id c : tree.node(id).children) lists[c] = node_list{};
+  }
+  order.clear();
 }
 
 }  // namespace detail
 
 namespace {
 
-/// One session solve: refreshes the fingerprints and device memo, adopts
-/// every cached subtree (none with use_cache false, the solve_cold reference
-/// path), and solves the rest through run_serial.
+/// One session solve: refreshes the fingerprints, placements and device
+/// memo, adopts every cached subtree (none with use_cache false, the
+/// solve_cold reference path), and solves the rest through run_serial.
 solve_outcome<stat_result> session_entry(detail::session_state& ss,
                                          const tree::routing_tree& tree,
                                          const stat_options& options,
@@ -146,10 +188,16 @@ solve_outcome<stat_result> session_entry(detail::session_state& ss,
   return detail::stat_entry(tree, *ss.model, options, cancel, [&] {
     const detail::dp_clock::time_point t_start = detail::dp_clock::now();
     ss.prepare(tree, options);
-    std::vector<detail::node_list> lists(tree.num_nodes());
-    const auto marks = ss.mark(tree, lists, use_cache);
-    ss.refresh_devices(tree, options, marks.order);
-    const detail::session_pass pass{ss, marks.order, use_cache};
+    // Whatever this solve fills of the session's lists table it empties
+    // again, however the solve ends.
+    struct list_cleanup {
+      detail::session_state& ss;
+      const tree::routing_tree& tree;
+      ~list_cleanup() { ss.clear_lists(tree); }
+    } cleanup{ss, tree};
+    const std::size_t hits = ss.mark(tree, use_cache);
+    ss.refresh_devices(tree, options);
+    const detail::session_pass pass{ss, ss.order, use_cache};
     // The session arena is never reset (cached `why` chains live there);
     // the worker memory only recycles its scratch, which no sealed list
     // borrows.
@@ -159,10 +207,10 @@ solve_outcome<stat_result> session_entry(detail::session_state& ss,
         [&ss](tree::node_id id, timing::buffer_index b) {
           return ss.device(id, b);
         },
-        ss.arena, ss.mem, lists, &pass, cancel, t_start);
-    result.stats.cache_hits = marks.hits;
+        ss.arena, ss.mem, ss.lists, &pass, cancel, t_start);
+    result.stats.cache_hits = hits;
     result.stats.nodes_reused =
-        tree.num_nodes() - tree.num_detached() - marks.order.size();
+        tree.num_nodes() - tree.num_detached() - ss.order.size();
     return result;
   });
 }

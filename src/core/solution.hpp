@@ -32,9 +32,13 @@ struct decision {
   kind what = kind::leaf;
   tree::node_id node = tree::invalid_node;      ///< buffer/wire: which node/edge
   timing::buffer_index buffer = 0;              ///< buffer: type; wire: width
+  /// design_memo's stamp (0 on a new decision). It sits in what would be
+  /// padding, and no design depends on it.
+  mutable std::uint32_t mark = 0;
   const decision* left = nullptr;               ///< buffer/wire: prior; merge: a
   const decision* right = nullptr;              ///< merge: b
 };
+static_assert(sizeof(decision) == 32, "decision grew past its padding");
 
 /// Stable-address arena for decisions: chunked slabs bumped in order, the
 /// same scheme as stats::term_pool. reset() rewinds in O(1) keeping the
@@ -47,26 +51,43 @@ class decision_arena {
   decision_arena& operator=(const decision_arena&) = delete;
 
   const decision* leaf() {
-    return push(decision{decision::kind::leaf, tree::invalid_node, 0, nullptr,
-                         nullptr});
+    return push({.what = decision::kind::leaf});
   }
   const decision* buffered(tree::node_id node, timing::buffer_index b,
                            const decision* prior) {
-    return push(decision{decision::kind::buffer, node, b, prior, nullptr});
+    return push({.what = decision::kind::buffer,
+                 .node = node,
+                 .buffer = b,
+                 .left = prior});
   }
   const decision* merged(const decision* a, const decision* b) {
-    return push(decision{decision::kind::merge, tree::invalid_node, 0, a, b});
+    return push({.what = decision::kind::merge, .left = a, .right = b});
   }
   /// Width choice for the edge above `node` (only recorded when wire sizing
   /// is enabled; width is stored in the `buffer` slot).
   const decision* wire_sized(tree::node_id node, timing::width_index width,
                              const decision* prior) {
-    return push(decision{decision::kind::wire, node,
-                         static_cast<timing::buffer_index>(width), prior,
-                         nullptr});
+    return push({.what = decision::kind::wire,
+                 .node = node,
+                 .buffer = static_cast<timing::buffer_index>(width),
+                 .left = prior});
   }
 
   std::size_t size() const { return size_; }
+
+  /// An even, nonzero decision::mark value that no decision of this arena
+  /// carries (design_memo's stamp; it also uses the odd value above it).
+  /// When the values run out, every decision's mark is cleared first.
+  std::uint32_t fresh_mark() {
+    marks_ += 2;
+    if (marks_ == 0) {
+      for (const auto& chunk : chunks_) {
+        for (std::size_t i = 0; i < chunk_cap; ++i) chunk[i].mark = 0;
+      }
+      marks_ = 2;
+    }
+    return marks_;
+  }
 
   /// Rewinds the arena to empty, keeping the slabs. Every decision pointer
   /// handed out becomes invalid; callers must have extracted their designs.
@@ -99,6 +120,7 @@ class decision_arena {
   std::size_t chunk_idx_ = 0;
   std::size_t used_ = 0;
   std::size_t size_ = 0;
+  std::uint32_t marks_ = 0;
 };
 
 /// Walks a decision DAG and records every buffer placement into an
@@ -115,6 +137,37 @@ struct design_choice {
 /// Like extract_assignment, but also recovers per-edge wire widths (edges
 /// without a wire decision keep width index 0).
 design_choice extract_design(const decision* root, std::size_t num_nodes);
+
+/// The design of the last root extracted from one decision arena, kept so
+/// that the next extraction walks only the decisions that differ. A
+/// decision never changes once made, so the part of the new root's
+/// expansion that the old one shares is already in the design: extract()
+/// walks the new root down to the first shared decisions (the frontier),
+/// walks the old root down to the same frontier to clear what only it
+/// placed, then writes what only the new one places -- O(changed
+/// decisions). The old expansion's decisions carry the memo's stamp in
+/// decision::mark. An empty memo (or another node count) makes the same
+/// walk a full extraction. One memo per arena: the arena must outlive the
+/// memo's use and must not be reset under it; clear() forgets everything.
+class design_memo {
+ public:
+  /// The design of `root`'s expansion (what extract_design(root, num_nodes)
+  /// returns), valid until the next call; remembers `root`. `arena` holds
+  /// every decision the memo has seen. On an exception the memo is left
+  /// empty.
+  const design_choice& extract(const decision* root, std::size_t num_nodes,
+                               decision_arena& arena);
+
+  void clear() { root_ = nullptr; }
+
+ private:
+  const decision* root_ = nullptr;  ///< null: nothing remembered
+  std::uint32_t stamp_ = 0;         ///< mark of root_'s expansion
+  design_choice design_;
+  std::vector<const decision*> stack_;     ///< walk scratch
+  std::vector<const decision*> fresh_;     ///< only in the new expansion
+  std::vector<const decision*> frontier_;  ///< first shared decisions
+};
 
 /// Deterministic candidate (van Ginneken).
 struct det_candidate {

@@ -183,15 +183,17 @@ stat_result run_serial(const tree::routing_tree& tree,
       // Store before the parent consumes the list. An aborted node (and its
       // never-solved ancestors) stores nothing; entries sealed before the
       // trip are complete and stay valid.
-      if (store) {
-        here = session->state.store(id, tree.subtree_hash(id), std::move(here));
-      }
+      if (store) here = session->state.store(tree, id, std::move(here));
     }
     lists[id] = std::move(here);
   }
 
   stat_result result;
-  if (!dps.aborted) result = worker.select_root(lists[tree.root()]);
+  if (!dps.aborted) {
+    // Only a warm session solve feeds the session's design memo.
+    result = worker.select_root(lists[tree.root()],
+                                store ? &session->state.design : nullptr);
+  }
   if (dps.aborted) {
     result.assignment = timing::buffer_assignment(tree.num_nodes());
   }

@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/slab_cache.hpp"
 #include "core/statistical_dp.hpp"
+#include "testing/fault_injection.hpp"
 #include "tree/generators.hpp"
 #include "solved_test_util.hpp"
 
@@ -58,6 +60,10 @@ void expect_same_result(const stat_result& a, const stat_result& b) {
     if (a.assignment.has_buffer(n)) {
       EXPECT_EQ(a.assignment.buffer(n), b.assignment.buffer(n)) << n;
     }
+  }
+  ASSERT_EQ(a.wires.num_nodes(), b.wires.num_nodes());
+  for (tree::node_id n = 0; n < a.wires.num_nodes(); ++n) {
+    EXPECT_EQ(a.wires.width(n), b.wires.width(n)) << n;
   }
 }
 
@@ -397,6 +403,172 @@ TEST(EcoSession, RecharacterizedUnderForeignParentMatchesColdAfterGraftBack) {
     ASSERT_TRUE(warm.ok());
     ASSERT_TRUE(cold.ok());
     expect_same_result(warm.value(), cold.value());
+  }
+}
+
+// Two sinks of identical content (location, cap, RAT and wire) under
+// different parents, swapped by prune/graft with the first parent's child
+// order restored: every subtree content hash comes back, but each parent
+// now holds the other sink, whose device forms carry other private
+// variation sources. The warm solve must not adopt the parents' entries.
+TEST(EcoSession, TwinSwapBetweenParentsMatchesCold) {
+  tree::routing_tree t({0.0, 0.0});
+  const tree::node_id p = t.add_steiner(t.root(), {8000.0, 0.0});
+  const tree::node_id q = t.add_steiner(t.root(), {0.0, 8000.0});
+  const tree::node_id a = t.add_sink(p, {4000.0, 4000.0}, 0.3, 900.0);
+  const tree::node_id b = t.add_sink(q, {4000.0, 4000.0}, 0.3, 900.0);
+  const tree::node_id c = t.add_sink(p, {9000.0, 1500.0}, 0.05, 900.0);
+  const std::uint64_t original = t.subtree_hash(t.root());
+  auto model = make_wid_model(t);
+  solve_session session(model);
+  const auto options = base_options(pruning_kind::two_param,
+                                    li_shi_mode::automatic);
+  ASSERT_TRUE(session.solve(t, options).ok());
+
+  t.apply_edit(tree::tree_edit::prune_subtree(a));
+  t.apply_edit(tree::tree_edit::prune_subtree(b));
+  t.apply_edit(tree::tree_edit::graft_subtree(a, q));
+  t.apply_edit(tree::tree_edit::graft_subtree(b, p));
+  t.apply_edit(tree::tree_edit::prune_subtree(c));
+  t.apply_edit(tree::tree_edit::graft_subtree(c, p));
+  ASSERT_EQ(t.subtree_hash(t.root()), original);
+
+  const auto warm = session.solve(t, options);
+  const auto cold = session.solve_cold(t, options);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(cold.ok());
+  expect_same_result(warm.value(), cold.value());
+}
+
+// A seeded stream of RAT retargets and sink moves, each followed by a warm
+// solve, whose designs come from the design memo (only the decisions that
+// differ from the previous warm design are walked). Every warm design must
+// equal the cold one, including after edits whose warm design drops a
+// buffer the previous warm design placed; the stream holds such edits.
+TEST(EcoSession, IncrementalDesignDropsBuffersLikeCold) {
+  auto t = make_tree(pruning_kind::two_param, 77);
+  auto model = make_wid_model(t);
+  solve_session session(model);
+  auto options = base_options(pruning_kind::two_param,
+                              li_shi_mode::automatic);
+  options.selection_percentile = 0.05;
+  stat_result previous = solved(session.solve(t, options));
+  const auto sinks = t.sinks();
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> shift(-300.0, 300.0);
+  std::size_t drops = 0;
+  for (int e = 0; e < 40; ++e) {
+    SCOPED_TRACE(e);
+    const tree::node_id s = sinks[rng() % sinks.size()];
+    if (e % 2 == 0) {
+      t.apply_edit(tree::tree_edit::retarget_rat(
+          s, t.node(s).sink_rat_ps + shift(rng)));
+    } else {
+      const layout::point at = t.node(s).location;
+      t.apply_edit(tree::tree_edit::move_sink(
+          s, {std::max(0.0, at.x + shift(rng)), std::max(0.0, at.y + shift(rng))}));
+    }
+    stat_result warm = solved(session.solve(t, options));
+    expect_same_result(warm, solved(session.solve_cold(t, options)));
+    for (tree::node_id n = 0; n < warm.assignment.num_nodes(); ++n) {
+      if (previous.assignment.has_buffer(n) && !warm.assignment.has_buffer(n)) {
+        ++drops;
+        break;
+      }
+    }
+    previous = std::move(warm);
+  }
+  EXPECT_GT(drops, 0u);
+}
+
+// The design memo follows completed warm solves only. Each step retargets
+// one sink, then runs one of: nothing, solve_cold, a cancelled warm solve,
+// an option change (the next such step changes it back), reset(), or a warm
+// solve failed by an injected pool exhaustion -- and the warm solve after
+// it must equal a cold one.
+TEST(EcoSession, WarmDesignAfterEverySolveKindMatchesCold) {
+  struct disarm_on_exit {
+    ~disarm_on_exit() { vabi::testing::disarm(); }
+  } disarm;
+  auto t = make_tree(pruning_kind::two_param, 78);
+  auto model = make_wid_model(t);
+  solve_session session(model);
+  const auto plain = base_options(pruning_kind::two_param,
+                                  li_shi_mode::automatic);
+  auto other = plain;
+  other.selection_percentile = 0.05;
+  auto options = plain;
+  ASSERT_TRUE(session.solve(t, options).ok());
+  const auto sinks = t.sinks();
+  cancel_token stopped;
+  stopped.request_stop();
+  for (std::size_t step = 0; step < 18; ++step) {
+    SCOPED_TRACE(step);
+    const tree::node_id s = sinks[(step * 37) % sinks.size()];
+    t.apply_edit(
+        tree::tree_edit::retarget_rat(s, t.node(s).sink_rat_ps - 60.0));
+    switch (step % 6) {
+      case 1:
+        ASSERT_TRUE(session.solve_cold(t, options).ok());
+        break;
+      case 2: {
+        const auto r = session.solve(t, options, &stopped);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.code(), solve_code::cancelled);
+        break;
+      }
+      case 3:
+        options = options.selection_percentile == 0.5 ? other : plain;
+        break;
+      case 4:
+        session.reset();
+        break;
+      case 5: {
+        vabi::testing::arm("term_pool_alloc:after=3");
+        const auto r = session.solve(t, options);
+        vabi::testing::disarm();
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.code(), solve_code::memory_cap);
+        break;
+      }
+    }
+    const auto warm = session.solve(t, options);
+    const auto cold = session.solve_cold(t, options);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_TRUE(cold.ok());
+    expect_same_result(warm.value(), cold.value());
+  }
+}
+
+// A cached list went up through its node's parent wire, which the node's
+// own subtree hash does not cover: after resize_wire the node below the
+// wire is re-solved from its children's entries, a cache miss like each of
+// its ancestors.
+TEST(EcoSession, ResizedWireResolvesTheNodeBelowIt) {
+  auto t = make_tree(pruning_kind::two_param, 79);
+  auto model = make_wid_model(t);
+  solve_session session(model);
+  for (const bool widths : {false, true}) {
+    SCOPED_TRACE(widths ? "three widths" : "one width");
+    auto options = base_options(pruning_kind::two_param,
+                                li_shi_mode::automatic);
+    if (widths) options.wire_width_multipliers = {0.7, 1.0, 1.4};
+    ASSERT_TRUE(session.solve(t, options).ok());
+
+    const tree::node_id n = t.node(t.sinks()[widths ? 11 : 3]).parent;
+    ASSERT_NE(n, t.root());
+    const std::uint64_t own = t.subtree_hash(n);
+    t.apply_edit(tree::tree_edit::resize_wire(
+        n, 1.5 * t.node(n).parent_wire_um + 10.0));
+    EXPECT_EQ(t.subtree_hash(n), own);
+    std::size_t path = 0;
+    for (tree::node_id a = n; a != tree::invalid_node; a = t.node(a).parent) {
+      ++path;
+    }
+
+    const auto warm = solved(session.solve(t, options));
+    EXPECT_EQ(warm.stats.cache_misses, path);
+    expect_same_result(warm, solved(session.solve_cold(t, options)));
   }
 }
 
