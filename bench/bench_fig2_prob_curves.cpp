@@ -3,17 +3,25 @@
 //
 // The paper uses this plot to argue that modest mean separation already gives
 // high ordering confidence, so the 2P rule loses little even for pbar > 0.5.
+// Each cell is stats::prob_greater, the eq.-8 evaluation the 2P pruner's
+// exact pass reproduces, on canonical forms over two unit sources Z0, Z1:
+// T2 = sigma2 Z0 and T1 = d + sigma1 (rho Z0 + sqrt(1 - rho^2) Z1), which
+// have the requested sigmas and correlation rho.
 #include <cmath>
 #include <iostream>
 
 #include "analysis/reporting.hpp"
-#include "stats/normal.hpp"
+#include "stats/linear_form.hpp"
 
 int main() {
   using namespace vabi;
   std::cout << "=== Figure 2: P(T1 > T2) vs mean difference (eq. 8) ===\n";
   const double rhos[] = {0.0, 0.5, 0.9};
   const double sigma2 = 1.0;
+  stats::variation_space space;
+  const auto z0 = space.add_source(stats::source_kind::parametric, 1.0);
+  const auto z1 = space.add_source(stats::source_kind::parametric, 1.0);
+  const stats::linear_form t2{0.0, {{z0, sigma2}}};
 
   for (const double ratio : {1.0, 3.0}) {
     const double sigma1 = ratio * sigma2;
@@ -22,12 +30,9 @@ int main() {
     for (double d = 0.0; d <= 6.0 + 1e-9; d += 0.5) {
       std::vector<std::string> row{analysis::fmt(d, 1)};
       for (const double rho : rhos) {
-        const double s = std::sqrt(sigma1 * sigma1 -
-                                   2.0 * rho * sigma1 * sigma2 +
-                                   sigma2 * sigma2);
-        const double p =
-            s == 0.0 ? (d > 0 ? 1.0 : 0.5) : stats::normal_cdf(d / s);
-        row.push_back(analysis::fmt(p, 4));
+        const stats::linear_form t1{
+            d, {{z0, sigma1 * rho}, {z1, sigma1 * std::sqrt(1.0 - rho * rho)}}};
+        row.push_back(analysis::fmt(stats::prob_greater(t1, t2, space), 4));
       }
       t.add_row(row);
     }

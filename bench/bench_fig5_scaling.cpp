@@ -10,7 +10,7 @@
 // the wall-clock scaling on a realistic many-nets workload (the jobs are
 // generated from fixed per-job seeds, so every thread count solves the
 // identical batch).
-#include <bit>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,38 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "core/journal.hpp"
 #include "core/parallel.hpp"
 #include "harness.hpp"
 #include "json_out.hpp"
 #include "shard/shard_coordinator.hpp"
-
-namespace {
-
-/// Order-sensitive hash over the first `count` outcomes: nominal-RAT bits +
-/// buffer count for ok slots, the code for failed ones. Same recipe as
-/// vabi_shard --verify, so the bench asserts the same merge identity.
-std::uint64_t hash_slots(
-    const std::vector<vabi::core::solve_outcome<vabi::core::batch_result>>&
-        slots,
-    std::size_t count) {
-  std::uint64_t h = vabi::core::fnv1a_seed;
-  for (std::size_t i = 0; i < count && i < slots.size(); ++i) {
-    const auto& slot = slots[i];
-    h = vabi::core::fnv1a_u64(slot.ok() ? 1 : 0, h);
-    if (slot.ok()) {
-      h = vabi::core::fnv1a_u64(
-          std::bit_cast<std::uint64_t>(slot->result.root_rat.nominal()), h);
-      h = vabi::core::fnv1a_u64(slot->result.num_buffers, h);
-    } else {
-      h = vabi::core::fnv1a_u64(static_cast<std::uint64_t>(slot.error().code),
-                                h);
-    }
-  }
-  return h;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vabi;
@@ -126,8 +98,8 @@ int main(int argc, char** argv) {
   // process is still single-threaded -- before the batch_solver below brings
   // up its pool. A prefix of the same batch (same batch_seed, hence identical
   // per-job seeds) is solved across worker processes, each journaling its own
-  // shard; the merged slots must hash-equal the same prefix of the in-process
-  // solve below.
+  // shard; slot by slot, the merged slots must equal the same prefix of the
+  // in-process solve below (core::outcomes_identical).
   const std::size_t shard_nets =
       std::min<std::size_t>(num_jobs, bench::full_mode() ? 32 : 16);
   const std::size_t shard_workers =
@@ -192,18 +164,7 @@ int main(int argc, char** argv) {
           .num("num_buffers",
                static_cast<std::uint64_t>(slot->result.num_buffers))
           .num("seconds", slot->result.stats.wall_seconds)
-          .num("terms_merged",
-               static_cast<std::uint64_t>(slot->result.stats.terms_merged))
-          .num("dominance_prefilter_hits",
-               static_cast<std::uint64_t>(
-                   slot->result.stats.dominance_prefilter_hits))
-          .num("tiled_prunes",
-               static_cast<std::uint64_t>(slot->result.stats.tiled_prunes))
-          .num("tile_prefilter_hits",
-               static_cast<std::uint64_t>(
-                   slot->result.stats.tile_prefilter_hits))
-          .num("pairs_batched",
-               static_cast<std::uint64_t>(slot->result.stats.pairs_batched));
+          .counters(slot->result.stats);
     } else {
       ++failed;
       status.str("detail", slot.error().detail);
@@ -224,10 +185,10 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Sharded batch: " << shard_nets << " nets across "
             << shard_workers << " worker processes ===\n";
   if (shard_ok) {
-    const std::uint64_t merged_hash =
-        hash_slots(shard_report.merged.slots, shard_nets);
-    const std::uint64_t in_process_hash = hash_slots(outcomes, shard_nets);
-    const bool bit_identical = merged_hash == in_process_hash;
+    const auto& merged = shard_report.merged.slots;
+    const bool bit_identical =
+        std::equal(merged.begin(), merged.end(), outcomes.begin(),
+                   outcomes.begin() + shard_nets, core::outcomes_identical);
     std::cout << "sharded: " << analysis::fmt(shard_seconds, 2) << " s, "
               << analysis::fmt(
                      static_cast<double>(shard_nets) /
@@ -236,7 +197,7 @@ int main(int argc, char** argv) {
               << " nets/s, merged from " << shard_report.merged.shards_read
               << " shards"
               << (bit_identical ? " (bit-identical to in-process)"
-                                : " (HASH MISMATCH vs in-process)")
+                                : " (MISMATCH vs in-process)")
               << "\n";
     status.begin()
         .str("section", "shard")

@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   // confidence-rule regime where the tiled dominance engine engages (the
   // mean rule is a total order and never tiles, and without sizing the 2P
   // lists on these nets stay below the k >= 32 tiling threshold); its JSON
-  // record carries the tiled_* counters and its wall time is the end-to-end
-  // figure the perf gate tracks for that path.
+  // record carries the tiled-prune counters and its wall time is the
+  // end-to-end figure the perf gate tracks for that path.
   std::vector<core::batch_job> jobs;
   jobs.reserve(3 * specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -148,23 +148,7 @@ int main(int argc, char** argv) {
           .str("rule", r == &r4 ? "4P" : (r == &r2 ? "2P" : "2P_p90"))
           .boolean("aborted", r->stats.aborted)
           .num("seconds", r->stats.wall_seconds)
-          .num("candidates",
-               static_cast<std::uint64_t>(r->stats.candidates_created))
-          .num("peak_list",
-               static_cast<std::uint64_t>(r->stats.peak_list_size))
-          .num("allocations",
-               static_cast<std::uint64_t>(r->stats.allocations))
-          .num("peak_terms", static_cast<std::uint64_t>(r->stats.peak_terms))
-          .num("terms_merged",
-               static_cast<std::uint64_t>(r->stats.terms_merged))
-          .num("dominance_prefilter_hits",
-               static_cast<std::uint64_t>(r->stats.dominance_prefilter_hits))
-          .num("tiled_prunes",
-               static_cast<std::uint64_t>(r->stats.tiled_prunes))
-          .num("tile_prefilter_hits",
-               static_cast<std::uint64_t>(r->stats.tile_prefilter_hits))
-          .num("pairs_batched",
-               static_cast<std::uint64_t>(r->stats.pairs_batched))
+          .counters(r->stats)
           .num("num_buffers", static_cast<std::uint64_t>(r->num_buffers));
     }
   }
@@ -205,7 +189,6 @@ int main(int argc, char** argv) {
     const auto lib = timing::make_parameterized_library(b);
     double det_s[2];  // [scan, frontier]
     double stat_s[2];
-    std::uint64_t stat_nodes[2];
     for (const int fr : {0, 1}) {
       core::det_options det;
       det.wire = cfg.wire;
@@ -233,7 +216,6 @@ int main(int argc, char** argv) {
       const auto rs = bench::expect_solved(
           core::solve_statistical_insertion(stat_net, model, so));
       stat_s[fr] = rs.stats.wall_seconds;
-      stat_nodes[fr] = rs.stats.li_shi_nodes;
 
       json.begin()
           .str("section", "b_axis")
@@ -245,13 +227,8 @@ int main(int argc, char** argv) {
                static_cast<std::uint64_t>(stat_chain.segments))
           .num("det_seconds", rd.stats.wall_seconds)
           .num("stat_seconds", rs.stats.wall_seconds)
-          .num("det_candidates",
-               static_cast<std::uint64_t>(rd.stats.candidates_created))
-          .num("stat_candidates",
-               static_cast<std::uint64_t>(rs.stats.candidates_created))
-          .num("det_peak_list",
-               static_cast<std::uint64_t>(rd.stats.peak_list_size))
-          .num("li_shi_nodes", stat_nodes[fr])
+          .counters(rd.stats, "det_")
+          .counters(rs.stats, "stat_")
           .num("num_buffers", static_cast<std::uint64_t>(rd.num_buffers));
     }
     tb.add_row({std::to_string(b), analysis::fmt(det_s[0], 3),

@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "core/solution.hpp"
 #include "stats/kernels.hpp"
 
 #ifndef VABI_GIT_SHA
@@ -42,20 +44,29 @@ class json_records {
     rows_.emplace_back();
     return *this;
   }
-  json_records& str(const char* key, std::string value) {
-    rows_.back().emplace_back(key, std::move(value));
+  json_records& str(std::string key, std::string value) {
+    rows_.back().emplace_back(std::move(key), std::move(value));
     return *this;
   }
-  json_records& num(const char* key, double value) {
-    rows_.back().emplace_back(key, value);
+  json_records& num(std::string key, double value) {
+    rows_.back().emplace_back(std::move(key), value);
     return *this;
   }
-  json_records& num(const char* key, std::uint64_t value) {
-    rows_.back().emplace_back(key, value);
+  json_records& num(std::string key, std::uint64_t value) {
+    rows_.back().emplace_back(std::move(key), value);
     return *this;
   }
-  json_records& boolean(const char* key, bool value) {
-    rows_.back().emplace_back(key, value);
+  json_records& boolean(std::string key, bool value) {
+    rows_.back().emplace_back(std::move(key), value);
+    return *this;
+  }
+  /// Every dp_stats counter under its core::stat_counters name, prefixed
+  /// with `prefix`.
+  json_records& counters(const core::dp_stats& s,
+                         const std::string& prefix = {}) {
+    for (const core::stat_counter& c : core::stat_counters) {
+      num(prefix + c.name, static_cast<std::uint64_t>(s.*c.member));
+    }
     return *this;
   }
 

@@ -21,8 +21,11 @@ missing one; both are counted in the summary line.
 
 With --fail-ratio set, the smoke *gates*: any benchmark slower than
 fail-ratio times its baseline emits a `::error::` annotation and the script
-exits 1 (CI fails the job). Without it the script always exits 0 on
-well-formed input -- the historical warn-only behavior. The two thresholds
+exits 1 (CI fails the job). So does a baseline benchmark the run lacks, and
+a file with no timing entries at all: a renamed record field or `seconds`
+key must not turn the gate off silently. Without --fail-ratio the script
+always exits 0 on well-formed input -- the historical warn-only behavior,
+where both cases only warn. The two thresholds
 compose: warn early at --max-ratio, fail hard at --fail-ratio (set the
 fail threshold above the warn one and above the hardware noise floor; the
 suite enforces bit-identity, this enforces that the bit-identical code also
@@ -97,12 +100,15 @@ def main():
               f"--max-ratio {args.max_ratio}")
         return 2
 
+    gating = args.fail_ratio is not None
+    level = "error" if gating else "warning"
     base = load_times(args.baseline)
     cur = load_times(args.current)
     if not base or not cur:
-        print(f"::warning::perf smoke: empty benchmark set "
-              f"(baseline={len(base)}, current={len(cur)}) -- skipping diff")
-        return 0
+        print(f"::{level}::perf smoke: empty benchmark set "
+              f"(baseline={len(base)}, current={len(cur)}) -- nothing to "
+              f"compare")
+        return 1 if gating else 0
 
     shared = sorted(set(base) & set(cur))
     missing = sorted(set(base) - set(cur))
@@ -116,7 +122,7 @@ def main():
         flag = "  <-- slow" if ratio > args.max_ratio else ""
         print(f"{name:<{width}}  {base[name]:>10.1f}  {cur[name]:>10.1f}  "
               f"{ratio:>5.2f}{flag}")
-        if args.fail_ratio is not None and ratio > args.fail_ratio:
+        if gating and ratio > args.fail_ratio:
             failed.append((name, ratio))
         elif ratio > args.max_ratio:
             slow.append((name, ratio))
@@ -128,7 +134,7 @@ def main():
         print(f"::error::perf smoke: {name} is {ratio:.2f}x its baseline "
               f"(fail limit {args.fail_ratio}x)")
     for name in missing:
-        print(f"::warning::perf smoke: baseline benchmark {name} missing "
+        print(f"::{level}::perf smoke: baseline benchmark {name} missing "
               f"from current run")
     for name in ungated:
         print(f"::warning::perf smoke: {name} has no baseline entry "
@@ -136,7 +142,7 @@ def main():
     print(f"perf smoke: {len(shared)} compared, {len(slow)} above "
           f"{args.max_ratio}x, {len(failed)} above fail limit, "
           f"{len(missing)} missing, {len(ungated)} ungated")
-    return 1 if failed else 0
+    return 1 if failed or (gating and missing) else 0
 
 
 if __name__ == "__main__":

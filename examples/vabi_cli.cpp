@@ -290,45 +290,15 @@ cli_options parse(int argc, char** argv) {
   return o;
 }
 
-/// Flat JSON dump of one solve's dp_stats plus run context (the schema
-/// documented in README.md). Every counter is emitted, including the
-/// session-only slab-cache triple and the path counters (li_shi_nodes,
-/// selection_bounded, selection_exact), so downstream tooling never has to
-/// guess which fields a build knows about.
+/// The solve's core::stats_json (schema in README.md) with the run context.
 bool write_stats_json(const std::string& path, const core::stat_result& r,
                       const cli_options& cli) {
   std::ofstream os(path);
   if (!os) return false;
-  os << "{\n"
-     << "  \"rule\": \"" << core::to_string(cli.rule) << "\",\n"
-     << "  \"mode\": \"" << layout::to_string(cli.mode) << "\",\n"
-     << "  \"threads\": " << cli.threads << ",\n"
-     << "  \"solve_path\": \"" << core::to_string(r.path) << "\",\n"
-     << "  \"num_buffers\": " << r.num_buffers << ",\n"
-     << "  \"root_rat_mean_ps\": " << r.root_rat.mean() << ",\n"
-     << "  \"candidates_created\": " << r.stats.candidates_created << ",\n"
-     << "  \"candidates_pruned\": " << r.stats.candidates_pruned << ",\n"
-     << "  \"merge_pairs\": " << r.stats.merge_pairs << ",\n"
-     << "  \"peak_list_size\": " << r.stats.peak_list_size << ",\n"
-     << "  \"allocations\": " << r.stats.allocations << ",\n"
-     << "  \"peak_terms\": " << r.stats.peak_terms << ",\n"
-     << "  \"terms_merged\": " << r.stats.terms_merged << ",\n"
-     << "  \"dominance_prefilter_hits\": "
-     << r.stats.dominance_prefilter_hits << ",\n"
-     << "  \"li_shi_nodes\": " << r.stats.li_shi_nodes << ",\n"
-     << "  \"selection_bounded\": " << r.stats.selection_bounded << ",\n"
-     << "  \"selection_exact\": " << r.stats.selection_exact << ",\n"
-     << "  \"tiled_prunes\": " << r.stats.tiled_prunes << ",\n"
-     << "  \"tile_prefilter_hits\": " << r.stats.tile_prefilter_hits << ",\n"
-     << "  \"pairs_batched\": " << r.stats.pairs_batched << ",\n"
-     << "  \"cache_hits\": " << r.stats.cache_hits << ",\n"
-     << "  \"cache_misses\": " << r.stats.cache_misses << ",\n"
-     << "  \"nodes_reused\": " << r.stats.nodes_reused << ",\n"
-     << "  \"wall_seconds\": " << r.stats.wall_seconds << ",\n"
-     << "  \"aborted\": " << (r.stats.aborted ? "true" : "false") << ",\n"
-     << "  \"abort_code\": \"" << core::to_string(r.stats.abort_code)
-     << "\"\n"
-     << "}\n";
+  const auto quoted = [](const char* s) { return '"' + std::string(s) + '"'; };
+  os << core::stats_json(r, {{"rule", quoted(core::to_string(cli.rule))},
+                             {"mode", quoted(layout::to_string(cli.mode))},
+                             {"threads", std::to_string(cli.threads)}});
   return os.good();
 }
 

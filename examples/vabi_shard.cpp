@@ -7,7 +7,7 @@
 // jobs already durable in a dead worker's shard are recovered, never
 // re-solved. On completion the shards are merged into one result set that is
 // bit-identical to a single-process journaled run -- which --verify asserts
-// by actually running one and comparing result hashes.
+// by actually running one and comparing the results job by job.
 //
 //   vabi_shard --nets 32 --sinks 12 --seed 7 --workers 4 --journal-dir /tmp/s
 //   vabi_shard ... --resume          # pick up after a kill -9
@@ -15,17 +15,17 @@
 //   vabi_shard ... --remote-socket /tmp/vabi.sock
 //
 // Exit codes: 0 merged ok, 1 usage, 2 coordinator/journal failure,
-// 3 shard merge mismatch, 4 --verify hash divergence.
-#include <bit>
+// 3 shard merge mismatch, 4 --verify divergence.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "core/journal.hpp"
 #include "core/parallel.hpp"
 #include "core/solve_status.hpp"
+#include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "shard/shard_coordinator.hpp"
 
@@ -47,29 +47,8 @@ void usage() {
       "  --timeout-ms MS       silent-worker kill threshold (default 2000)\n"
       "  --remote-socket PATH  use vabi_serve sessions on a unix socket\n"
       "  --remote-port P       use vabi_serve sessions on 127.0.0.1:P\n"
-      "  --verify              also solve single-process and compare hashes\n");
+      "  --verify              also solve single-process, compare each job\n");
   std::exit(1);
-}
-
-/// Order-sensitive hash over the merged outcomes, mirroring the one the
-/// shard tests use: nominal-RAT bits + buffer count for ok slots, the code
-/// for failed ones.
-std::uint64_t hash_slots(
-    const std::vector<vabi::core::solve_outcome<vabi::core::batch_result>>&
-        slots) {
-  std::uint64_t h = vabi::core::fnv1a_seed;
-  for (const auto& slot : slots) {
-    h = vabi::core::fnv1a_u64(slot.ok() ? 1 : 0, h);
-    if (slot.ok()) {
-      h = vabi::core::fnv1a_u64(
-          std::bit_cast<std::uint64_t>(slot->result.root_rat.nominal()), h);
-      h = vabi::core::fnv1a_u64(slot->result.num_buffers, h);
-    } else {
-      h = vabi::core::fnv1a_u64(
-          static_cast<std::uint64_t>(slot.error().code), h);
-    }
-  }
-  return h;
 }
 
 }  // namespace
@@ -124,39 +103,27 @@ int main(int argc, char** argv) {
   }
   copts.batch_seed = seed;
 
-  std::vector<vabi::core::batch_job> jobs(nets);
-  for (auto& job : jobs) {
-    vabi::tree::random_tree_options g;
-    g.num_sinks = sinks;
-    job.generate = g;
+  // One submit message defines the batch for every mode: the forked workers
+  // and --verify solve serve::make_batch_jobs' mapping of it (standard
+  // library, the wire options' defaults), which is what a daemon solves.
+  vabi::serve::submit_msg submit;
+  submit.batch_seed = seed;
+  submit.jobs.resize(nets);
+  for (auto& wj : submit.jobs) wj.num_sinks = sinks;
+  auto batch = vabi::serve::make_batch_jobs(submit);
+  if (!batch.ok()) {
+    std::fprintf(stderr, "vabi_shard: %s\n", batch.error().message().c_str());
+    return 2;
   }
+  const std::vector<vabi::core::batch_job>& jobs = batch->jobs;
 
   vabi::shard::shard_coordinator coord(copts);
   vabi::core::solve_outcome<vabi::shard::coordinator_report> run_result =
-      [&]() {
-        if (!remote_socket.empty()) {
-          vabi::serve::submit_msg submit;
-          submit.batch_seed = seed;
-          for (std::size_t i = 0; i < nets; ++i) {
-            vabi::serve::wire_job wj;
-            wj.num_sinks = sinks;
-            submit.jobs.push_back(wj);
-          }
-          return coord.run_remote(submit, remote_socket);
-        }
-        if (remote_port > 0) {
-          vabi::serve::submit_msg submit;
-          submit.batch_seed = seed;
-          for (std::size_t i = 0; i < nets; ++i) {
-            vabi::serve::wire_job wj;
-            wj.num_sinks = sinks;
-            submit.jobs.push_back(wj);
-          }
-          return coord.run_remote(submit,
-                                  "port:" + std::to_string(remote_port));
-        }
-        return coord.run(jobs);
-      }();
+      !remote_socket.empty()
+          ? coord.run_remote(submit, remote_socket)
+      : remote_port > 0
+          ? coord.run_remote(submit, "port:" + std::to_string(remote_port))
+          : coord.run(jobs);
 
   if (!run_result.ok()) {
     std::fprintf(stderr, "vabi_shard: %s\n",
@@ -167,12 +134,26 @@ int main(int argc, char** argv) {
   }
 
   const vabi::shard::coordinator_report& rep = *run_result;
+  const auto& merged = rep.merged.slots;
+  // Solver failures stay typed inside their slots, so a run whose every job
+  // failed still merges (and verifies); the count makes that visible.
+  const auto is_failed = [](const auto& slot) { return !slot.ok(); };
+  const auto first_failed =
+      std::find_if(merged.begin(), merged.end(), is_failed);
+  const auto failed = static_cast<std::size_t>(
+      std::count_if(first_failed, merged.end(), is_failed));
   std::printf(
       "vabi_shard: %zu jobs merged from %zu shards in %.3fs "
-      "(recovered=%zu workers=%zu inline=%zu restarts=%zu retired=%zu)\n",
-      rep.jobs_total, rep.merged.shards_read, rep.wall_seconds,
+      "(failed=%zu recovered=%zu workers=%zu inline=%zu restarts=%zu "
+      "retired=%zu)\n",
+      rep.jobs_total, rep.merged.shards_read, rep.wall_seconds, failed,
       rep.jobs_recovered, rep.jobs_solved_by_workers, rep.jobs_solved_inline,
       rep.restarts_total, rep.workers_retired);
+  if (failed > 0) {
+    std::fprintf(stderr, "vabi_shard: job %zu failed: %s\n",
+                 static_cast<std::size_t>(first_failed - merged.begin()),
+                 first_failed->error().message().c_str());
+  }
   for (std::size_t w = 0; w < rep.workers.size(); ++w) {
     const vabi::shard::worker_stats& ws = rep.workers[w];
     const double rate =
@@ -193,15 +174,19 @@ int main(int argc, char** argv) {
     scfg.batch_seed = seed;
     vabi::core::batch_solver solver{scfg};
     const auto reference = solver.solve_outcomes(jobs);
-    if (reference.size() != rep.merged.slots.size() ||
-        hash_slots(reference) != hash_slots(rep.merged.slots)) {
+    const auto [at, _] =
+        std::mismatch(reference.begin(), reference.end(), merged.begin(),
+                      merged.end(), vabi::core::outcomes_identical);
+    if (at != reference.end() || reference.size() != merged.size()) {
       std::fprintf(stderr,
                    "vabi_shard: VERIFY FAILED -- merged result diverges from "
-                   "single-process solve\n");
+                   "single-process solve at job %zu\n",
+                   static_cast<std::size_t>(at - reference.begin()));
       return 4;
     }
-    std::printf("vabi_shard: verify ok -- merged == single-process (hash %llx)\n",
-                static_cast<unsigned long long>(hash_slots(reference)));
+    std::printf(
+        "vabi_shard: verify ok -- merged == single-process (%zu jobs)\n",
+        reference.size());
   }
   return 0;
 }

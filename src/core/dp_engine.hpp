@@ -363,7 +363,7 @@ struct resource_guard {
       dps.aborted = true;
       dps.abort_code = solve_code::cancelled;
       dps.abort_node = id;
-      dps.abort_reason = "aborted by another worker";
+      dps.abort_reason = dp_stats::observed_abort;
       return true;
     }
     if (cancel != nullptr && cancel->stop_requested()) {
@@ -393,7 +393,7 @@ struct resource_guard {
       dps.aborted = true;
       dps.abort_code = solve_code::cancelled;
       dps.abort_node = current_node;
-      dps.abort_reason = "aborted by another worker";
+      dps.abort_reason = dp_stats::observed_abort;
       return true;
     }
     if (options.max_list_size != 0 && list_size > options.max_list_size) {

@@ -5,12 +5,12 @@
 #include <unistd.h>
 
 #include <array>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "core/byte_codec.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace vabi::core {
@@ -28,77 +28,7 @@ constexpr std::uint8_t k_kind_header = 1;
 constexpr std::uint8_t k_kind_record = 2;
 constexpr std::uint8_t k_kind_shard = 3;
 
-// -- little-endian primitives (endian-independent encode/decode) -----------
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked sequential reader over a payload. Every get_* returns a
-/// zero value once `fail` is set; callers check `fail` at the end so a
-/// truncated payload can never read out of bounds.
-struct cursor {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t at = 0;
-  bool fail = false;
-
-  bool need(std::size_t k) {
-    if (n - at < k) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t get_u8() {
-    if (!need(1)) return 0;
-    return p[at++];
-  }
-  std::uint32_t get_u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = static_cast<std::uint32_t>(p[at]) |
-                      static_cast<std::uint32_t>(p[at + 1]) << 8 |
-                      static_cast<std::uint32_t>(p[at + 2]) << 16 |
-                      static_cast<std::uint32_t>(p[at + 3]) << 24;
-    at += 4;
-    return v;
-  }
-  std::uint64_t get_u64() {
-    const std::uint64_t lo = get_u32();
-    const std::uint64_t hi = get_u32();
-    return lo | hi << 32;
-  }
-  double get_f64() { return std::bit_cast<double>(get_u64()); }
-  std::string get_str() {
-    const std::uint32_t len = get_u32();
-    if (!need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
-  bool done() const { return !fail && at == n; }
-};
+using namespace codec;
 
 // -- payload codecs ---------------------------------------------------------
 
@@ -250,20 +180,16 @@ bool record_payload_decode(cursor& c, journal_record& r) {
 
 void append_frame(std::vector<std::uint8_t>& image,
                   std::vector<std::uint8_t> payload, bool allow_faults) {
-  if (allow_faults &&
-      testing::should_fire(testing::fault_point::journal_crc_flip)) {
-    // Flip one payload bit *after* the CRC would have been computed over the
-    // clean bytes -- i.e. corrupt the stored payload, keep the stored CRC.
-    // (Flipping before would just journal a different, self-consistent
-    // record.) The reader must detect this as a CRC mismatch.
-    put_u32(image, static_cast<std::uint32_t>(payload.size()));
-    put_u32(image, crc32(payload.data(), payload.size()));
-    payload[payload.size() / 2] ^= 0x10;
-    image.insert(image.end(), payload.begin(), payload.end());
-    return;
-  }
   put_u32(image, static_cast<std::uint32_t>(payload.size()));
   put_u32(image, crc32(payload.data(), payload.size()));
+  if (allow_faults &&
+      testing::should_fire(testing::fault_point::journal_crc_flip)) {
+    // Flip one payload bit *after* the CRC was computed over the clean
+    // bytes -- i.e. corrupt the stored payload, keep the stored CRC.
+    // (Flipping before would just journal a different, self-consistent
+    // record.) The reader must detect this as a CRC mismatch.
+    payload[payload.size() / 2] ^= 0x10;
+  }
   image.insert(image.end(), payload.begin(), payload.end());
 }
 

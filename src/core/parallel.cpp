@@ -1,6 +1,5 @@
 #include "core/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -337,33 +336,7 @@ struct parallel_run {
     if (root_ok) result = std::move(root_result);
 
     dp_stats total;
-    for (const auto& st : states) {
-      total.candidates_created += st.dps.candidates_created;
-      total.candidates_pruned += st.dps.candidates_pruned;
-      total.merge_pairs += st.dps.merge_pairs;
-      total.peak_list_size = std::max(total.peak_list_size,
-                                      st.dps.peak_list_size);
-      total.allocations += st.dps.allocations;
-      total.peak_terms = std::max(total.peak_terms, st.dps.peak_terms);
-      total.terms_merged += st.dps.terms_merged;
-      total.dominance_prefilter_hits += st.dps.dominance_prefilter_hits;
-      total.li_shi_nodes += st.dps.li_shi_nodes;
-      total.selection_bounded += st.dps.selection_bounded;
-      total.selection_exact += st.dps.selection_exact;
-      total.tiled_prunes += st.dps.tiled_prunes;
-      total.tile_prefilter_hits += st.dps.tile_prefilter_hits;
-      total.pairs_batched += st.dps.pairs_batched;
-      // Prefer the worker that tripped a *primary* cause over workers that
-      // merely observed the broadcast abort (code cancelled, reason
-      // "aborted by another worker").
-      if (st.dps.aborted && (!total.aborted ||
-                             total.abort_reason == "aborted by another worker")) {
-        total.aborted = true;
-        total.abort_reason = st.dps.abort_reason;
-        total.abort_code = st.dps.abort_code;
-        total.abort_node = st.dps.abort_node;
-      }
-    }
+    for (const auto& st : states) total.merge(st.dps);
     if (total.aborted) {
       result = stat_result{};
       result.assignment = timing::buffer_assignment(tree.num_nodes());
@@ -406,6 +379,13 @@ batch_solver::batch_solver(config cfg)
                                  : cfg.num_threads) {}
 
 std::size_t batch_solver::num_threads() const { return pool_.size(); }
+
+bool outcomes_identical(const solve_outcome<batch_result>& a,
+                        const solve_outcome<batch_result>& b) {
+  if (a.ok() != b.ok()) return false;
+  return a.ok() ? results_identical(a->result, b->result)
+                : a.error().code == b.error().code;
+}
 
 /// Shared by every batch path -- and by the serve daemon: resolves job i's
 /// net (generating from the derived per-job seed when asked) and builds its
@@ -538,28 +518,6 @@ std::uint64_t hash_tree(const tree::routing_tree& t, std::uint64_t h) {
     h = fnv1a_f64(n.sink_rat_ps, h);
   }
   return h;
-}
-
-/// True when two results are bit-identical on every field of the determinism
-/// contract (allocations/peak_terms/wall_seconds are scheduling- or
-/// time-dependent and excluded, as documented on dp_stats).
-bool results_identical(const stat_result& a, const stat_result& b) {
-  if (!(a.root_rat == b.root_rat)) return false;
-  if (a.num_buffers != b.num_buffers || a.path != b.path) return false;
-  if (a.assignment.num_nodes() != b.assignment.num_nodes()) return false;
-  for (tree::node_id n = 0; n < a.assignment.num_nodes(); ++n) {
-    const bool ha = a.assignment.has_buffer(n);
-    if (ha != b.assignment.has_buffer(n)) return false;
-    if (ha && a.assignment.buffer(n) != b.assignment.buffer(n)) return false;
-  }
-  if (a.wires.num_nodes() != b.wires.num_nodes()) return false;
-  for (tree::node_id n = 0; n < a.wires.num_nodes(); ++n) {
-    if (a.wires.width(n) != b.wires.width(n)) return false;
-  }
-  return a.stats.candidates_created == b.stats.candidates_created &&
-         a.stats.candidates_pruned == b.stats.candidates_pruned &&
-         a.stats.merge_pairs == b.stats.merge_pairs &&
-         a.stats.peak_list_size == b.stats.peak_list_size;
 }
 
 solve_error mismatch(std::string detail) {
@@ -782,8 +740,7 @@ solve_outcome<journaled_batch> batch_solver::solve_journaled(
     verified.wait();
     for (std::size_t k = 0; k < restored_jobs.size(); ++k) {
       const std::size_t i = restored_jobs[k];
-      if (!check[k]->ok() ||
-          !results_identical((*check[k])->result, (**slots[i]).result)) {
+      if (!outcomes_identical(*check[k], *slots[i])) {
         return mismatch("restored record for job " + std::to_string(i) +
                         " is not bit-identical to a fresh solve");
       }

@@ -148,6 +148,11 @@ struct batch_result {
   std::optional<tree::routing_tree> generated;
 };
 
+/// True when two slots of one batch agree: both solved with
+/// results_identical results, or both failed with the same solve_code.
+bool outcomes_identical(const solve_outcome<batch_result>& a,
+                        const solve_outcome<batch_result>& b);
+
 /// How batch_solver::solve_journaled uses its journal.
 struct batch_journal_options {
   std::string path;  ///< journal file, e.g. "run.vjl"

@@ -1,8 +1,24 @@
 #include "core/solution.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace vabi::core {
+
+void dp_stats::merge(const dp_stats& other) {
+  for (const stat_counter& c : stat_counters) {
+    std::size_t& mine = this->*c.member;
+    const std::size_t theirs = other.*c.member;
+    mine = c.reduction == stat_reduction::sum ? mine + theirs
+                                              : std::max(mine, theirs);
+  }
+  if (other.aborted && (!aborted || abort_reason == observed_abort)) {
+    aborted = true;
+    abort_reason = other.abort_reason;
+    abort_code = other.abort_code;
+    abort_node = other.abort_node;
+  }
+}
 
 namespace {
 

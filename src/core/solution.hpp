@@ -9,6 +9,7 @@
 // implied by the tree structure.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -217,6 +218,8 @@ struct stat_candidate {
 
 /// Instrumentation accumulated by the DP engines. The runtime / capacity
 /// comparison of Table 2 and the scalability study of Fig. 5 read these.
+/// Every std::size_t counter but dense_forms has a line in stat_counters
+/// (below), which says how it is reduced, serialized and compared.
 struct dp_stats {
   /// Candidates created by the key operations. The buffered step counts
   /// every scored (candidate, type) pair, whether it was built or its key
@@ -287,6 +290,60 @@ struct dp_stats {
   /// the node boundary where the guard fired (invalid_node when unknown).
   solve_code abort_code = solve_code::ok;
   tree::node_id abort_node = tree::invalid_node;
+
+  /// abort_reason of a worker that stopped because another worker aborted.
+  static constexpr const char* observed_abort = "aborted by another worker";
+
+  /// Folds another worker's counters into these as their stat_counters
+  /// lines say. Of two aborts the primary cause wins over observed_abort.
+  /// wall_seconds is left to the caller, which times the whole run.
+  void merge(const dp_stats& other);
 };
+
+/// How dp_stats::merge combines one counter of two workers.
+enum class stat_reduction : std::uint8_t { sum, max };
+
+/// What a counter promises. `result`: journaled, and compared by
+/// results_identical (statistical_dp.hpp). `organization`: deterministic
+/// across thread counts, but it records how the work was organized (which
+/// path, cache or prefilter decided), so it is never hashed or journaled.
+/// `telemetry`: depends on scheduling; journaled, never compared.
+enum class stat_class : std::uint8_t { result, organization, telemetry };
+
+struct stat_counter {
+  const char* name;  ///< JSON key in stats_json and the bench records
+  std::size_t dp_stats::*member;
+  stat_reduction reduction;
+  stat_class kind;
+};
+
+/// The one list of dp_stats counters, in member order. A new counter is a
+/// member plus one line here; merge, results_identical, stats_json and the
+/// bench records read this table.
+inline constexpr auto stat_counters = [] {
+  using enum stat_reduction;
+  using enum stat_class;
+  using s = dp_stats;
+  return std::to_array<stat_counter>({
+      {"candidates_created", &s::candidates_created, sum, result},
+      {"candidates_pruned", &s::candidates_pruned, sum, result},
+      {"merge_pairs", &s::merge_pairs, sum, result},
+      {"peak_list_size", &s::peak_list_size, max, result},
+      {"allocations", &s::allocations, sum, telemetry},
+      {"peak_terms", &s::peak_terms, max, telemetry},
+      {"terms_merged", &s::terms_merged, sum, organization},
+      {"dominance_prefilter_hits", &s::dominance_prefilter_hits, sum,
+       organization},
+      {"li_shi_nodes", &s::li_shi_nodes, sum, organization},
+      {"selection_bounded", &s::selection_bounded, sum, organization},
+      {"selection_exact", &s::selection_exact, sum, organization},
+      {"cache_hits", &s::cache_hits, sum, organization},
+      {"cache_misses", &s::cache_misses, sum, organization},
+      {"nodes_reused", &s::nodes_reused, sum, organization},
+      {"tiled_prunes", &s::tiled_prunes, sum, organization},
+      {"tile_prefilter_hits", &s::tile_prefilter_hits, sum, organization},
+      {"pairs_batched", &s::pairs_batched, sum, organization},
+  });
+}();
 
 }  // namespace vabi::core

@@ -5,6 +5,8 @@
 #include <exception>
 #include <limits>
 #include <optional>
+#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/dp_engine.hpp"
@@ -47,6 +49,40 @@ const char* to_string(solve_path path) {
       return "unbuffered_fallback";
   }
   return "?";
+}
+
+bool results_identical(const stat_result& a, const stat_result& b) {
+  if (a.root_rat != b.root_rat || a.num_buffers != b.num_buffers ||
+      a.path != b.path || a.assignment != b.assignment || a.wires != b.wires) {
+    return false;
+  }
+  for (const stat_counter& c : stat_counters) {
+    if (c.kind == stat_class::result &&
+        a.stats.*c.member != b.stats.*c.member) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string stats_json(
+    const stat_result& r,
+    const std::vector<std::pair<std::string, std::string>>& context) {
+  std::ostringstream os;
+  os << "{\n  \"schema_version\": " << stats_json_version;
+  const auto key = [&os](std::string_view k) -> std::ostream& {
+    return os << ",\n  \"" << k << "\": ";
+  };
+  for (const auto& [k, value] : context) key(k) << value;
+  key("solve_path") << '"' << to_string(r.path) << '"';
+  key("num_buffers") << r.num_buffers;
+  key("root_rat_mean_ps") << r.root_rat.mean();
+  for (const stat_counter& c : stat_counters) key(c.name) << r.stats.*c.member;
+  key("wall_seconds") << r.stats.wall_seconds;
+  key("aborted") << (r.stats.aborted ? "true" : "false");
+  key("abort_code") << '"' << to_string(r.stats.abort_code) << '"';
+  os << "\n}\n";
+  return os.str();
 }
 
 namespace detail {

@@ -21,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/li_shi.hpp"
@@ -151,6 +153,22 @@ struct stat_result {
 
   bool ok() const { return !stats.aborted; }
 };
+
+/// True when two results are bit-identical on every field of the
+/// determinism contract: root RAT form, num_buffers, path, buffer and wire
+/// assignments and the result-class counters, all of which a journal keeps.
+bool results_identical(const stat_result& a, const stat_result& b);
+
+/// Bumped when a stats_json key is renamed, removed or redefined.
+inline constexpr int stats_json_version = 1;
+
+/// One flat JSON object: `schema_version`, the caller's `context` members
+/// in order (values already JSON text), `solve_path`, `num_buffers`,
+/// `root_rat_mean_ps`, every stat_counters entry under its name,
+/// `wall_seconds`, `aborted` and `abort_code` (a solve_code name).
+std::string stats_json(
+    const stat_result& r,
+    const std::vector<std::pair<std::string, std::string>>& context = {});
 
 /// Runs the variation-aware DP. `model` supplies (and accumulates) the
 /// variation sources: one private random source is registered per evaluated

@@ -7,86 +7,15 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "core/byte_codec.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace vabi::serve {
 
 namespace {
 
-// Little-endian put/get helpers, same byte discipline as the journal codec.
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xffu);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xffu);
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked reader: any overrun latches fail() instead of reading out
-/// of bounds, and the caller checks once at the end.
-struct cursor {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t at = 0;
-  bool failed = false;
-
-  bool fail() {
-    failed = true;
-    return false;
-  }
-  bool need(std::size_t n) {
-    if (failed || size - at < n) return fail();
-    return true;
-  }
-  std::uint8_t get_u8() {
-    if (!need(1)) return 0;
-    return data[at++];
-  }
-  std::uint32_t get_u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{data[at++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t get_u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{data[at++]} << (8 * i);
-    return v;
-  }
-  double get_f64() {
-    const std::uint64_t bits = get_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string get_str() {
-    const std::uint32_t n = get_u32();
-    // A string longer than the frame it lives in is garbage, not a string.
-    if (!need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data + at), n);
-    at += n;
-    return s;
-  }
-  bool done() const { return !failed && at == size; }
-};
+using namespace core::codec;
 
 void put_options(std::vector<std::uint8_t>& out, const wire_options& o) {
   put_u8(out, o.rule);
@@ -400,10 +329,9 @@ decode_result decode_frame(const std::uint8_t* data, std::size_t size) {
     r.status = decode_status::need_more;
     return r;
   }
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t{data[i]} << (8 * i);
-  for (int i = 0; i < 4; ++i) crc |= std::uint32_t{data[4 + i]} << (8 * i);
+  cursor head{data, k_frame_header_bytes};
+  const std::uint32_t len = head.get_u32();
+  const std::uint32_t crc = head.get_u32();
   if (len > k_max_frame_bytes) {
     r.status = decode_status::corrupt;
     r.error = "wire: frame length " + std::to_string(len) +

@@ -19,6 +19,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/byte_codec.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "testing/fault_injection.hpp"
@@ -41,19 +42,8 @@ constexpr std::uint8_t cmd_shutdown = 2;
 constexpr std::uint64_t k_no_job = ~std::uint64_t{0};
 constexpr std::size_t k_msg_size = 9;
 
-void encode_msg(std::uint8_t* buf, std::uint8_t kind, std::uint64_t arg) {
-  buf[0] = kind;
-  for (int i = 0; i < 8; ++i) {
-    buf[1 + i] = static_cast<std::uint8_t>(arg >> (8 * i));
-  }
-}
-
 std::uint64_t decode_arg(const std::uint8_t* buf) {
-  std::uint64_t arg = 0;
-  for (int i = 0; i < 8; ++i) {
-    arg |= static_cast<std::uint64_t>(buf[1 + i]) << (8 * i);
-  }
-  return arg;
+  return core::codec::cursor{buf + 1, 8}.get_u64();
 }
 
 bool write_exact(int fd, const void* data, std::size_t size) {
@@ -71,9 +61,10 @@ bool write_exact(int fd, const void* data, std::size_t size) {
 }
 
 bool send_msg(int fd, std::uint8_t kind, std::uint64_t arg) {
-  std::uint8_t buf[k_msg_size];
-  encode_msg(buf, kind, arg);
-  return write_exact(fd, buf, sizeof buf);
+  std::vector<std::uint8_t> buf;
+  core::codec::put_u8(buf, kind);
+  core::codec::put_u64(buf, arg);
+  return write_exact(fd, buf.data(), buf.size());
 }
 
 bool read_exact(int fd, void* data, std::size_t size) {

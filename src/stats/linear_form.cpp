@@ -409,11 +409,6 @@ double prob_greater(const linear_form& a, const linear_form& b,
   return normal_exceedance(a.mean() - b.mean(), sigma, 0.0);
 }
 
-double tightness_probability(const linear_form& a, const linear_form& b,
-                             const variation_space& space) {
-  return prob_greater(b, a, space);
-}
-
 linear_form statistical_min(const linear_form& a, const linear_form& b,
                             const variation_space& space) {
   const double sigma = sigma_of_difference(a, b, space);

@@ -225,10 +225,6 @@ double sigma_of_difference(const linear_form& a, const linear_form& b,
 double prob_greater(const linear_form& a, const linear_form& b,
                     const variation_space& space);
 
-/// Tightness probability P(a < b) (paper eq. 39).
-double tightness_probability(const linear_form& a, const linear_form& b,
-                             const variation_space& space);
-
 /// Statistical min of two jointly normal forms, re-expressed as a canonical
 /// form via the tightness-probability linearization of [Visweswariah et al.]
 /// (paper eq. 38):

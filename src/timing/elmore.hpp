@@ -47,6 +47,7 @@ class buffer_assignment {
 
   std::size_t num_nodes() const { return buffer_at_.size(); }
   std::size_t count() const;
+  bool operator==(const buffer_assignment&) const = default;
 
   /// Buffer count per library type (indexed by buffer_index).
   std::vector<std::size_t> histogram(std::size_t num_types) const;

@@ -59,6 +59,7 @@ class wire_assignment {
   }
   void set(tree::node_id n, width_index w) { width_at_[n] = w; }
   std::size_t num_nodes() const { return width_at_.size(); }
+  bool operator==(const wire_assignment&) const = default;
 
   /// Number of edges assigned a non-default (non-zero-index) width.
   std::size_t count_nondefault() const;

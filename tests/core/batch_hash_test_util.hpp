@@ -2,9 +2,11 @@
 // FNV-1a hash over everything a batch of solve outcomes is contractually
 // required to reproduce bit-identically -- canonical root RAT form (nominal
 // and term coefficients as raw bit patterns), buffer and wire assignments,
-// buffer counts, the deterministic dp_stats counters, and typed error codes.
-// Wall-clock seconds and allocation counters are deliberately excluded: they
-// vary run to run without breaking the determinism contract.
+// buffer counts, the result-class dp_stats counters (core::stat_counters),
+// and typed error codes. Wall-clock seconds and the organization and
+// telemetry counters are deliberately excluded: they are not part of the
+// determinism contract, and a journal-restored result does not carry all of
+// them.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +36,9 @@ inline std::uint64_t hash_result(const stat_result& r, std::uint64_t h) {
   }
   h = fnv1a_u64(r.num_buffers, h);
   h = fnv1a_u64(static_cast<std::uint64_t>(r.path), h);
-  h = fnv1a_u64(r.stats.candidates_created, h);
-  h = fnv1a_u64(r.stats.candidates_pruned, h);
-  h = fnv1a_u64(r.stats.merge_pairs, h);
-  h = fnv1a_u64(r.stats.peak_list_size, h);
+  for (const stat_counter& c : stat_counters) {
+    if (c.kind == stat_class::result) h = fnv1a_u64(r.stats.*c.member, h);
+  }
   return h;
 }
 

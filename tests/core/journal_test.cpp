@@ -95,7 +95,10 @@ TEST(Journal, RecordRoundTripIsBitExact) {
   rec.result.assignment.place(2, 1);
   rec.result.wires = timing::wire_assignment{4};
   rec.result.num_buffers = 1;
-  rec.result.stats.candidates_created = 123;
+  std::size_t value = 101;  // every counter distinct
+  for (const stat_counter& c : stat_counters) {
+    rec.result.stats.*c.member = value++;
+  }
   rec.result.stats.wall_seconds = 0.25;
   rec.result.path = solve_path::primary;
 
@@ -137,7 +140,15 @@ TEST(Journal, RecordRoundTripIsBitExact) {
   EXPECT_TRUE(got.result.assignment.has_buffer(2));
   EXPECT_EQ(got.result.assignment.buffer(2), 1u);
   EXPECT_EQ(got.result.num_buffers, 1u);
-  EXPECT_EQ(got.result.stats.candidates_created, 123u);
+  // A restored result carries the result counters and the two telemetry
+  // counters; the organization counters are not journaled and read 0.
+  for (const stat_counter& c : stat_counters) {
+    const std::size_t want = c.kind == stat_class::organization
+                                 ? 0
+                                 : rec.result.stats.*c.member;
+    EXPECT_EQ(got.result.stats.*c.member, want) << c.name;
+  }
+  EXPECT_EQ(got.result.stats.wall_seconds, 0.25);
 }
 
 TEST(Journal, ErrorRecordRoundTrips) {

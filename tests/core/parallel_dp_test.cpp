@@ -5,7 +5,8 @@
 // results to solve_statistical_insertion -- identical canonical root RAT forms
 // (same variation-source ids, same coefficients, compared with operator==,
 // i.e. exact doubles), identical buffer and wire assignments, and identical
-// dp_stats work counters -- for every pruning rule and any thread count.
+// dp_stats counters but the telemetry class -- for every pruning rule and
+// any thread count.
 // This is what lets callers switch thread counts freely without
 // re-validating results, and it is the test CI runs under ThreadSanitizer.
 #include "core/parallel.hpp"
@@ -81,15 +82,18 @@ void expect_identical(const stat_result& a, const stat_result& b) {
     }
     EXPECT_EQ(a.wires.width(id), b.wires.width(id));
   }
-  // The parallel engine does the same work, not just equivalent work.
-  EXPECT_EQ(a.stats.candidates_created, b.stats.candidates_created);
-  EXPECT_EQ(a.stats.candidates_pruned, b.stats.candidates_pruned);
-  EXPECT_EQ(a.stats.merge_pairs, b.stats.merge_pairs);
-  EXPECT_EQ(a.stats.peak_list_size, b.stats.peak_list_size);
+  // The parallel engine does the same work, not just equivalent work, and
+  // organizes it the same way: every counter but telemetry matches.
+  for (const stat_counter& c : stat_counters) {
+    if (c.kind != stat_class::telemetry) {
+      EXPECT_EQ(a.stats.*c.member, b.stats.*c.member) << c.name;
+    }
+  }
 }
 
-void check_rule_across_threads(const tree::routing_tree& net,
-                               const stat_options& options) {
+/// The serial run's counters, for callers that check a path engaged.
+dp_stats check_rule_across_threads(const tree::routing_tree& net,
+                                   const stat_options& options) {
   auto serial_model = make_model(net, layout::wid_mode());
   const auto serial =
       solved(solve_statistical_insertion(net, serial_model, options));
@@ -106,6 +110,7 @@ void check_rule_across_threads(const tree::routing_tree& net,
     // comparing ids from different registries.
     EXPECT_EQ(model.space().size(), serial_model.space().size());
   }
+  return serial.stats;
 }
 
 TEST(ParallelDp, TwoParamBitIdentical) {
@@ -135,6 +140,30 @@ TEST(ParallelDp, WireSizingBitIdentical) {
   auto o = rule_options(pruning_kind::two_param);
   o.wire_width_multipliers = {0.8, 1.0, 1.3};
   check_rule_across_threads(make_net(60, 23), o);
+}
+
+TEST(ParallelDp, ConfidenceRuleTiledPruneBitIdentical) {
+  // p = 0.9 with three widths: lists pass the tiling threshold, so the
+  // organization counters of the prefilter and the tiled sweep are compared.
+  // Both need the adaptive policy: a forced pairwise sweep never tiles, and
+  // a forced tiled one never reaches the pairwise prefilter.
+  testutil::prune_guard adaptive{0};
+  auto o = rule_options(pruning_kind::two_param);
+  o.two_param.p_load = 0.9;
+  o.two_param.p_rat = 0.9;
+  o.wire_width_multipliers = {0.7, 1.0, 1.4};
+  const dp_stats s = check_rule_across_threads(make_net(60, 29), o);
+  EXPECT_GT(s.tiled_prunes, 0u);
+  EXPECT_GT(s.dominance_prefilter_hits, 0u);
+}
+
+TEST(ParallelDp, LiShiFrontierBitIdentical) {
+  auto o = rule_options(pruning_kind::two_param);
+  o.library = timing::make_parameterized_library(16);
+  o.selection_percentile = 0.5;
+  o.li_shi = li_shi_mode::always;
+  const dp_stats s = check_rule_across_threads(make_net(80, 37), o);
+  EXPECT_GT(s.li_shi_nodes, 0u);
 }
 
 TEST(ParallelDp, TermDropEpsilonBitIdentical) {
@@ -208,6 +237,49 @@ TEST(BatchSolver, MatchesIndividualSerialRuns) {
     expect_identical(serial, results[i].result);
     EXPECT_EQ(results[i].model.space().size(), model.space().size());
   }
+}
+
+TEST(BatchSolver, OutcomesIdenticalSeesEveryResultField) {
+  // Merged shards and restored journal records are checked slot by slot
+  // with outcomes_identical: a changed RAT coefficient or a moved buffer
+  // fails it even where the nominal RAT and the buffer count agree.
+  const auto net = make_net(40, 9);
+  auto model = make_model(net, layout::wid_mode());
+  const auto r = solved(solve_statistical_insertion(
+      net, model, rule_options(pruning_kind::two_param)));
+  ASSERT_GT(r.num_buffers, 0u);
+  ASSERT_FALSE(r.root_rat.terms().empty());
+  const auto slot = [&net](const stat_result& res) {
+    return solve_outcome<batch_result>{
+        batch_result{res, make_model(net, layout::wid_mode()), {}}};
+  };
+  EXPECT_TRUE(outcomes_identical(slot(r), slot(r)));
+
+  stat_result coeff = r;
+  std::vector<stats::lf_term> terms(r.root_rat.terms().begin(),
+                                    r.root_rat.terms().end());
+  terms.back().coeff *= 1.5;
+  coeff.root_rat = stats::linear_form{r.root_rat.nominal(), terms};
+  EXPECT_FALSE(outcomes_identical(slot(r), slot(coeff)));
+
+  stat_result moved = r;
+  tree::node_id from = 0;
+  while (!r.assignment.has_buffer(from)) ++from;
+  tree::node_id to = 0;
+  while (r.assignment.has_buffer(to)) ++to;
+  moved.assignment.place(to, r.assignment.buffer(from));
+  moved.assignment.remove(from);
+  EXPECT_FALSE(outcomes_identical(slot(r), slot(moved)));
+
+  const auto failed = [](solve_code code, const char* detail) {
+    return solve_outcome<batch_result>{solve_error{code, 3, detail}};
+  };
+  EXPECT_TRUE(outcomes_identical(failed(solve_code::candidate_cap, "a"),
+                                 failed(solve_code::candidate_cap, "b")));
+  EXPECT_FALSE(outcomes_identical(failed(solve_code::candidate_cap, "a"),
+                                  failed(solve_code::memory_cap, "a")));
+  EXPECT_FALSE(
+      outcomes_identical(slot(r), failed(solve_code::candidate_cap, "a")));
 }
 
 TEST(BatchSolver, GeneratedJobsAreThreadCountInvariant) {

@@ -37,27 +37,6 @@
 namespace vabi::serve {
 namespace {
 
-// Mirrors parallel.cpp's results_identical: every field of the determinism
-// contract (scheduling-dependent counters excluded).
-bool identical(const core::stat_result& a, const core::stat_result& b) {
-  if (!(a.root_rat == b.root_rat)) return false;
-  if (a.num_buffers != b.num_buffers || a.path != b.path) return false;
-  if (a.assignment.num_nodes() != b.assignment.num_nodes()) return false;
-  for (tree::node_id n = 0; n < a.assignment.num_nodes(); ++n) {
-    const bool ha = a.assignment.has_buffer(n);
-    if (ha != b.assignment.has_buffer(n)) return false;
-    if (ha && a.assignment.buffer(n) != b.assignment.buffer(n)) return false;
-  }
-  if (a.wires.num_nodes() != b.wires.num_nodes()) return false;
-  for (tree::node_id n = 0; n < a.wires.num_nodes(); ++n) {
-    if (a.wires.width(n) != b.wires.width(n)) return false;
-  }
-  return a.stats.candidates_created == b.stats.candidates_created &&
-         a.stats.candidates_pruned == b.stats.candidates_pruned &&
-         a.stats.merge_pairs == b.stats.merge_pairs &&
-         a.stats.peak_list_size == b.stats.peak_list_size;
-}
-
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -175,7 +154,7 @@ TEST_F(ServeTest, ConcurrentSessionsBitIdenticalToDirectSolver) {
       auto direct = solve_direct(run.submit, j, &num_sources);
       ASSERT_TRUE(direct.ok());
       EXPECT_EQ(rec.num_sources, num_sources);
-      EXPECT_TRUE(identical(rec.result, *direct))
+      EXPECT_TRUE(core::results_identical(rec.result, *direct))
           << "session " << i << " job " << j
           << " diverged from the direct solver";
     }
@@ -232,7 +211,7 @@ TEST_F(ServeTest, DroppedSessionReconnectsWithZeroCompletedJobsReSolved) {
     ASSERT_TRUE(results.at(j).record.ok) << results.at(j).record.detail;
     auto direct = solve_direct(submit, j, nullptr);
     ASSERT_TRUE(direct.ok());
-    EXPECT_TRUE(identical(results.at(j).record.result, *direct))
+    EXPECT_TRUE(core::results_identical(results.at(j).record.result, *direct))
         << "job " << j;
   }
 }
