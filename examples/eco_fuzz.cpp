@@ -15,15 +15,24 @@
 // VABI_FORCE_KERNEL=scalar), so every p = 0.9 prune takes the tiled sweep;
 // each tree's line reports how many did, and how many twin swaps ran.
 //
+// Before every solve, a tree that reads `checked()` must keep that promise
+// (validate() passes and every node, detached ones included, holds finite
+// solve inputs), since the solves skip their whole-tree entry checks on it.
+// Each tree's line reports how many solves ran those checks; make_twin
+// writes a sink cap through node(), so the solves after it must be among
+// them.
+//
 //   eco_fuzz [--trees N] [--edits M] [--sinks S] [--seed X]
 //            [--fail-script PATH]
 //
-// On a mismatch (or any unexpected solve failure) the full edit script that
-// led to it is written to --fail-script (default failing_edits.txt) so the
-// exact sequence can be replayed, and the exit code is 1.
+// On a mismatch, a broken checked() promise or any unexpected solve failure,
+// the full edit script that led to it is written to --fail-script (default
+// failing_edits.txt) so the exact sequence can be replayed, and the exit
+// code is 1.
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -34,6 +43,7 @@
 #include <vector>
 
 #include "core/slab_cache.hpp"
+#include "core/solve_status.hpp"
 #include "core/statistical_dp.hpp"
 #include "stats/rng.hpp"
 #include "tree/generators.hpp"
@@ -296,6 +306,27 @@ std::string design_mismatch(const core::stat_result& warm,
   return {};
 }
 
+/// Empty when `t` keeps the promise of checked(): validate() passes (or no
+/// attached sink is left) and every node, detached ones included, holds
+/// finite solve inputs. Otherwise what broke it.
+std::string broken_check_promise(const tree::routing_tree& t) {
+  if (!t.checked()) return {};
+  try {
+    t.validate();
+  } catch (const std::exception& e) {
+    if (t.num_sinks() != 0) {
+      return std::string("checked tree fails validate(): ") + e.what();
+    }
+  }
+  for (const tree::tree_node& n : t.nodes()) {
+    if (!n.inputs_finite()) {
+      return "checked tree holds a non-finite input at node " +
+             std::to_string(n.id);
+    }
+  }
+  return {};
+}
+
 int dump_failure(const fuzz_options& o, std::size_t tree_index,
                  std::uint64_t tree_seed, const char* why,
                  const std::vector<std::string>& script) {
@@ -351,6 +382,19 @@ int main(int argc, char** argv) {
                                          : core::to_string(so.rule);
 
     std::vector<std::string> script;
+    std::size_t solves = 0;
+    std::size_t full_checks = 0;
+    std::size_t full_checks_after_twin = 0;
+    // Counts the next solve of t (and whether it runs the whole-tree entry
+    // checks); a broken checked() promise fails the tree.
+    const auto before_solve = [&] {
+      ++solves;
+      if (core::runs_entry_checks(t)) ++full_checks;
+      return broken_check_promise(t);
+    };
+    if (const std::string why = before_solve(); !why.empty()) {
+      return dump_failure(o, ti, tree_seed, why.c_str(), script);
+    }
     const auto first = session.solve(t, so);
     if (!first.ok()) {
       return dump_failure(o, ti, tree_seed, core::to_string(first.code()),
@@ -362,10 +406,26 @@ int main(int argc, char** argv) {
     std::optional<twin_pair> twins;
     for (std::size_t e = 0; e < o.edits; ++e) {
       random_edit(t, rng, die_side_um, script, twins);
+      if (twins.has_value()) {
+        // make_twin wrote a cap through node(): both solves below must run
+        // the full entry checks.
+        if (!core::runs_entry_checks(t)) {
+          return dump_failure(o, ti, tree_seed,
+                              "make_twin's node() write left the tree checked",
+                              script);
+        }
+        full_checks_after_twin += 2;
+      }
+      if (const std::string why = before_solve(); !why.empty()) {
+        return dump_failure(o, ti, tree_seed, why.c_str(), script);
+      }
       const auto warm = session.solve(t, so);
       if (!warm.ok()) {
         return dump_failure(o, ti, tree_seed, core::to_string(warm.code()),
                             script);
+      }
+      if (const std::string why = before_solve(); !why.empty()) {
+        return dump_failure(o, ti, tree_seed, why.c_str(), script);
       }
       const auto cold = session.solve_cold(t, so);
       if (!cold.ok()) {
@@ -389,7 +449,9 @@ int main(int argc, char** argv) {
     std::cout << "tree " << ti << " (" << rule << ", " << o.edits
               << " edits): warm == cold after every edit, "
               << session.cached_nodes() << " nodes cached, " << tiled_prunes
-              << " tiled prunes, " << swaps << " twin swaps\n";
+              << " tiled prunes, " << swaps << " twin swaps, full entry check "
+              << "on " << full_checks << " of " << solves << " solves ("
+              << full_checks_after_twin << " after a make_twin)\n";
   }
   std::cout << "eco_fuzz: " << o.trees << " trees x " << o.edits
             << " edits, all incremental re-solves bit-identical (root RAT and "

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <new>
@@ -154,6 +153,15 @@ class cancel_token {
   std::atomic<bool> stop_{false};
 };
 
+/// Whether a solve of `tree` runs the whole-tree entry checks
+/// (`routing_tree::validate` and the non-finite input scan). A `checked()`
+/// tree already passed both and has changed since only through finite
+/// `apply_edit` edits, which keep every `validate()` rule but one: a prune
+/// can detach the last sink, so a sinkless tree is checked again.
+inline bool runs_entry_checks(const tree::routing_tree& tree) {
+  return !tree.checked() || tree.num_sinks() == 0;
+}
+
 namespace detail {
 
 /// The first attached node whose solve inputs -- sink load and RAT, the wire
@@ -163,10 +171,7 @@ namespace detail {
 inline std::optional<solve_error> check_finite_inputs(
     const tree::routing_tree& tree) {
   for (const tree::tree_node& n : tree.nodes()) {
-    const bool finite = std::isfinite(n.parent_wire_um) &&
-                        (!n.is_sink() || (std::isfinite(n.sink_cap_pf) &&
-                                          std::isfinite(n.sink_rat_ps)));
-    if (!finite && !n.detached) {
+    if (!n.inputs_finite() && !n.detached) {
       return solve_error{solve_code::nonfinite_value, n.id,
                          "non-finite sink load, sink RAT or wire length"};
     }
@@ -176,20 +181,24 @@ inline std::optional<solve_error> check_finite_inputs(
 
 /// The entry policy every typed solve_* function shares: reject bad options
 /// (`bad_options`, from the driver's own check), a structurally invalid tree
-/// and non-finite tree inputs, run the solve, and translate everything that
-/// can go wrong inside it -- an aborted run's dp_stats, a failed allocation,
-/// an escaped exception -- into a solve_error. Never throws.
+/// and non-finite tree inputs (both whole-tree scans skipped unless
+/// `runs_entry_checks`), run the solve, and translate everything that can go
+/// wrong inside it -- an aborted run's dp_stats, a failed allocation, an
+/// escaped exception -- into a solve_error. Never throws.
 template <class Result, class Run>
 solve_outcome<Result> guarded_solve(const tree::routing_tree& tree,
                                     std::optional<solve_error> bad_options,
                                     Run&& run) {
   if (bad_options) return std::move(*bad_options);
-  try {
-    tree.validate();
-  } catch (const std::exception& e) {
-    return solve_error{solve_code::invalid_tree, tree::invalid_node, e.what()};
+  if (runs_entry_checks(tree)) {
+    try {
+      tree.validate();
+    } catch (const std::exception& e) {
+      return solve_error{solve_code::invalid_tree, tree::invalid_node,
+                         e.what()};
+    }
+    if (auto bad = check_finite_inputs(tree)) return std::move(*bad);
   }
-  if (auto bad = check_finite_inputs(tree)) return std::move(*bad);
   try {
     Result r = run();
     if (!r.stats.aborted) return r;

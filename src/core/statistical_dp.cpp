@@ -69,6 +69,9 @@ std::string stats_json(
     const stat_result& r,
     const std::vector<std::pair<std::string, std::string>>& context) {
   std::ostringstream os;
+  // Enough digits that root_rat_mean_ps and wall_seconds parse back to the
+  // same doubles.
+  os.precision(std::numeric_limits<double>::max_digits10);
   os << "{\n  \"schema_version\": " << stats_json_version;
   const auto key = [&os](std::string_view k) -> std::ostream& {
     return os << ",\n  \"" << k << "\": ";

@@ -159,13 +159,16 @@ struct stat_result {
 /// assignments and the result-class counters, all of which a journal keeps.
 bool results_identical(const stat_result& a, const stat_result& b);
 
-/// Bumped when a stats_json key is renamed, removed or redefined.
-inline constexpr int stats_json_version = 1;
+/// Bumped when a stats_json key is renamed, removed or redefined. Version 2
+/// prints `root_rat_mean_ps` and `wall_seconds` with max_digits10
+/// significant digits (version 1 printed 6).
+inline constexpr int stats_json_version = 2;
 
 /// One flat JSON object: `schema_version`, the caller's `context` members
 /// in order (values already JSON text), `solve_path`, `num_buffers`,
 /// `root_rat_mean_ps`, every stat_counters entry under its name,
-/// `wall_seconds`, `aborted` and `abort_code` (a solve_code name).
+/// `wall_seconds`, `aborted` and `abort_code` (a solve_code name). The two
+/// doubles are printed so that they parse back to the same bits.
 std::string stats_json(
     const stat_result& r,
     const std::vector<std::pair<std::string, std::string>>& context = {});

@@ -11,6 +11,12 @@ namespace vabi::tree {
 using stats::fnv1a_f64;
 using stats::fnv1a_u64;
 
+// The checked() bit lives in padding: two vectors, two counters, then
+// hashes_valid_, the bit and topology_edits_ in one 8-byte word (72 bytes on
+// x86-64).
+static_assert(sizeof(routing_tree) == 2 * sizeof(std::vector<tree_node>) +
+                                          2 * sizeof(std::size_t) + 8);
+
 const char* to_string(node_kind kind) {
   switch (kind) {
     case node_kind::source:
@@ -52,6 +58,7 @@ node_id routing_tree::add_node(node_kind kind, node_id parent,
   nodes_[parent].children.push_back(n.id);
   nodes_.push_back(n);
   hashes_valid_ = false;
+  checked_.set = false;
   return n.id;
 }
 
@@ -129,7 +136,16 @@ void routing_tree::apply_edit(const tree_edit& edit) {
     throw std::out_of_range("apply_edit: invalid node id");
   }
   ensure_subtree_hashes();
+  // The tree is unchanged until the edit passes its own checks below, so
+  // the bit stays truthful if one of them throws.
+  if (!checked_.set) {
+    checked_.set =
+        structure_error() == nullptr &&
+        std::all_of(nodes_.begin(), nodes_.end(),
+                    [](const tree_node& m) { return m.inputs_finite(); });
+  }
   tree_node& n = nodes_[edit.node];
+  node_id rehash_from = edit.node;
   switch (edit.op) {
     case tree_edit::op_kind::move_sink: {
       if (!n.is_sink()) {
@@ -143,16 +159,14 @@ void routing_tree::apply_edit(const tree_edit& edit) {
                 : layout::manhattan_distance(nodes_[n.parent].location,
                                              n.location);
       }
-      rehash_upward(edit.node);
-      return;
+      break;
     }
     case tree_edit::op_kind::retarget_rat: {
       if (!n.is_sink()) {
         throw std::logic_error("apply_edit: retarget_rat target is not a sink");
       }
       n.sink_rat_ps = edit.value;
-      rehash_upward(edit.node);
-      return;
+      break;
     }
     case tree_edit::op_kind::resize_wire: {
       if (n.is_source()) {
@@ -167,8 +181,7 @@ void routing_tree::apply_edit(const tree_edit& edit) {
       n.parent_wire_um = edit.value;
       // The edge is hashed at the parent; starting the walk at the child is
       // harmless (its own hash is unchanged) and keeps one code path.
-      rehash_upward(edit.node);
-      return;
+      break;
     }
     case tree_edit::op_kind::prune_subtree: {
       if (n.is_source()) {
@@ -192,8 +205,8 @@ void routing_tree::apply_edit(const tree_edit& edit) {
         for (const node_id c : m.children) stack.push_back(c);
       }
       ++topology_edits_;
-      rehash_upward(old_parent);
-      return;
+      rehash_from = old_parent;
+      break;
     }
     case tree_edit::op_kind::graft_subtree: {
       if (!n.detached || n.parent != invalid_node) {
@@ -231,11 +244,15 @@ void routing_tree::apply_edit(const tree_edit& edit) {
         for (const node_id c : m.children) stack.push_back(c);
       }
       ++topology_edits_;
-      rehash_upward(edit.node);
-      return;
+      break;
     }
+    default:
+      throw std::logic_error("apply_edit: unknown edit kind");
   }
-  throw std::logic_error("apply_edit: unknown edit kind");
+  // Every edit writes solve inputs of `n` only, so that node alone can have
+  // turned non-finite.
+  if (!n.inputs_finite()) checked_.set = false;
+  rehash_upward(rehash_from);
 }
 
 std::vector<node_id> routing_tree::postorder() const {
@@ -278,64 +295,82 @@ layout::bbox routing_tree::bounding_box() const {
   return box;
 }
 
-void routing_tree::validate() const {
+const char* routing_tree::structure_error() const {
   if (nodes_.empty() || !nodes_.front().is_source()) {
-    throw std::logic_error("routing_tree: missing source root");
+    return "routing_tree: missing source root";
   }
   std::size_t sink_count = 0;
   std::size_t detached_count = 0;
+  // listed[c] counts c's entries in children lists. A child's id is larger
+  // than its parent's, so ascending ids see each list before its entries'
+  // own checks.
+  std::vector<unsigned char> listed(nodes_.size(), 0);
   for (const auto& n : nodes_) {
     if (n.id != static_cast<node_id>(&n - nodes_.data())) {
-      throw std::logic_error("routing_tree: node id mismatch");
+      return "routing_tree: node id mismatch";
     }
     if (n.detached) ++detached_count;
     if (n.is_source()) {
       if (n.id != 0 || n.parent != invalid_node || n.detached) {
-        throw std::logic_error("routing_tree: source must be the root");
+        return "routing_tree: source must be the root";
       }
     } else if (n.parent == invalid_node) {
       if (!n.detached) {
-        throw std::logic_error("routing_tree: non-root node without a parent");
+        return "routing_tree: non-root node without a parent";
       }
     } else {
       if (n.parent >= nodes_.size()) {
-        throw std::logic_error("routing_tree: dangling parent");
+        return "routing_tree: dangling parent";
       }
       // Children ids are strictly greater than parents by construction (graft
       // re-checks it), which also rules out cycles.
       if (n.parent >= n.id) {
-        throw std::logic_error("routing_tree: parent id not less than child");
+        return "routing_tree: parent id not less than child";
       }
       // Detachment is a subtree property: a node hangs off a detached parent
       // iff it is detached itself.
       if (n.detached != nodes_[n.parent].detached) {
-        throw std::logic_error("routing_tree: detachment not subtree-consistent");
+        return "routing_tree: detachment not subtree-consistent";
       }
-      bool linked = false;
-      for (node_id c : nodes_[n.parent].children) linked |= (c == n.id);
-      if (!linked) {
-        throw std::logic_error("routing_tree: parent does not list child");
+      if (listed[n.id] == 0) {
+        return "routing_tree: parent does not list child";
       }
     }
     if (n.parent_wire_um < 0.0) {
-      throw std::logic_error("routing_tree: negative wire length");
+      return "routing_tree: negative wire length";
     }
     if (n.is_sink()) {
       if (!n.detached) ++sink_count;
       if (!n.children.empty()) {
-        throw std::logic_error("routing_tree: sink with children");
+        return "routing_tree: sink with children";
+      }
+    }
+    for (const node_id c : n.children) {
+      if (c >= nodes_.size()) {
+        return "routing_tree: child id out of range";
+      }
+      if (nodes_[c].parent != n.id) {
+        return "routing_tree: listed child names another parent";
+      }
+      if (listed[c]++ != 0) {
+        return "routing_tree: child listed twice";
       }
     }
   }
   if (sink_count != num_sinks_) {
-    throw std::logic_error("routing_tree: sink count mismatch");
+    return "routing_tree: sink count mismatch";
   }
   if (detached_count != num_detached_) {
-    throw std::logic_error("routing_tree: detached count mismatch");
+    return "routing_tree: detached count mismatch";
   }
   if (num_sinks_ == 0) {
-    throw std::logic_error("routing_tree: tree has no sinks");
+    return "routing_tree: tree has no sinks";
   }
+  return nullptr;
+}
+
+void routing_tree::validate() const {
+  if (const char* why = structure_error()) throw std::logic_error(why);
 }
 
 }  // namespace vabi::tree

@@ -19,8 +19,16 @@
 // root path, so an incremental solver can cheaply identify the subtrees an
 // edit left untouched. Pruned subtrees stay in the node array as *detached*
 // nodes (ids are stable) until grafted back.
+//
+// A tree also remembers that it was checked: `checked()` holds once the tree
+// passed `validate()` and a finiteness scan of every node's solve inputs
+// (detached nodes included), and only `apply_edit` edits that wrote finite
+// values have changed it since. The solvers' entry policy skips its two
+// whole-tree scans while that holds, so a warm ECO solve pays O(depth), not
+// O(n), for its entry checks.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -54,6 +62,13 @@ struct tree_node {
 
   bool is_sink() const { return kind == node_kind::sink; }
   bool is_source() const { return kind == node_kind::source; }
+  /// The solve inputs this node carries are finite: the wire above it and,
+  /// for a sink, its load and RAT.
+  bool inputs_finite() const {
+    return std::isfinite(parent_wire_um) &&
+           (!is_sink() || (std::isfinite(sink_cap_pf) &&
+                           std::isfinite(sink_rat_ps)));
+  }
 };
 
 /// One structural ECO edit. Build with the static factories; apply with
@@ -145,19 +160,36 @@ class routing_tree {
   std::uint32_t topology_edits() const { return topology_edits_; }
 
   const tree_node& node(node_id id) const { return nodes_[id]; }
-  /// Mutable node access invalidates the cached subtree hashes (the caller
-  /// may change anything); prefer `apply_edit` which rehashes incrementally.
+  /// Mutable node access invalidates the cached subtree hashes and clears
+  /// `checked()` (the caller may change anything); prefer `apply_edit`,
+  /// which rehashes incrementally and keeps the tree checked. The reference
+  /// must not be written after a later `apply_edit`, which would not see it.
   tree_node& node(node_id id) {
     hashes_valid_ = false;
+    checked_.set = false;
     return nodes_[id];
   }
   const std::vector<tree_node>& nodes() const { return nodes_; }
 
   /// Applies one ECO edit. Validates the edit (throws std::logic_error /
-  /// std::invalid_argument on a malformed one), mutates the tree, and
-  /// incrementally recomputes subtree hashes along the affected root path
-  /// only -- O(depth + subtree) instead of O(n).
+  /// std::invalid_argument on a malformed one, before mutating anything),
+  /// mutates the tree, and incrementally recomputes subtree hashes along the
+  /// affected root path only -- O(depth + subtree) instead of O(n). On a tree
+  /// that is not `checked()` it first runs the full check once (O(n)) and
+  /// sets the bit if the tree passes; an edit that writes a non-finite value
+  /// (a RAT, a wire length, or a moved or grafted node's Manhattan wire)
+  /// clears it. Every other edit keeps what `validate()` checks, except that
+  /// a prune can leave the tree without an attached sink.
   void apply_edit(const tree_edit& edit);
+
+  /// True when the tree passed `validate()` and every node, detached ones
+  /// included, held finite solve inputs (`tree_node::inputs_finite`), and
+  /// it has changed since only through `apply_edit` edits that wrote finite
+  /// values. Then `validate()` passes unless no attached sink is left. Set
+  /// only by `apply_edit`; cleared by the non-const `node()`, `add_sink`,
+  /// `add_steiner` and a non-finite edit. A copy keeps it, a moved-from
+  /// tree does not.
+  bool checked() const { return checked_.set; }
 
   /// Content hash of the subtree rooted at `id` (see file comment for the
   /// recipe). Lazily computed; O(1) when the cache is warm.
@@ -187,26 +219,49 @@ class routing_tree {
   /// Smallest bbox containing every attached node location.
   layout::bbox bounding_box() const;
 
-  /// Checks structural invariants (single root, parent/child consistency,
-  /// sinks are leaves, no cycles, wire lengths >= 0, detached subtrees are
-  /// internally consistent). Throws std::logic_error with a description on
-  /// violation.
+  /// Checks structural invariants (single root; parent/child consistency
+  /// both ways: each node's parent lists it, and every children entry is in
+  /// range, names a node whose parent is this node and appears once; sinks
+  /// are leaves, no cycles, wire lengths >= 0, detached subtrees are
+  /// internally consistent, at least one attached sink). Throws
+  /// std::logic_error with a description on violation. O(n); never writes
+  /// the tree, so concurrent calls on one tree are safe.
   void validate() const;
 
  private:
+  /// The `checked()` bit. Copies keep it; moving from a tree clears the
+  /// source's, since its nodes are gone and `validate()` would reject it.
+  struct check_bit {
+    bool set = false;
+    check_bit() = default;
+    check_bit(const check_bit&) = default;
+    check_bit& operator=(const check_bit&) = default;
+    check_bit(check_bit&& other) noexcept : set(other.set) {
+      other.set = false;
+    }
+    check_bit& operator=(check_bit&& other) noexcept {
+      set = other.set;
+      other.set = false;
+      return *this;
+    }
+  };
+
   node_id add_node(node_kind kind, node_id parent, layout::point loc,
                    double wire_um);
   std::uint64_t compute_subtree_hash(node_id id) const;
   void rehash_upward(node_id id) const;
+  /// What `validate()` throws, or nullptr when the tree passes.
+  const char* structure_error() const;
 
   std::vector<tree_node> nodes_;
   std::size_t num_sinks_ = 0;
   std::size_t num_detached_ = 0;
   mutable std::vector<std::uint64_t> hashes_;
   mutable bool hashes_valid_ = false;
-  // 32 bits, in the padding after hashes_valid_: with the tree grown by 8
-  // bytes, perfbench confidence_net's setup (100 tree builds) measured up
-  // to a quarter slower.
+  // checked_ and topology_edits_ sit in the padding after hashes_valid_:
+  // with the tree grown by 8 bytes, perfbench confidence_net's setup (100
+  // tree builds) measured up to a quarter slower.
+  check_bit checked_;
   std::uint32_t topology_edits_ = 0;
 };
 

@@ -2,6 +2,9 @@
 // it: dp_stats::merge, results_identical and stats_json.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -109,8 +112,25 @@ TEST(DpStats, StatsJsonNamesEveryTableFieldOnceWithItsValue) {
   stat_result r;
   r.stats = numbered(500);
   r.num_buffers = 4;
+  // Neither double fits 6 significant digits; the wall time would print in
+  // exponent form there.
+  r.root_rat = stats::linear_form(-1656.9512345678901);
+  r.stats.wall_seconds = 1234567.0891011121;
   const std::string json =
       stats_json(r, {{"rule", "\"2P\""}, {"threads", "4"}});
+
+  // Each double parses back to the same bits.
+  const auto parsed = [&json](const std::string& key) {
+    const std::string needle = "\"" + key + "\": ";
+    const auto at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) return 0.0;
+    return std::strtod(json.c_str() + at + needle.size(), nullptr);
+  };
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed("root_rat_mean_ps")),
+            std::bit_cast<std::uint64_t>(r.root_rat.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed("wall_seconds")),
+            std::bit_cast<std::uint64_t>(r.stats.wall_seconds));
 
   const auto count = [&json](const std::string& needle) {
     std::size_t n = 0;

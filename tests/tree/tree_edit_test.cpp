@@ -1,10 +1,16 @@
 // ECO edit API and incremental subtree-hash maintenance
 // (tree/routing_tree.hpp): every apply_edit must leave the lazily maintained
 // hashes bit-identical to a from-scratch recompute, and the degenerate shapes
-// (single node, 10k-deep chain, duplicate sink locations) must be safe.
+// (single node, 10k-deep chain, duplicate sink locations) must be safe. The
+// checked() bit must only ever promise what validate() and a finiteness scan
+// would confirm.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "tree/generators.hpp"
@@ -268,6 +274,207 @@ TEST(TreeEdit, DuplicateSinkLocationsHashEqual) {
   t.apply_edit(tree_edit::retarget_rat(b, -20.0));
   EXPECT_NE(t.subtree_hash(a), t.subtree_hash(b));
   EXPECT_EQ(t.subtree_hash(t.root()), full_recompute_root_hash(t));
+}
+
+// ---------------------------------------------------------------------------
+// The checked() bit.
+// ---------------------------------------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// What checked() promises, verified from scratch: validate() passes unless
+/// no attached sink is left, and every node, detached ones included, holds
+/// finite solve inputs.
+void expect_promise_kept(const routing_tree& t) {
+  if (!t.checked()) return;
+  if (t.num_sinks() != 0) {
+    EXPECT_NO_THROW(t.validate());
+  }
+  for (const tree_node& n : t.nodes()) {
+    EXPECT_TRUE(std::isfinite(n.parent_wire_um)) << "node " << n.id;
+    if (n.is_sink()) {
+      EXPECT_TRUE(std::isfinite(n.sink_cap_pf)) << "node " << n.id;
+      EXPECT_TRUE(std::isfinite(n.sink_rat_ps)) << "node " << n.id;
+    }
+  }
+}
+
+TEST(TreeEdit, CheckedBitPromisesOnlyWhatTheFullCheckConfirms) {
+  std::size_t checked_states = 0;
+  std::size_t checked_with_detached = 0;
+  std::size_t cleared_states = 0;
+  std::size_t rejected_edits = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    auto t = small_random(100 + seed, 30);
+    const routing_tree& view = t;  // reads through `view` keep the bit
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::size_t n) { return rng() % n; };
+    // One value in sixteen is NaN or inf. (A NaN wire_um on move_sink or
+    // graft_subtree asks for the Manhattan wire; a non-finite location
+    // makes that wire non-finite.)
+    const auto value = [&](double finite) {
+      const auto r = pick(32);
+      return r == 0 ? kNaN : r == 1 ? kInf : finite;
+    };
+    for (int step = 0; step < 60; ++step) {
+      const auto id = static_cast<node_id>(1 + pick(view.num_nodes() - 1));
+      try {
+        switch (pick(5)) {
+          case 0:
+            t.apply_edit(tree_edit::move_sink(
+                id, {value(100.0 * static_cast<double>(pick(40))), 10.0},
+                pick(2) == 0 ? -1.0 : value(50.0)));
+            break;
+          case 1:
+            t.apply_edit(tree_edit::retarget_rat(id, value(-100.0)));
+            break;
+          case 2:
+            t.apply_edit(tree_edit::resize_wire(id, value(75.0)));
+            break;
+          case 3:
+            t.apply_edit(tree_edit::prune_subtree(id));
+            break;
+          default: {
+            // A detached root (without one, `id`, which the edit rejects)
+            // under a random lower-numbered node (rejected when that node
+            // is a sink or detached).
+            std::vector<node_id> roots;
+            for (const tree_node& m : view.nodes()) {
+              if (m.detached && m.parent == invalid_node) roots.push_back(m.id);
+            }
+            const node_id root = roots.empty() ? id : roots[pick(roots.size())];
+            t.apply_edit(tree_edit::graft_subtree(
+                root, static_cast<node_id>(pick(root)),
+                pick(2) == 0 ? -1.0 : value(30.0)));
+            break;
+          }
+        }
+      } catch (const std::exception&) {
+        ++rejected_edits;
+      }
+      expect_promise_kept(t);
+      if (view.checked()) {
+        ++checked_states;
+        if (view.has_detached()) ++checked_with_detached;
+      } else {
+        ++cleared_states;
+      }
+    }
+  }
+  // The streams visit both states, detached subtrees under a set bit, and
+  // the edits' own rejections.
+  EXPECT_GT(checked_states, 200u);
+  EXPECT_GT(checked_with_detached, 200u);
+  EXPECT_GT(cleared_states, 200u);
+  EXPECT_GT(rejected_edits, 200u);
+}
+
+TEST(TreeEdit, FirstEditOfAValidTreeSetsTheCheckedBit) {
+  auto t = small_random(31);
+  const routing_tree& view = t;
+  EXPECT_FALSE(view.checked());  // built by add_sink / add_steiner
+  const node_id sink = view.sinks().front();
+  t.apply_edit(tree_edit::retarget_rat(sink, -40.0));
+  EXPECT_TRUE(view.checked());
+  t.apply_edit(tree_edit::resize_wire(sink, 12.0));
+  EXPECT_TRUE(view.checked());
+}
+
+TEST(TreeEdit, FirstEditOfAnInvalidTreeLeavesTheBitClear) {
+  auto t = small_random(32);
+  const routing_tree& view = t;
+  const node_id sink = view.sinks().front();
+  t.node(sink).parent_wire_um = -1.0;  // negative wire: validate() throws
+  t.apply_edit(tree_edit::retarget_rat(sink, -40.0));
+  EXPECT_FALSE(view.checked());
+  EXPECT_DOUBLE_EQ(view.node(sink).sink_rat_ps, -40.0);  // edit applied
+  t.node(sink).parent_wire_um = 5.0;
+  t.apply_edit(tree_edit::retarget_rat(sink, -41.0));
+  EXPECT_TRUE(view.checked());
+}
+
+TEST(TreeEdit, MutableAccessAndAddedNodesClearTheCheckedBit) {
+  auto t = small_random(33);
+  const routing_tree& view = t;
+  const node_id sink = view.sinks().front();
+  const auto recheck = [&] {
+    t.apply_edit(tree_edit::retarget_rat(sink, -10.0));
+    ASSERT_TRUE(view.checked());
+  };
+  recheck();
+  t.node(sink);  // a mutable reference, even unwritten
+  EXPECT_FALSE(view.checked());
+  recheck();
+  const node_id steiner = t.add_steiner(t.root(), {5.0, 5.0});
+  EXPECT_FALSE(view.checked());
+  recheck();
+  t.add_sink(steiner, {6.0, 6.0}, 0.01, -5.0);
+  EXPECT_FALSE(view.checked());
+}
+
+TEST(TreeEdit, CopiesKeepTheCheckedBitAndMovedFromTreesLoseIt) {
+  auto t = small_random(34);
+  t.apply_edit(tree_edit::retarget_rat(t.sinks().front(), -10.0));
+  ASSERT_TRUE(std::as_const(t).checked());
+
+  const routing_tree copy = t;
+  EXPECT_TRUE(copy.checked());
+  routing_tree assigned;
+  assigned = copy;
+  EXPECT_TRUE(assigned.checked());
+
+  routing_tree moved = std::move(t);
+  EXPECT_TRUE(moved.checked());
+  EXPECT_FALSE(t.checked());  // NOLINT(bugprone-use-after-move)
+  routing_tree move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(move_assigned.checked());
+  EXPECT_FALSE(moved.checked());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(TreeEdit, NonFiniteEditsClearTheCheckedBit) {
+  auto t = small_random(35);
+  const routing_tree& view = t;
+  const node_id sink = view.sinks().front();
+  const node_id parent = view.node(sink).parent;
+  // Rewrites the sink's inputs with finite values, then sets the bit again.
+  const auto repair = [&] {
+    t.apply_edit(tree_edit::move_sink(sink, {10.0, 10.0}, 5.0));
+    t.apply_edit(tree_edit::retarget_rat(sink, -20.0));
+    t.apply_edit(tree_edit::retarget_rat(view.sinks().back(), -10.0));
+    ASSERT_TRUE(view.checked());
+  };
+  for (const double bad : {kNaN, kInf}) {
+    SCOPED_TRACE(bad);
+    repair();
+    t.apply_edit(tree_edit::retarget_rat(sink, bad));
+    EXPECT_FALSE(view.checked());
+    repair();
+    t.apply_edit(tree_edit::resize_wire(sink, bad));
+    EXPECT_FALSE(view.checked());
+    repair();
+    // A non-finite location gives a non-finite Manhattan wire...
+    t.apply_edit(tree_edit::move_sink(sink, {bad, 10.0}));
+    EXPECT_FALSE(view.checked());
+    repair();
+    // ...but not while the sink is detached: its wire is written at graft.
+    t.apply_edit(tree_edit::prune_subtree(sink));
+    t.apply_edit(tree_edit::move_sink(sink, {bad, 10.0}));
+    EXPECT_TRUE(view.checked());
+    t.apply_edit(tree_edit::graft_subtree(sink, parent));
+    EXPECT_FALSE(view.checked());
+  }
+  // An explicit wire of inf (a NaN wire_um asks for the Manhattan wire).
+  repair();
+  t.apply_edit(tree_edit::move_sink(sink, {10.0, 10.0}, kInf));
+  EXPECT_FALSE(view.checked());
+  repair();
+  t.apply_edit(tree_edit::prune_subtree(sink));
+  EXPECT_TRUE(view.checked());
+  t.apply_edit(tree_edit::graft_subtree(sink, parent, kInf));
+  EXPECT_FALSE(view.checked());
 }
 
 }  // namespace
