@@ -11,6 +11,10 @@
 //
 // The cost of a buffer type defaults to 1 (count), but can be set to area or
 // leakage units via buffer_costs.
+//
+// The engine runs van Ginneken's recursion (van_ginneken.cpp) with its own
+// hooks: the 3-D prune after every wire step, a cross-product merge filtered
+// by max_cost, and every candidate buffered with every type.
 #pragma once
 
 #include <optional>

@@ -378,8 +378,6 @@ batch_solver::batch_solver(config cfg)
       pool_(cfg.num_threads == 0 ? thread_pool::default_thread_count()
                                  : cfg.num_threads) {}
 
-std::size_t batch_solver::num_threads() const { return pool_.size(); }
-
 bool outcomes_identical(const solve_outcome<batch_result>& a,
                         const solve_outcome<batch_result>& b) {
   if (a.ok() != b.ok()) return false;

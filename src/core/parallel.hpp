@@ -311,7 +311,6 @@ class batch_solver {
       const std::vector<batch_job>& jobs, const batch_journal_options& journal,
       const cancel_token* cancel = nullptr);
 
-  std::size_t num_threads() const;
   thread_pool& pool() { return pool_; }
 
  private:

@@ -119,17 +119,84 @@ bool prob_less_at_least(const stats::linear_form& x,
   return stats::normal_exceedance(mu_d, sigma, 0.0) >= p;
 }
 
+// -- Total-order sweeps (the deterministic rule, the 2P mean rule) ----------
+
+/// The in-place sweep of a total-order prune: `list` sorted by the caller's
+/// key order in, its non-dominated subset out. In a total, transitive order
+/// the last survivor decides, so `dominates(kept, c)` tests each candidate
+/// against it alone. The write cursor never passes the read cursor: no
+/// allocation and no second pass.
+template <class Cand, class Dominates>
+void sweep_sorted(std::vector<Cand>& list, dp_stats& stats,
+                  Dominates dominates) {
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < list.size(); ++r) {
+    if (w > 0 && dominates(list[w - 1], list[r])) {
+      ++stats.candidates_pruned;
+      continue;
+    }
+    if (w != r) list[w] = std::move(list[r]);
+    ++w;
+  }
+  list.resize(w);
+}
+
+/// sweep_sorted for a list whose first `sorted_prefix` candidates are
+/// already pruned in `less` order and whose tail is arbitrary: sorts the
+/// tail, then one fused stable merge + sweep, with no inplace_merge temp
+/// buffer. On equal keys the base side goes first (stable-merge order),
+/// matching std::sort only up to bitwise key ties -- see the header
+/// contract.
+template <class Cand, class Less, class Dominates>
+void sweep_presorted(std::vector<Cand>& list, std::size_t sorted_prefix,
+                     dp_stats& stats, Less less, Dominates dominates) {
+  const auto mid = list.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
+  std::sort(mid, list.end(), less);
+  std::vector<Cand> kept;
+  kept.reserve(list.size());
+  const auto take = [&kept, &stats, &dominates](Cand& c) {
+    if (!kept.empty() && dominates(kept.back(), c)) {
+      ++stats.candidates_pruned;
+      return;
+    }
+    kept.push_back(std::move(c));
+  };
+  std::size_t i = 0;
+  std::size_t j = sorted_prefix;
+  while (i < sorted_prefix && j < list.size()) {
+    if (less(list[j], list[i])) {
+      take(list[j++]);
+    } else {
+      take(list[i++]);
+    }
+  }
+  while (i < sorted_prefix) take(list[i++]);
+  while (j < list.size()) take(list[j++]);
+  list = std::move(kept);
+}
+
+/// The 2P sweep order: mean load ascending, mean RAT descending on ties.
+constexpr auto mean_key_less = [](const stat_candidate& a,
+                                  const stat_candidate& b) {
+  if (a.load.mean() != b.load.mean()) return a.load.mean() < b.load.mean();
+  return a.rat.mean() > b.rat.mean();
+};
+
+/// The 2P mean rule (Lemma 4): P(. > .) >= 0.5 is exactly a comparison of
+/// means (also for degenerate zero-variance differences, per the tie
+/// convention).
+constexpr auto mean_dominates = [](const stat_candidate& a,
+                                   const stat_candidate& b) {
+  return a.load.mean() <= b.load.mean() && a.rat.mean() >= b.rat.mean();
+};
+
 /// dominates(two_param_rule) with the rule's resolved thresholds,
 /// prefilter-hit accounting and an optional sigma memo for the sweep.
 bool dominates_2p(const two_param_rule& rule, const two_param_z& z,
                   const stat_candidate& a, const stat_candidate& b,
                   const stats::variation_space& space,
                   sigma_diff_cache* sigmas, std::size_t* prefilter_hits) {
-  if (rule.is_mean_rule()) {
-    // Lemma 4: P(. > .) >= 0.5 is exactly a comparison of means (also for
-    // degenerate zero-variance differences, per the tie convention).
-    return a.load.mean() <= b.load.mean() && a.rat.mean() >= b.rat.mean();
-  }
+  if (rule.is_mean_rule()) return mean_dominates(a, b);
   return prob_less_at_least(a.load, b.load, rule.p_load, z.load,
                             a.load_stddev(space), b.load_stddev(space), space,
                             sigmas, prefilter_hits) &&
@@ -160,78 +227,41 @@ bool use_tiled_prune(std::size_t k, std::size_t sources) {
 // Deterministic.
 // ---------------------------------------------------------------------------
 
-bool det_dominates(const det_candidate& a, const det_candidate& b) {
-  return a.load_pf <= b.load_pf && a.rat_ps >= b.rat_ps;
-}
-
 namespace {
 
-bool det_key_less(const det_candidate& a, const det_candidate& b) {
+constexpr auto det_key_less = [](const det_candidate& a,
+                                 const det_candidate& b) {
   if (a.load_pf != b.load_pf) return a.load_pf < b.load_pf;
   return a.rat_ps > b.rat_ps;
-}
+};
 
-/// The shared sweep of the deterministic prunes: `list` sorted by
-/// (load asc, rat desc-on-ties) in, non-dominated subset out. In-place
-/// compaction: the write cursor never passes the read cursor, so no
-/// allocation and no second pass.
-void det_sweep(std::vector<det_candidate>& list, dp_stats& stats) {
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < list.size(); ++r) {
-    if (w > 0 && list[w - 1].rat_ps >= list[r].rat_ps) {
-      ++stats.candidates_pruned;  // dominated by the last kept candidate
-      continue;
-    }
-    if (w != r) list[w] = list[r];
-    ++w;
-  }
-  list.resize(w);
-}
+/// Whether the last survivor of a det_key_less-sorted sweep dominates `c`:
+/// its load is no larger by the order, so only the RAT decides.
+constexpr auto det_kept_dominates = [](const det_candidate& kept,
+                                       const det_candidate& c) {
+  return kept.rat_ps >= c.rat_ps;
+};
 
 }  // namespace
 
 void prune_deterministic(std::vector<det_candidate>& list, dp_stats& stats) {
   if (list.size() <= 1) return;
   std::sort(list.begin(), list.end(), det_key_less);
-  det_sweep(list, stats);
+  sweep_sorted(list, stats, det_kept_dominates);
 }
 
 void prune_deterministic_presorted(std::vector<det_candidate>& list,
                                    std::size_t sorted_prefix,
                                    dp_stats& stats) {
   if (list.size() <= 1) return;
-  const auto mid = list.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
-  std::sort(mid, list.end(), det_key_less);
-  // Fused stable merge + sweep: one pass, no inplace_merge temp buffer. On
-  // equal keys the base side goes first (stable-merge order), matching
-  // std::sort only up to bitwise key ties -- see the header contract.
-  std::vector<det_candidate> kept;
-  kept.reserve(list.size());
-  const auto take = [&kept, &stats](det_candidate& c) {
-    if (!kept.empty() && kept.back().rat_ps >= c.rat_ps) {
-      ++stats.candidates_pruned;
-      return;
-    }
-    kept.push_back(std::move(c));
-  };
-  std::size_t i = 0;
-  std::size_t j = sorted_prefix;
-  while (i < sorted_prefix && j < list.size()) {
-    if (det_key_less(list[j], list[i])) {
-      take(list[j++]);
-    } else {
-      take(list[i++]);
-    }
-  }
-  while (i < sorted_prefix) take(list[i++]);
-  while (j < list.size()) take(list[j++]);
-  list = std::move(kept);
+  sweep_presorted(list, sorted_prefix, stats, det_key_less,
+                  det_kept_dominates);
 }
 
 void prune_deterministic_sorted(std::vector<det_candidate>& list,
                                 dp_stats& stats) {
   if (list.size() <= 1) return;
-  det_sweep(list, stats);
+  sweep_sorted(list, stats, det_kept_dominates);
 }
 
 // ---------------------------------------------------------------------------
@@ -484,13 +514,7 @@ void prune_two_param(const two_param_rule& rule,
                      const stats::variation_space& space, dp_stats& stats,
                      prune_scratch* scratch) {
   if (list.size() <= 1) return;
-  std::sort(list.begin(), list.end(),
-            [](const stat_candidate& a, const stat_candidate& b) {
-              if (a.load.mean() != b.load.mean()) {
-                return a.load.mean() < b.load.mean();
-              }
-              return a.rat.mean() > b.rat.mean();
-            });
+  std::sort(list.begin(), list.end(), mean_key_less);
   // The mean rule compares means only (no second moments anywhere), so there
   // is nothing for the tiled engine to batch -- it stays on the direct sweep
   // under every policy.
@@ -528,57 +552,13 @@ void prune_two_param_mean_presorted(std::vector<stat_candidate>& list,
                                     std::size_t sorted_prefix,
                                     dp_stats& stats) {
   if (list.size() <= 1) return;
-  const auto mean_less = [](const stat_candidate& a, const stat_candidate& b) {
-    if (a.load.mean() != b.load.mean()) {
-      return a.load.mean() < b.load.mean();
-    }
-    return a.rat.mean() > b.rat.mean();
-  };
-  const auto mid = list.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
-  std::sort(mid, list.end(), mean_less);
-  // Fused stable merge + the mean rule's window-1 sweep of prune_two_param
-  // (Lemma 4: the order is total, so the last survivor decides). One pass,
-  // no inplace_merge temp buffer.
-  std::vector<stat_candidate> kept;
-  kept.reserve(list.size());
-  const auto take = [&kept, &stats](stat_candidate& c) {
-    if (!kept.empty() && kept.back().load.mean() <= c.load.mean() &&
-        kept.back().rat.mean() >= c.rat.mean()) {
-      ++stats.candidates_pruned;
-      return;
-    }
-    kept.push_back(std::move(c));
-  };
-  std::size_t i = 0;
-  std::size_t j = sorted_prefix;
-  while (i < sorted_prefix && j < list.size()) {
-    if (mean_less(list[j], list[i])) {
-      take(list[j++]);
-    } else {
-      take(list[i++]);
-    }
-  }
-  while (i < sorted_prefix) take(list[i++]);
-  while (j < list.size()) take(list[j++]);
-  list = std::move(kept);
+  sweep_presorted(list, sorted_prefix, stats, mean_key_less, mean_dominates);
 }
 
 void prune_two_param_mean_sorted(std::vector<stat_candidate>& list,
                                  dp_stats& stats) {
   if (list.size() <= 1) return;
-  // The mean rule's window-1 sweep, in-place: the write cursor never passes
-  // the read cursor, so no allocation.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < list.size(); ++r) {
-    if (w > 0 && list[w - 1].load.mean() <= list[r].load.mean() &&
-        list[w - 1].rat.mean() >= list[r].rat.mean()) {
-      ++stats.candidates_pruned;
-      continue;
-    }
-    if (w != r) list[w] = std::move(list[r]);
-    ++w;
-  }
-  list.resize(w);
+  sweep_sorted(list, stats, mean_dominates);
 }
 
 // ---------------------------------------------------------------------------

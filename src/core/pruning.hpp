@@ -101,9 +101,6 @@ struct prune_scratch {
 // Deterministic rule.
 // ---------------------------------------------------------------------------
 
-/// True when `a` dominates `b` (b is redundant).
-bool det_dominates(const det_candidate& a, const det_candidate& b);
-
 /// Prunes `list` to its non-dominated subset. On return the list is sorted by
 /// (load asc, rat asc). Linear after the sort. `stats` accrues prune counts.
 void prune_deterministic(std::vector<det_candidate>& list, dp_stats& stats);
@@ -111,23 +108,22 @@ void prune_deterministic(std::vector<det_candidate>& list, dp_stats& stats);
 /// prune_deterministic for a list whose first `sorted_prefix` candidates are
 /// already pruned (strictly increasing loads) and whose tail is arbitrary --
 /// the shape the Li-Shi buffered step produces (sorted base + b appended
-/// buffered candidates). Sorts only the tail and merges: O((n - prefix) log
-/// (n - prefix) + n) instead of O(n log n), which is where the classic path's
-/// per-node re-sort cost goes. Same comparator and same sweep as
-/// prune_deterministic, so the surviving set is identical (the orders can
-/// differ only for candidates with bitwise-equal (load, rat) keys, where
-/// survival is value-equivalent either way; the Li-Shi differential suite
-/// pins actual equality).
+/// buffered candidates). Sorts only the tail, then one fused merge + sweep
+/// (shared with prune_two_param_mean_presorted): O((n - prefix) log
+/// (n - prefix) + n) instead of O(n log n). Same key order and dominance
+/// test as prune_deterministic, so the surviving set is identical (the
+/// orders can differ only for bitwise-equal (load, rat) keys, where survival
+/// is value-equivalent either way; the Li-Shi suite and DetGolden pin it).
 void prune_deterministic_presorted(std::vector<det_candidate>& list,
                                    std::size_t sorted_prefix, dp_stats& stats);
 
 /// prune_deterministic for a list that is *entirely* sorted already (strictly
 /// increasing loads -- the post-prune invariant, which single-width in-place
 /// wire propagation preserves: every load shifts by the same wire cap).
-/// Skips the sort and runs the shared sweep in place: O(n), no allocation.
-/// Used by the Li-Shi path on the per-child re-prune after wire propagation,
-/// where the classic path's per-node sort is pure overhead. Same tie caveat
-/// as the presorted variant (a bitwise load tie manufactured by the constant
+/// Skips the sort; only the in-place sweep runs (shared with
+/// prune_two_param_mean_sorted): O(n), no allocation. Used by the Li-Shi
+/// path on the per-child re-prune after wire propagation. Same tie caveat as
+/// the presorted variant (a bitwise load tie manufactured by the constant
 /// shift is ordered as-is rather than re-sorted by rat).
 void prune_deterministic_sorted(std::vector<det_candidate>& list,
                                 dp_stats& stats);
@@ -201,18 +197,18 @@ void prune_two_param(const two_param_rule& rule,
 
 /// prune_two_param for the *mean rule only*, on a list whose first
 /// `sorted_prefix` candidates are already pruned (strictly increasing mean
-/// loads): tail sort + linear merge + the same window-1 sweep. The mean-rule
-/// counterpart of prune_deterministic_presorted, used by the Li-Shi buffered
-/// step. Precondition: rule.is_mean_rule().
+/// loads): prune_deterministic_presorted's tail sort and fused merge + sweep,
+/// with prune_two_param's key order and the mean rule's dominance test. Used
+/// by the Li-Shi buffered step. Precondition: rule.is_mean_rule().
 void prune_two_param_mean_presorted(std::vector<stat_candidate>& list,
                                     std::size_t sorted_prefix,
                                     dp_stats& stats);
 
-/// The mean-rule counterpart of prune_deterministic_sorted: the list is
-/// already sorted by (mean load asc, mean rat desc) -- strictly increasing
-/// mean loads by the post-prune invariant, preserved by single-width wire
-/// propagation's constant mean shift -- so only the window-1 sweep runs,
-/// in place. Precondition: the caller is in the 2P mean-rule regime.
+/// The mean-rule counterpart of prune_deterministic_sorted, on the same
+/// in-place sweep: the list is already sorted by (mean load asc, mean rat
+/// desc) -- strictly increasing mean loads by the post-prune invariant,
+/// preserved by single-width wire propagation's constant mean shift.
+/// Precondition: the caller is in the 2P mean-rule regime.
 void prune_two_param_mean_sorted(std::vector<stat_candidate>& list,
                                  dp_stats& stats);
 

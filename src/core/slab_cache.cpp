@@ -246,6 +246,4 @@ std::size_t solve_session::cached_nodes() const {
   return n;
 }
 
-layout::process_model& solve_session::model() { return *state_->model; }
-
 }  // namespace vabi::core

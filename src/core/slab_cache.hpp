@@ -110,8 +110,6 @@ class solve_session {
   /// Number of nodes with a valid cached survivor list.
   std::size_t cached_nodes() const;
 
-  layout::process_model& model();
-
  private:
   std::unique_ptr<detail::session_state> state_;
 };

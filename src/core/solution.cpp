@@ -73,11 +73,6 @@ design_choice extract_design(const decision* root, std::size_t num_nodes) {
   return out;
 }
 
-timing::buffer_assignment extract_assignment(const decision* root,
-                                             std::size_t num_nodes) {
-  return extract_design(root, num_nodes).buffers;
-}
-
 const design_choice& design_memo::extract(const decision* root,
                                           std::size_t num_nodes,
                                           decision_arena& arena) {

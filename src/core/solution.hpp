@@ -124,19 +124,15 @@ class decision_arena {
   std::uint32_t marks_ = 0;
 };
 
-/// Walks a decision DAG and records every buffer placement into an
-/// assignment sized for `num_nodes` tree nodes.
-timing::buffer_assignment extract_assignment(const decision* root,
-                                             std::size_t num_nodes);
-
 /// Buffers and wire widths of one complete solution.
 struct design_choice {
   timing::buffer_assignment buffers;
   timing::wire_assignment wires;
 };
 
-/// Like extract_assignment, but also recovers per-edge wire widths (edges
-/// without a wire decision keep width index 0).
+/// Walks a decision DAG and records every buffer placement and per-edge
+/// wire width (edges without a wire decision keep width index 0) into a
+/// design sized for `num_nodes` tree nodes.
 design_choice extract_design(const decision* root, std::size_t num_nodes);
 
 /// The design of the last root extracted from one decision arena, kept so
@@ -235,6 +231,8 @@ struct dp_stats {
   /// which node), so it is excluded from the bit-identity guarantee.
   std::size_t allocations = 0;
   /// High-water mark of live scratch-pool terms over any single node solve.
+  /// The pool rewinds after every node, so this is the largest single
+  /// node's scratch use: the same at every thread count.
   std::size_t peak_terms = 0;
   /// Always 0: canonical forms have one (sparse) representation. Kept only
   /// because the repo benchmark (perfbench/) still reads it; it goes when
@@ -307,7 +305,8 @@ enum class stat_reduction : std::uint8_t { sum, max };
 /// results_identical (statistical_dp.hpp). `organization`: deterministic
 /// across thread counts, but it records how the work was organized (which
 /// path, cache or prefilter decided), so it is never hashed or journaled.
-/// `telemetry`: depends on scheduling; journaled, never compared.
+/// `telemetry`: measures memory (allocations depends on scheduling,
+/// peak_terms does not); journaled, never compared.
 enum class stat_class : std::uint8_t { result, organization, telemetry };
 
 struct stat_counter {

@@ -27,18 +27,6 @@ const char* to_string(pruning_kind kind) {
   return "?";
 }
 
-const char* to_string(degrade_policy policy) {
-  switch (policy) {
-    case degrade_policy::none:
-      return "none";
-    case degrade_policy::retry_deterministic:
-      return "retry_deterministic";
-    case degrade_policy::best_partial:
-      return "best_partial";
-  }
-  return "?";
-}
-
 const char* to_string(solve_path path) {
   switch (path) {
     case solve_path::primary:

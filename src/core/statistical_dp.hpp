@@ -63,7 +63,6 @@ enum class solve_path : std::uint8_t {
   unbuffered_fallback, ///< best_partial: tree evaluated with no buffers
 };
 
-const char* to_string(degrade_policy policy);
 const char* to_string(solve_path path);
 
 struct stat_options {

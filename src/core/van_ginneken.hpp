@@ -9,6 +9,12 @@
 // path (li_shi_mode::never) is the O(B^2 * N^2) reference. This is the
 // paper's "NOM" optimizer and the structural template the statistical
 // engine follows.
+//
+// Cost-bounded insertion (cost_bounded.hpp) runs on the same recursion in
+// van_ginneken.cpp, which owns the leaf, the wire step with the width
+// fan-out of [8], the children's lists, peak_list_size and the thread's
+// decision arena. Each engine supplies its edge prune, merge and buffered
+// step as compile-time hooks and selects its own root.
 #pragma once
 
 #include <optional>

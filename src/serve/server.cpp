@@ -949,10 +949,6 @@ int solver_daemon::tcp_port() const {
   return impl_->tcp_port;
 }
 
-const std::string& solver_daemon::unix_socket_path() const {
-  return impl_->opts.unix_socket_path;
-}
-
 std::string solver_daemon::stats_json() const {
   return impl_->stats.to_json();
 }

@@ -129,7 +129,6 @@ class solver_daemon {
   /// The TCP port actually bound (meaningful after start(); resolves an
   /// ephemeral tcp_port = 0 request).
   int tcp_port() const;
-  const std::string& unix_socket_path() const;
 
   /// Aggregated service statistics (also served in-band via stats_request).
   std::string stats_json() const;

@@ -172,11 +172,6 @@ void disarm() {
   detail::g_armed_mask.store(0, std::memory_order_release);
 }
 
-std::uint64_t query_count(fault_point point) {
-  return states()[static_cast<std::size_t>(point)].queries.load(
-      std::memory_order_relaxed);
-}
-
 std::uint64_t fired_count(fault_point point) {
   return states()[static_cast<std::size_t>(point)].fired.load(
       std::memory_order_relaxed);

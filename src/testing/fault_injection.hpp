@@ -90,8 +90,7 @@ void arm(std::string_view spec);
 /// Disarms every point and zeroes the query/fired counters.
 void disarm();
 
-/// Queries of `point` so far (armed sessions only) and how many fired.
-std::uint64_t query_count(fault_point point);
+/// How many queries of `point` fired so far (armed sessions only).
 std::uint64_t fired_count(fault_point point);
 
 /// The `seed=N` clause of VABI_FAULT_SPEC (1 when unset/absent): the

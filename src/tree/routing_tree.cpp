@@ -191,8 +191,16 @@ void routing_tree::apply_edit(const tree_edit& edit) {
         throw std::logic_error("apply_edit: subtree is already detached");
       }
       const node_id old_parent = n.parent;
+      if (old_parent >= nodes_.size()) {
+        throw std::logic_error("apply_edit: pruned node has no parent");
+      }
       auto& siblings = nodes_[old_parent].children;
-      siblings.erase(std::find(siblings.begin(), siblings.end(), edit.node));
+      const auto slot = std::find(siblings.begin(), siblings.end(), edit.node);
+      if (slot == siblings.end()) {
+        throw std::logic_error(
+            "apply_edit: parent does not list the pruned node");
+      }
+      siblings.erase(slot);
       n.parent = invalid_node;
       n.parent_wire_um = 0.0;
       std::vector<node_id> stack{edit.node};

@@ -18,7 +18,7 @@ TEST(DecisionArena, LeafBufferMergeChain) {
   const auto* other = arena.leaf();
   const auto* merge = arena.merged(buf, other);
   EXPECT_EQ(arena.size(), 4u);
-  const auto a = extract_assignment(merge, 10);
+  const auto a = extract_design(merge, 10).buffers;
   EXPECT_EQ(a.count(), 1u);
   EXPECT_TRUE(a.has_buffer(3));
   EXPECT_EQ(a.buffer(3), 1u);
@@ -31,12 +31,12 @@ TEST(DecisionArena, SharedSubDagCountedOnce) {
   // The same buffered decision feeds both sides of a merge (possible with
   // shared subtrees); extraction must be idempotent.
   const auto* merge = arena.merged(buf, buf);
-  const auto a = extract_assignment(merge, 5);
+  const auto a = extract_design(merge, 5).buffers;
   EXPECT_EQ(a.count(), 1u);
 }
 
 TEST(DecisionArena, NullRootGivesEmptyAssignment) {
-  const auto a = extract_assignment(nullptr, 4);
+  const auto a = extract_design(nullptr, 4).buffers;
   EXPECT_EQ(a.count(), 0u);
 }
 
@@ -46,7 +46,7 @@ TEST(Backtrace, DeepChainDoesNotOverflowStack) {
   for (int i = 0; i < 200000; ++i) {
     d = arena.buffered(1, 0, d);
   }
-  const auto a = extract_assignment(d, 3);
+  const auto a = extract_design(d, 3).buffers;
   EXPECT_TRUE(a.has_buffer(1));
 }
 

@@ -22,16 +22,6 @@ stat_candidate make_cand(double load_mean, double rat_mean,
 // Deterministic rule.
 // ---------------------------------------------------------------------------
 
-TEST(DetPruning, DominanceDefinition) {
-  det_candidate a{0.1, 5.0, nullptr};
-  det_candidate b{0.2, 4.0, nullptr};
-  EXPECT_TRUE(det_dominates(a, b));
-  EXPECT_FALSE(det_dominates(b, a));
-  det_candidate c{0.05, 3.0, nullptr};  // less load but worse rat
-  EXPECT_FALSE(det_dominates(a, c));
-  EXPECT_FALSE(det_dominates(c, a));
-}
-
 TEST(DetPruning, KeepsParetoFrontSorted) {
   dp_stats s;
   std::vector<det_candidate> list{

@@ -6,6 +6,7 @@
 // would confirm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -393,6 +394,37 @@ TEST(TreeEdit, FirstEditOfAnInvalidTreeLeavesTheBitClear) {
   t.node(sink).parent_wire_um = 5.0;
   t.apply_edit(tree_edit::retarget_rat(sink, -41.0));
   EXPECT_TRUE(view.checked());
+}
+
+TEST(TreeEdit, PruneUnderAParentThatDoesNotListTheNodeThrowsUnchanged) {
+  auto t = small_random(36, 20);
+  const routing_tree& view = t;
+  const node_id sink = view.sinks().front();
+  const node_id parent = view.node(sink).parent;
+  auto& siblings = t.node(parent).children;
+  siblings.erase(std::find(siblings.begin(), siblings.end(), sink));
+  const routing_tree before = t;
+
+  EXPECT_THROW(t.apply_edit(tree_edit::prune_subtree(sink)),
+               std::logic_error);
+  EXPECT_FALSE(view.checked());
+  EXPECT_EQ(view.node(sink).parent, parent);
+  EXPECT_FALSE(view.node(sink).detached);
+  EXPECT_EQ(view.node(parent).children, before.node(parent).children);
+  EXPECT_EQ(view.num_sinks(), before.num_sinks());
+  EXPECT_EQ(view.num_detached(), 0u);
+  EXPECT_EQ(view.topology_edits(), before.topology_edits());
+  for (node_id id = 0; id < view.num_nodes(); ++id) {
+    EXPECT_EQ(view.node(id).parent_wire_um, before.node(id).parent_wire_um);
+  }
+
+  // No parent at all: a non-source node whose parent link was cleared.
+  const node_id orphan = view.sinks().back();
+  t.node(orphan).parent = invalid_node;
+  EXPECT_THROW(t.apply_edit(tree_edit::prune_subtree(orphan)),
+               std::logic_error);
+  EXPECT_FALSE(view.node(orphan).detached);
+  EXPECT_EQ(view.num_detached(), 0u);
 }
 
 TEST(TreeEdit, MutableAccessAndAddedNodesClearTheCheckedBit) {
