@@ -44,12 +44,6 @@ void text_table::print(std::ostream& os) const {
   print_rule();
 }
 
-std::string text_table::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
 std::string fmt(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;
@@ -70,17 +64,6 @@ void print_histogram(std::ostream& os,
     const int bar = static_cast<int>(d / peak * width + 0.5);
     os << std::setw(12) << fmt(x, 2) << " | " << std::string(bar, '#') << '\n';
   }
-}
-
-void print_series(std::ostream& os, const std::string& x_label,
-                  const std::string& y_label,
-                  const std::vector<std::pair<double, double>>& points,
-                  int precision) {
-  text_table t{{x_label, y_label}};
-  for (const auto& [x, y] : points) {
-    t.add_row({fmt(x, precision), fmt(y, precision)});
-  }
-  t.print(os);
 }
 
 }  // namespace vabi::analysis

@@ -18,7 +18,6 @@ class text_table {
 
   void add_row(std::vector<std::string> cells);
   void print(std::ostream& os) const;
-  std::string to_string() const;
 
  private:
   std::vector<std::string> headers_;
@@ -35,11 +34,5 @@ std::string fmt_percent(double fraction, int precision = 1);
 void print_histogram(std::ostream& os,
                      const std::vector<std::pair<double, double>>& bins,
                      int width = 60);
-
-/// Renders an (x, y) series as aligned columns (our "figure" output).
-void print_series(std::ostream& os, const std::string& x_label,
-                  const std::string& y_label,
-                  const std::vector<std::pair<double, double>>& points,
-                  int precision = 3);
 
 }  // namespace vabi::analysis

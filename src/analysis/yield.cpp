@@ -20,14 +20,6 @@ double timing_yield(const stats::linear_form& rat,
   return stats::normal_exceedance(rat.mean(), rat.stddev(space), target_ps);
 }
 
-double yield_rat_empirical(const stats::empirical_distribution& rat_samples,
-                           double yield) {
-  if (!(yield > 0.0 && yield < 1.0)) {
-    throw std::domain_error("yield_rat_empirical: yield must be in (0, 1)");
-  }
-  return rat_samples.quantile(1.0 - yield);
-}
-
 double timing_yield_empirical(const stats::empirical_distribution& rat_samples,
                               double target_ps) {
   return 1.0 - rat_samples.cdf(target_ps);

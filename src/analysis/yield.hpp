@@ -25,9 +25,7 @@ double yield_rat(const stats::linear_form& rat,
 double timing_yield(const stats::linear_form& rat,
                     const stats::variation_space& space, double target_ps);
 
-/// Empirical counterparts from Monte-Carlo samples of the RAT.
-double yield_rat_empirical(const stats::empirical_distribution& rat_samples,
-                           double yield = 0.95);
+/// Empirical counterpart of timing_yield from Monte-Carlo samples of the RAT.
 double timing_yield_empirical(const stats::empirical_distribution& rat_samples,
                               double target_ps);
 

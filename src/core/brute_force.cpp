@@ -30,6 +30,7 @@ det_result brute_force_insertion(const tree::routing_tree& tree,
   // rewrites exactly the changed positions (below we clear all, cheap and
   // branch-free, still allocation-free).
   timing::buffer_assignment assignment(tree.num_nodes());
+  const timing::wire_menu wire{options.wire};
   while (true) {
     for (std::size_t i = 0; i < positions; ++i) {
       if (choice[i] != 0) {
@@ -40,7 +41,7 @@ det_result brute_force_insertion(const tree::routing_tree& tree,
       }
     }
     const auto eval = timing::evaluate_buffered_tree(
-        tree, options.wire, options.library, assignment,
+        tree, wire, timing::wire_assignment{}, options.library, assignment,
         options.driver_res_ohm);
     ++best.stats.candidates_created;
     if (eval.root_rat_ps > best.root_rat_ps) {

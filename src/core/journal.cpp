@@ -23,6 +23,8 @@ constexpr std::size_t k_frame_head = 8;  // u32 len + u32 crc
 /// A frame longer than this is taken as a corrupted length field, not a
 /// record (the largest real record is a few MB of canonical-form terms).
 constexpr std::uint32_t k_max_frame = 1u << 30;
+/// The writer's byte trigger: checkpoint after this many appended bytes.
+constexpr std::uint64_t k_checkpoint_every_bytes = 1u << 22;  // 4 MiB
 
 constexpr std::uint8_t k_kind_header = 1;
 constexpr std::uint8_t k_kind_record = 2;
@@ -353,11 +355,8 @@ bool decode_record_payload(const std::uint8_t* data, std::size_t size,
 }  // namespace journal_detail
 
 journal_writer::journal_writer(std::string path, const journal_header& header,
-                               std::size_t checkpoint_every_jobs,
-                               std::uint64_t checkpoint_every_bytes)
-    : path_(std::move(path)),
-      checkpoint_every_jobs_(checkpoint_every_jobs),
-      checkpoint_every_bytes_(checkpoint_every_bytes) {
+                               std::size_t checkpoint_every_jobs)
+    : path_(std::move(path)), checkpoint_every_jobs_(checkpoint_every_jobs) {
   image_.assign(k_magic, k_magic + k_magic_size);
   append_frame(image_, encode_header_payload(header), /*allow_faults=*/false);
   bytes_at_checkpoint_ = image_.size();
@@ -365,10 +364,8 @@ journal_writer::journal_writer(std::string path, const journal_header& header,
 
 journal_writer::journal_writer(std::string path, const journal_header& header,
                                const shard_info& shard,
-                               std::size_t checkpoint_every_jobs,
-                               std::uint64_t checkpoint_every_bytes)
-    : journal_writer(std::move(path), header, checkpoint_every_jobs,
-                     checkpoint_every_bytes) {
+                               std::size_t checkpoint_every_jobs)
+    : journal_writer(std::move(path), header, checkpoint_every_jobs) {
   has_shard_ = true;
   shard_index_ = shard.shard_index;
   append_frame(image_, encode_shard_payload(shard), /*allow_faults=*/false);
@@ -393,8 +390,7 @@ void journal_writer::maybe_checkpoint() {
       checkpoint_every_jobs_ != 0 &&
       records_ - records_at_checkpoint_ >= checkpoint_every_jobs_;
   const bool bytes_due =
-      checkpoint_every_bytes_ != 0 &&
-      image_.size() - bytes_at_checkpoint_ >= checkpoint_every_bytes_;
+      image_.size() - bytes_at_checkpoint_ >= k_checkpoint_every_bytes;
   if (jobs_due || bytes_due) flush();
 }
 

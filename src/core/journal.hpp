@@ -150,19 +150,18 @@ solve_outcome<journal_contents> read_journal(const std::string& path);
 /// drains later loses nothing but intermediate durability).
 class journal_writer {
  public:
-  /// `checkpoint_every_jobs` = 0 disables the count trigger,
-  /// `checkpoint_every_bytes` = 0 the byte trigger; flush() always writes.
+  /// Checkpoints every `checkpoint_every_jobs` appended records (0 disables
+  /// the count trigger) and every 4 MiB of appended frames; flush() always
+  /// writes.
   journal_writer(std::string path, const journal_header& header,
-                 std::size_t checkpoint_every_jobs = 16,
-                 std::uint64_t checkpoint_every_bytes = 1u << 22);
+                 std::size_t checkpoint_every_jobs = 16);
 
   /// Shard-journal writer: identical layout plus a shard frame directly
   /// after the header. Shard checkpoints honor the `shard_write_short`
   /// fault point (plain journals keep `journal_write_short`).
   journal_writer(std::string path, const journal_header& header,
                  const shard_info& shard,
-                 std::size_t checkpoint_every_jobs = 16,
-                 std::uint64_t checkpoint_every_bytes = 1u << 22);
+                 std::size_t checkpoint_every_jobs = 16);
 
   /// Re-appends a record recovered from a prior run. Never checkpoints on
   /// its own (resume would otherwise rewrite the file once per restored
@@ -189,7 +188,6 @@ class journal_writer {
   std::uint32_t shard_index_ = 0;  ///< fault-selector id for shard_write_short
   std::vector<std::uint8_t> image_;  ///< magic + header frame + record frames
   std::size_t checkpoint_every_jobs_;
-  std::uint64_t checkpoint_every_bytes_;
   std::size_t records_ = 0;
   std::size_t records_at_checkpoint_ = 0;
   std::uint64_t bytes_at_checkpoint_ = 0;

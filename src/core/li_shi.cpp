@@ -66,8 +66,10 @@ void buffer_frontier::solve_rows_packed(
       rel == static_cast<std::size_t>(-1) ? li_shi_npos : klo + rel;
   best[b] = best_k;
   if (best_k == li_shi_npos) {
-    // Degenerate row (all keys NaN): no ordering information; both halves
-    // keep the parent's full range (see the lambda form above).
+    // Degenerate row (a NaN-poisoned device makes the whole row NaN): no
+    // ordering information; both halves keep the parent's full range.
+    // NaN-poisoned *candidates* poison whole columns instead, which every
+    // row skips identically, so range restriction stays sound for them.
     solve_rows_packed(rlo, rmid, klo, khi, loads, rats, delays, res, kt, best);
     solve_rows_packed(rmid + 1, rhi, klo, khi, loads, rats, delays, res, kt,
                       best);

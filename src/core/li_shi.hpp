@@ -93,73 +93,33 @@ class buffer_frontier {
     return order_;
   }
 
-  /// Fills best[b] with the index of the candidate maximizing
-  /// eval(b, k) over k in [0, num_cands), for every type b, evaluating each
-  /// probed (type, candidate) pair with the caller's exact scan expression
-  /// and the leftmost / strictly-greater tie rule. best[b] is li_shi_npos
-  /// when no key compares greater than -infinity (all NaN / -inf).
+  /// Fills best[b] with the index of the candidate maximizing the key of
+  /// (type b, candidate k),  rats[k] - delays[b] - res[b] * loads[k],  over
+  /// k in [0, num_cands), for every type b. All four arrays are contiguous
+  /// (loads/rats have num_cands entries; delays/res are indexed by the
+  /// *original* type index). Each probed row runs through the SIMD-dispatched
+  /// argmax_buffered_row kernel (stats/kernels.hpp), whose per-lane
+  /// evaluation and (max value, min index) reduction reproduce the scalar
+  /// scan's leftmost / strictly-greater rule bit for bit. best[b] is
+  /// li_shi_npos when no key compares greater than -infinity (all NaN /
+  /// -inf).
   ///
   /// Precondition: candidates are sorted by strictly increasing load (the
   /// post-prune invariant of the total-order rules).
-  template <typename RowEval>
-  void best_per_type(std::size_t num_cands, RowEval&& eval,
-                     std::vector<std::size_t>& best) const {
-    best.assign(order_.size(), li_shi_npos);
-    if (num_cands == 0 || order_.empty()) return;
-    solve_rows(0, order_.size(), 0, num_cands, eval, best);
-  }
-
-  /// Packed-key form used by the engines' hot paths: the key of (type b,
-  /// candidate k) is  rats[k] - delays[b] - res[b] * loads[k],  with all four
-  /// arrays contiguous (loads/rats have num_cands entries; delays/res are
-  /// indexed by the *original* type index). Each row scan runs through the
-  /// SIMD-dispatched argmax_buffered_row kernel (stats/kernels.hpp), whose
-  /// per-lane evaluation and (max value, min index) reduction reproduce the
-  /// lambda form's leftmost / strictly-greater rule bit for bit.
   void best_per_type(std::size_t num_cands, const double* loads,
                      const double* rats, const double* delays,
                      const double* res, std::vector<std::size_t>& best) const;
 
  private:
+  /// Rows are positions in order_ (resistance descending); columns are
+  /// candidate indices. Solves rows [rlo, rhi) knowing every leftmost argmax
+  /// lies in [klo, khi).
   void solve_rows_packed(std::size_t rlo, std::size_t rhi, std::size_t klo,
                          std::size_t khi, const double* loads,
                          const double* rats, const double* delays,
                          const double* res,
                          const stats::kernels::kernel_table& kt,
                          std::vector<std::size_t>& best) const;
-
-  /// Rows are positions in order_ (resistance descending); columns are
-  /// candidate indices. Solves rows [rlo, rhi) knowing every leftmost argmax
-  /// lies in [klo, khi).
-  template <typename RowEval>
-  void solve_rows(std::size_t rlo, std::size_t rhi, std::size_t klo,
-                  std::size_t khi, RowEval& eval,
-                  std::vector<std::size_t>& best) const {
-    if (rlo >= rhi) return;
-    const std::size_t rmid = rlo + (rhi - rlo) / 2;
-    const timing::buffer_index b = order_[rmid];
-    double best_val = -std::numeric_limits<double>::infinity();
-    std::size_t best_k = li_shi_npos;
-    for (std::size_t k = klo; k < khi; ++k) {
-      const double v = eval(b, k);
-      if (v > best_val) {
-        best_val = v;
-        best_k = k;
-      }
-    }
-    best[b] = best_k;
-    if (best_k == li_shi_npos) {
-      // Degenerate row (a NaN-poisoned device makes the whole row NaN): no
-      // ordering information; both halves keep the parent's full range.
-      // NaN-poisoned *candidates* poison whole columns instead, which every
-      // row skips identically, so range restriction stays sound for them.
-      solve_rows(rlo, rmid, klo, khi, eval, best);
-      solve_rows(rmid + 1, rhi, klo, khi, eval, best);
-      return;
-    }
-    solve_rows(rlo, rmid, klo, best_k + 1, eval, best);
-    solve_rows(rmid + 1, rhi, best_k, khi, eval, best);
-  }
 
   std::vector<timing::buffer_index> order_;
 };

@@ -681,8 +681,7 @@ solve_outcome<journaled_batch> batch_solver::solve_journaled(
 
   journal_writer writer{journal.path,
                         batch_journal_header(fps, config_.batch_seed),
-                        journal.checkpoint_every_jobs,
-                        journal.checkpoint_every_bytes};
+                        journal.checkpoint_every_jobs};
   std::vector<std::optional<solve_outcome<batch_result>>> slots(jobs.size());
   std::vector<std::size_t> restored_jobs;  // restored jobs that succeeded
   for (journal_record& rec : accepted) {

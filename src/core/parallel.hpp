@@ -157,10 +157,9 @@ bool outcomes_identical(const solve_outcome<batch_result>& a,
 struct batch_journal_options {
   std::string path;  ///< journal file, e.g. "run.vjl"
   /// Checkpoint (atomic whole-image rewrite) every N newly solved jobs
-  /// (0 = no count trigger) / every B newly appended bytes (0 = no byte
-  /// trigger). A final checkpoint always happens when the batch drains.
+  /// (0 = no count trigger), and every 4 MiB of newly appended records. A
+  /// final checkpoint always happens when the batch drains.
   std::size_t checkpoint_every_jobs = 16;
-  std::uint64_t checkpoint_every_bytes = 1u << 22;
   /// Restore already-journaled jobs instead of re-solving them. A missing
   /// journal file is a valid empty journal (a run killed before its first
   /// checkpoint leaves none).

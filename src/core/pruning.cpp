@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "stats/kernels.hpp"
@@ -98,7 +97,6 @@ bool prob_less_at_least(const stats::linear_form& x,
                         const stats::linear_form& y, double p, double z_p,
                         double sigma_x, double sigma_y,
                         const stats::variation_space& space,
-                        sigma_diff_cache* sigmas,
                         std::size_t* prefilter_hits) {
   if (x == y) return true;
   const double mu_d = y.mean() - x.mean();
@@ -111,12 +109,9 @@ bool prob_less_at_least(const stats::linear_form& x,
     if (prefilter_hits != nullptr) ++*prefilter_hits;
     return false;
   }
-  // Exact pass: same bits as stats::prob_greater(y, x, space), with the
-  // sigma_of_difference optionally served from the sweep's symmetric memo.
-  const double sigma = sigmas != nullptr
-                           ? sigmas->get(y, x, space)
-                           : stats::sigma_of_difference(y, x, space);
-  return stats::normal_exceedance(mu_d, sigma, 0.0) >= p;
+  // Exact pass: same bits as stats::prob_greater(y, x, space).
+  return stats::normal_exceedance(mu_d, stats::sigma_of_difference(y, x, space),
+                                  0.0) >= p;
 }
 
 // -- Total-order sweeps (the deterministic rule, the 2P mean rule) ----------
@@ -190,19 +185,19 @@ constexpr auto mean_dominates = [](const stat_candidate& a,
   return a.load.mean() <= b.load.mean() && a.rat.mean() >= b.rat.mean();
 };
 
-/// dominates(two_param_rule) with the rule's resolved thresholds,
-/// prefilter-hit accounting and an optional sigma memo for the sweep.
+/// dominates(two_param_rule) with the rule's resolved thresholds and
+/// prefilter-hit accounting.
 bool dominates_2p(const two_param_rule& rule, const two_param_z& z,
                   const stat_candidate& a, const stat_candidate& b,
                   const stats::variation_space& space,
-                  sigma_diff_cache* sigmas, std::size_t* prefilter_hits) {
+                  std::size_t* prefilter_hits) {
   if (rule.is_mean_rule()) return mean_dominates(a, b);
   return prob_less_at_least(a.load, b.load, rule.p_load, z.load,
                             a.load_stddev(space), b.load_stddev(space), space,
-                            sigmas, prefilter_hits) &&
+                            prefilter_hits) &&
          prob_less_at_least(b.rat, a.rat, rule.p_rat, z.rat,
                             b.rat_stddev(space), a.rat_stddev(space), space,
-                            sigmas, prefilter_hits);
+                            prefilter_hits);
 }
 
 }  // namespace
@@ -270,45 +265,7 @@ void prune_deterministic_sorted(std::vector<det_candidate>& list,
 
 bool dominates(const two_param_rule& rule, const stat_candidate& a,
                const stat_candidate& b, const stats::variation_space& space) {
-  return dominates_2p(rule, two_param_z(rule), a, b, space, nullptr, nullptr);
-}
-
-std::size_t sigma_diff_cache::key_hash::operator()(const key& k) const {
-  const std::size_t h1 = std::hash<const void*>{}(k.lo);
-  const std::size_t h2 = std::hash<const void*>{}(k.hi);
-  return h1 ^ (h2 * std::size_t{0x9e3779b97f4a7c15ULL});
-}
-
-double sigma_diff_cache::get(const stats::linear_form& x,
-                             const stats::linear_form& y,
-                             const stats::variation_space& space) {
-  const void* px = &x;
-  const void* py = &y;
-  // std::less gives the total pointer order the raw <= would not guarantee
-  // for unrelated objects.
-  const key k =
-      std::less<const void*>{}(py, px) ? key{py, px} : key{px, py};
-  const auto it = map_.find(k);
-  if (it != map_.end()) return it->second;
-  const double sigma = stats::sigma_of_difference(x, y, space);
-  map_.emplace(k, sigma);
-  return sigma;
-}
-
-double sigma_diff_cache::get_stddev(const stats::linear_form& f,
-                                    const stats::variation_space& space) {
-  const void* pf = &f;
-  const auto it = stddev_.find(pf);
-  if (it != stddev_.end()) return it->second;
-  const double sigma = f.stddev(space);
-  stddev_.emplace(pf, sigma);
-  return sigma;
-}
-
-bool dominates(const two_param_rule& rule, const stat_candidate& a,
-               const stat_candidate& b, const stats::variation_space& space,
-               sigma_diff_cache& sigmas) {
-  return dominates_2p(rule, two_param_z(rule), a, b, space, &sigmas, nullptr);
+  return dominates_2p(rule, two_param_z(rule), a, b, space, nullptr);
 }
 
 namespace {
@@ -537,7 +494,7 @@ void prune_two_param(const two_param_rule& rule,
         std::min(rule.is_mean_rule() ? std::size_t{1} : window, kept.size());
     for (std::size_t k = 1; k <= scan && !pruned; ++k) {
       pruned = dominates_2p(rule, z, kept[kept.size() - k], c, space,
-                            nullptr, &stats.dominance_prefilter_hits);
+                            &stats.dominance_prefilter_hits);
     }
     if (pruned) {
       ++stats.candidates_pruned;
@@ -585,32 +542,6 @@ bool dominates(const four_param_rule& rule, const stat_candidate& a,
   if (a.rat == b.rat) return true;
   const double a_lo = stats::percentile(a.rat, space, rule.beta_lo);
   const double b_hi = stats::percentile(b.rat, space, rule.beta_hi);
-  return a_lo > b_hi;
-}
-
-bool dominates(const four_param_rule& rule, const stat_candidate& a,
-               const stat_candidate& b, const stats::variation_space& space,
-               sigma_diff_cache& sigmas) {
-  // Same branch structure as the uncached overload; stats::percentile(f,
-  // space, p) is exactly normal_percentile(f.mean(), f.stddev(space), p), so
-  // reading the stddev through the memo changes no bits.
-  bool load_ok = false;
-  if (a.load == b.load) {
-    load_ok = true;
-  } else {
-    const double a_hi = stats::normal_percentile(
-        a.load.mean(), sigmas.get_stddev(a.load, space), rule.alpha_hi);
-    const double b_lo = stats::normal_percentile(
-        b.load.mean(), sigmas.get_stddev(b.load, space), rule.alpha_lo);
-    load_ok = a_hi < b_lo;
-  }
-  if (!load_ok) return false;
-
-  if (a.rat == b.rat) return true;
-  const double a_lo = stats::normal_percentile(
-      a.rat.mean(), sigmas.get_stddev(a.rat, space), rule.beta_lo);
-  const double b_hi = stats::normal_percentile(
-      b.rat.mean(), sigmas.get_stddev(b.rat, space), rule.beta_hi);
   return a_lo > b_hi;
 }
 

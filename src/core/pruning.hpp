@@ -30,7 +30,6 @@
 // the tie rule no statistical rule could ever prune among them.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/solution.hpp"
@@ -147,43 +146,6 @@ struct two_param_rule {
 bool dominates(const two_param_rule& rule, const stat_candidate& a,
                const stat_candidate& b, const stats::variation_space& space);
 
-/// Memo of sigma_of_difference results keyed by the *unordered* pair of form
-/// addresses. sigma(a - b) == sigma(b - a) to the bit (IEEE negation is
-/// exact and the squared differences are identical), so one entry serves the
-/// symmetric a/b and b/a covariance passes a both-directions sweep would
-/// otherwise compute twice. Entries are bound to form addresses: only valid
-/// while the candidate list is neither reallocated nor mutated.
-class sigma_diff_cache {
- public:
-  /// sigma_of_difference(x, y, space), computed once per unordered pair.
-  double get(const stats::linear_form& x, const stats::linear_form& y,
-             const stats::variation_space& space);
-
-  /// f.stddev(space), computed once per form (address-keyed like the pair
-  /// memo, same lifetime caveat). One entry serves both directions of every
-  /// pair the form appears in -- the 4P percentile projections read it.
-  double get_stddev(const stats::linear_form& f,
-                    const stats::variation_space& space);
-
- private:
-  struct key {
-    const void* lo;
-    const void* hi;
-    bool operator==(const key&) const = default;
-  };
-  struct key_hash {
-    std::size_t operator()(const key& k) const;
-  };
-  std::unordered_map<key, double, key_hash> map_;
-  std::unordered_map<const void*, double> stddev_;
-};
-
-/// dominates() sharing one sigma memo across both directions of a pair (and
-/// across pairs) within a sweep over a stable candidate list.
-bool dominates(const two_param_rule& rule, const stat_candidate& a,
-               const stat_candidate& b, const stats::variation_space& space,
-               sigma_diff_cache& sigmas);
-
 /// Sorts by (mean load asc, mean rat desc) and sweeps once. Exact (keeps
 /// precisely the non-dominated set) when p_load == p_rat == 0.5; for larger
 /// parameters it is the paper's practical linear approximation. For p > 0.5
@@ -226,16 +188,6 @@ struct four_param_rule {
 bool dominates(const four_param_rule& rule, const stat_candidate& a,
                const stat_candidate& b, const stats::variation_space& space);
 
-/// dominates(four_param_rule) sharing one per-form stddev memo across both
-/// directions of a pair (and across pairs) within a sweep over a stable
-/// candidate list -- the 4P counterpart of the cached 2P overload. Bitwise
-/// identical to the uncached overload: the percentile corners expand to
-/// normal_percentile(mean, stddev, p) over the exact same (mean, stddev)
-/// pair stats::percentile computes.
-bool dominates(const four_param_rule& rule, const stat_candidate& a,
-               const stat_candidate& b, const stats::variation_space& space,
-               sigma_diff_cache& sigmas);
-
 /// Pairwise O(N^2) pruning -- the best one can do under a partial order.
 /// `max_comparisons` bounds the quadratic work (0 = unlimited): when the
 /// budget runs out the remaining candidates are kept unpruned (safe --
@@ -277,38 +229,6 @@ bool is_mutually_non_dominated(const Rule& rule,
   for (std::size_t i = 0; i < list.size(); ++i) {
     for (std::size_t j = 0; j < list.size(); ++j) {
       if (i != j && dominates(rule, list[i], list[j], space)) return false;
-    }
-  }
-  return true;
-}
-
-/// 2P overload: the both-directions sweep evaluates every pair (i, j) and
-/// (j, i); a shared sigma memo deduplicates the symmetric covariance passes.
-inline bool is_mutually_non_dominated(const two_param_rule& rule,
-                                      const std::vector<stat_candidate>& list,
-                                      const stats::variation_space& space) {
-  sigma_diff_cache sigmas;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      if (i != j && dominates(rule, list[i], list[j], space, sigmas)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// 4P overload: the per-form stddev memo computes each candidate's
-/// percentile corners once instead of 2(n-1) times.
-inline bool is_mutually_non_dominated(const four_param_rule& rule,
-                                      const std::vector<stat_candidate>& list,
-                                      const stats::variation_space& space) {
-  sigma_diff_cache sigmas;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      if (i != j && dominates(rule, list[i], list[j], space, sigmas)) {
-        return false;
-      }
     }
   }
   return true;

@@ -305,18 +305,12 @@ struct solver_daemon::impl {
   // -- result flow ----------------------------------------------------------
 
   void deliver_result_locked(const std::shared_ptr<session_batch>& b,
-                             const core::journal_record& rec, bool resumed,
-                             std::uint64_t cache_hits,
-                             std::uint64_t cache_misses,
-                             std::uint64_t nodes_reused) {
+                             const core::journal_record& rec, bool resumed) {
     session* s = session_for_token_locked(b->token);
     if (s == nullptr || s->batch != b) return;
     result_msg m;
     m.resumed = resumed;
     m.record = rec;
-    m.cache_hits = cache_hits;
-    m.cache_misses = cache_misses;
-    m.nodes_reused = nodes_reused;
     send_locked(*s, message{std::move(m)});
     if (testing::should_fire(testing::fault_point::wire_drop_session,
                              rec.job_index)) {
@@ -355,7 +349,7 @@ struct solver_daemon::impl {
         rec.code = core::solve_code::cancelled;
         rec.detail = "cancelled before start";
         ++pj.batch->cancelled;
-        deliver_result_locked(pj.batch, rec, false, 0, 0, 0);
+        deliver_result_locked(pj.batch, rec, false);
         if (--pj.batch->remaining == 0) finish_batch_locked(pj.batch);
         continue;
       }
@@ -374,14 +368,8 @@ struct solver_daemon::impl {
         core::solve_batch_job(b->jobs[i], i, b->batch_seed, &b->cancel);
     const core::journal_record rec =
         core::make_journal_record(i, b->fingerprints[i], out);
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t nodes_reused = 0;
     double yield = -1.0;  // < 0: no yield figure (failed/cancelled jobs)
     if (out.ok()) {
-      cache_hits = out->result.stats.cache_hits;
-      cache_misses = out->result.stats.cache_misses;
-      nodes_reused = out->result.stats.nodes_reused;
       // Paper Section-5.3 yield convention, self-contained per job: the
       // probability the root RAT clears its own mean relaxed by 10%.
       yield = analysis::timing_yield(
@@ -402,10 +390,8 @@ struct solver_daemon::impl {
     } else {
       ++b->failed;
     }
-    stats.on_job_done(b->token, rec.ok, latency_ms, cache_hits, cache_misses,
-                      nodes_reused, yield);
-    deliver_result_locked(b, rec, false, cache_hits, cache_misses,
-                          nodes_reused);
+    stats.on_job_done(b->token, rec.ok, latency_ms, yield);
+    deliver_result_locked(b, rec, false);
     if (--b->remaining == 0) finish_batch_locked(b);
     dispatch_locked();
     wake();
@@ -538,7 +524,7 @@ struct solver_daemon::impl {
       stats.on_resume(s.token, restored.size());
       for (const auto& rec : restored) {
         is_restored[rec.job_index] = true;
-        deliver_result_locked(b, rec, true, 0, 0, 0);
+        deliver_result_locked(b, rec, true);
       }
     }
     b->remaining = 0;

@@ -75,9 +75,7 @@ void stats_store::on_jobs_admitted(const std::string& token,
 }
 
 void stats_store::on_job_done(const std::string& token, bool ok,
-                              double latency_ms, std::uint64_t cache_hits,
-                              std::uint64_t cache_misses,
-                              std::uint64_t nodes_reused, double yield) {
+                              double latency_ms, double yield) {
   std::lock_guard lk(mu_);
   session_stats& s = sessions_[token];
   if (ok) {
@@ -87,9 +85,6 @@ void stats_store::on_job_done(const std::string& token, bool ok,
     ++jobs_failed_;
     ++s.jobs_failed;
   }
-  s.cache_hits += cache_hits;
-  s.cache_misses += cache_misses;
-  s.nodes_reused += nodes_reused;
   s.latency.add(latency_ms);
   global_latency_.add(latency_ms);
   if (yield >= 0.0) {
@@ -152,7 +147,7 @@ std::string yield_json(const yield_histogram& h) {
 std::string stats_store::to_json() const {
   std::lock_guard lk(mu_);
   std::string out = "{\n";
-  out += "  \"schema\": \"vabi_serve_stats v2\",\n";
+  out += "  \"schema\": \"vabi_serve_stats v3\",\n";
   out += "  \"sessions_opened\": " + std::to_string(sessions_opened_) + ",\n";
   out += "  \"sessions_active\": " + std::to_string(sessions_active_) + ",\n";
   out += "  \"sessions_shed\": " + std::to_string(sessions_shed_) + ",\n";
@@ -187,9 +182,6 @@ std::string stats_store::to_json() const {
     out += ", \"jobs_completed\": " + std::to_string(s.jobs_completed);
     out += ", \"jobs_failed\": " + std::to_string(s.jobs_failed);
     out += ", \"jobs_restored\": " + std::to_string(s.jobs_restored);
-    out += ", \"cache_hits\": " + std::to_string(s.cache_hits);
-    out += ", \"cache_misses\": " + std::to_string(s.cache_misses);
-    out += ", \"nodes_reused\": " + std::to_string(s.nodes_reused);
     out += ", \"p50_ms\": " + fmt_ms(s.latency.percentile(50.0));
     out += ", \"p99_ms\": " + fmt_ms(s.latency.percentile(99.0));
     out += ", \"yield\": " + yield_json(s.yield);

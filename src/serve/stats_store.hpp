@@ -68,11 +68,6 @@ struct session_stats {
   std::uint64_t jobs_completed = 0;  ///< ok results
   std::uint64_t jobs_failed = 0;     ///< typed non-ok results (incl cancelled)
   std::uint64_t jobs_restored = 0;   ///< recovered from the session journal
-  // PR-7 incremental-session counters summed over the session's solves, so
-  // cache effectiveness is observable through the service.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t nodes_reused = 0;
   latency_ring latency;
   yield_histogram yield;
 };
@@ -85,19 +80,19 @@ class stats_store {
   void on_resume(const std::string& token, std::uint64_t restored_jobs);
   void on_overload_rejection();
   void on_jobs_admitted(const std::string& token, std::uint64_t jobs);
-  /// One solve finished: latency + outcome + the PR-7 session counters.
-  /// `yield` is the job's timing yield in [0, 1] (histogrammed globally and
-  /// per session); pass a negative value when no yield applies (failed jobs).
+  /// One solve finished: latency + outcome. `yield` is the job's timing
+  /// yield in [0, 1] (histogrammed globally and per session); pass a
+  /// negative value when no yield applies (failed jobs).
   void on_job_done(const std::string& token, bool ok, double latency_ms,
-                   std::uint64_t cache_hits, std::uint64_t cache_misses,
-                   std::uint64_t nodes_reused, double yield = -1.0);
+                   double yield = -1.0);
   void set_queue_depth(std::size_t depth);
 
-  /// The whole store as JSON (schema "vabi_serve_stats v2"): global counters,
+  /// The whole store as JSON (schema "vabi_serve_stats v3"): global counters,
   /// global p50/p99 latency, yield histograms, and one record per session
-  /// sorted by token. v2 is a backward-compatible superset of v1: every v1
-  /// field is still emitted with identical semantics; v2 adds the "yield"
-  /// objects (count, mean, 20 fixed buckets over [0, 1]).
+  /// sorted by token. v2 added the "yield" objects (count, mean, 20 fixed
+  /// buckets over [0, 1]) to v1; v3 drops the per-session cache_hits /
+  /// cache_misses / nodes_reused, which read 0 on every daemon job (a job
+  /// never consults a slab cache). Every other field keeps its meaning.
   std::string to_json() const;
 
   // Point reads for tests / logs.

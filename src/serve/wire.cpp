@@ -82,9 +82,6 @@ std::vector<std::uint8_t> encode_payload(const message& m) {
           put_str(p, v.detail);
         } else if constexpr (std::is_same_v<T, result_msg>) {
           put_u8(p, v.resumed ? 1 : 0);
-          put_u64(p, v.cache_hits);
-          put_u64(p, v.cache_misses);
-          put_u64(p, v.nodes_reused);
           const std::vector<std::uint8_t> rec =
               core::journal_detail::encode_record_payload(v.record);
           put_u32(p, static_cast<std::uint32_t>(rec.size()));
@@ -184,9 +181,6 @@ bool decode_payload(const std::uint8_t* data, std::size_t size, message& out,
     case msg_kind::result: {
       result_msg v;
       v.resumed = c.get_u8() != 0;
-      v.cache_hits = c.get_u64();
-      v.cache_misses = c.get_u64();
-      v.nodes_reused = c.get_u64();
       const std::uint32_t rec_len = c.get_u32();
       if (!c.need(rec_len)) break;
       if (!core::journal_detail::decode_record_payload(data + c.at, rec_len,

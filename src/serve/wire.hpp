@@ -42,7 +42,7 @@
 
 namespace vabi::serve {
 
-inline constexpr std::uint32_t k_protocol_version = 1;
+inline constexpr std::uint32_t k_protocol_version = 2;
 inline constexpr std::size_t k_frame_header_bytes = 8;  // u32 len + u32 crc
 /// A length prefix beyond this is a corrupted frame, not a message (the
 /// largest real message is a batch of tree texts or one canonical-form
@@ -63,7 +63,7 @@ enum class msg_kind : std::uint8_t {
   overloaded = 0x83,    ///< typed admission-control rejection
   result = 0x84,        ///< one per-net outcome, streamed as it completes
   batch_done = 0x85,    ///< the batch drained (counts + wall time)
-  stats_reply = 0x86,   ///< stats JSON (vabi_serve_stats v2 schema)
+  stats_reply = 0x86,   ///< stats JSON (vabi_serve_stats v3 schema)
   session_error = 0x87, ///< typed session failure (solve_code + detail)
   draining = 0x88,      ///< daemon is draining; submission refused
 };
@@ -151,14 +151,10 @@ struct overloaded_msg {
 };
 
 /// One per-net outcome. `record` is the journal record, full precision --
-/// including typed solve errors verbatim. The PR-7 session counters ride
-/// alongside so ECO-style warm re-solves are observable through the service.
+/// including typed solve errors and every dp_stats counter verbatim.
 struct result_msg {
   bool resumed = false;  ///< restored from the session journal, not re-solved
   core::journal_record record;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t nodes_reused = 0;
 };
 
 struct batch_done_msg {
@@ -170,7 +166,7 @@ struct batch_done_msg {
 };
 
 struct stats_reply_msg {
-  std::string json;  ///< vabi_serve_stats v2 (see serve/stats_store.hpp)
+  std::string json;  ///< vabi_serve_stats v3 (see serve/stats_store.hpp)
 };
 
 struct session_error_msg {

@@ -317,21 +317,6 @@ double linear_form::evaluate(std::span<const double> sample) const {
   return v;
 }
 
-void linear_form::prune_zero_terms(double eps) {
-  if (size_ == 0) return;
-  bool any = false;
-  for (std::uint32_t i = 0; i < size_ && !any; ++i) {
-    any = std::abs(data_[i].coeff) <= eps;
-  }
-  if (!any) return;
-  ensure_mutable(size_);
-  std::uint32_t out = 0;
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    if (std::abs(data_[i].coeff) > eps) data_[out++] = data_[i];
-  }
-  size_ = out;
-}
-
 bool linear_form::is_finite() const {
   if (!std::isfinite(nominal_)) return false;
   for (std::uint32_t i = 0; i < size_; ++i) {

@@ -167,10 +167,6 @@ class linear_form {
   /// must hold the drawn value of source `id` (see monte_carlo.hpp).
   double evaluate(std::span<const double> sample) const;
 
-  /// Removes terms with |coeff| <= eps (absolute). Keeps the form canonical
-  /// after cancellations.
-  void prune_zero_terms(double eps = 0.0);
-
   /// True when the nominal and every coefficient are finite (the engines'
   /// seal-point NaN scan).
   bool is_finite() const;

@@ -14,11 +14,4 @@ void monte_carlo_sampler::draw(std::vector<double>& out) {
   }
 }
 
-std::vector<std::vector<double>> monte_carlo_sampler::draw_many(
-    std::size_t n) {
-  std::vector<std::vector<double>> samples(n);
-  for (auto& s : samples) draw(s);
-  return samples;
-}
-
 }  // namespace vabi::stats

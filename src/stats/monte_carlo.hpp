@@ -23,9 +23,6 @@ class monte_carlo_sampler {
   /// and out[id] holds the value of source id.
   void draw(std::vector<double>& out);
 
-  /// Draws `n` samples; result is n vectors of space.size() values.
-  std::vector<std::vector<double>> draw_many(std::size_t n);
-
   const variation_space& space() const { return space_; }
 
  private:

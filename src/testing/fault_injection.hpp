@@ -84,10 +84,12 @@ struct fault_config {
 /// std::invalid_argument naming the offending clause.
 fault_config parse_fault_spec(std::string_view text);
 
-/// Arms the given configuration (replacing any previous one) / a spec string.
+/// Arms the given configuration (replacing any previous one) / a spec string,
+/// zeroing every point's query and fired counters.
 void arm(const fault_config& config);
 void arm(std::string_view spec);
-/// Disarms every point and zeroes the query/fired counters.
+/// Disarms every point. The query and fired counters keep their values
+/// (fired_count still reads them) until the next arm().
 void disarm();
 
 /// How many queries of `point` fired so far (armed sessions only).

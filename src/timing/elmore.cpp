@@ -12,25 +12,6 @@ std::size_t buffer_assignment::count() const {
                     [](std::int32_t b) { return b != no_buffer; }));
 }
 
-std::vector<std::size_t> buffer_assignment::histogram(
-    std::size_t num_types) const {
-  std::vector<std::size_t> h(num_types, 0);
-  for (std::int32_t b : buffer_at_) {
-    if (b != no_buffer) ++h.at(static_cast<std::size_t>(b));
-  }
-  return h;
-}
-
-elmore_result evaluate_buffered_tree(const tree::routing_tree& tree,
-                                     const wire_model& wire,
-                                     const buffer_library& library,
-                                     const buffer_assignment& assignment,
-                                     double driver_res_ohm,
-                                     const device_value_fn& devices) {
-  return evaluate_buffered_tree(tree, wire_menu{wire}, wire_assignment{},
-                                library, assignment, driver_res_ohm, devices);
-}
-
 elmore_result evaluate_buffered_tree(const tree::routing_tree& tree,
                                      const wire_menu& menu,
                                      const wire_assignment& widths,

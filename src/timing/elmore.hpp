@@ -49,9 +49,6 @@ class buffer_assignment {
   std::size_t count() const;
   bool operator==(const buffer_assignment&) const = default;
 
-  /// Buffer count per library type (indexed by buffer_index).
-  std::vector<std::size_t> histogram(std::size_t num_types) const;
-
  private:
   std::vector<std::int32_t> buffer_at_;
 };
@@ -73,18 +70,12 @@ struct elmore_result {
   double root_load_pf = 0.0;  ///< load presented to the driver
 };
 
-/// Evaluates the buffered tree bottom-up. `driver_res_ohm` is the source
-/// driver's output resistance (its delay r_d * load is charged against the
-/// root RAT). If `devices` is null, nominal library values are used.
-elmore_result evaluate_buffered_tree(const tree::routing_tree& tree,
-                                     const wire_model& wire,
-                                     const buffer_library& library,
-                                     const buffer_assignment& assignment,
-                                     double driver_res_ohm,
-                                     const device_value_fn& devices = nullptr);
-
-/// Wire-sizing-aware evaluation: each edge uses the wire variant selected by
-/// `widths` from `menu` (edges beyond widths.num_nodes() use variant 0).
+/// Evaluates the buffered tree bottom-up. Each edge uses the wire variant
+/// selected by `widths` from `menu` (edges beyond widths.num_nodes() use
+/// variant 0, so `wire_menu{wire}` with an empty `wire_assignment` evaluates
+/// every edge on `wire`). `driver_res_ohm` is the source driver's output
+/// resistance (its delay r_d * load is charged against the root RAT). If
+/// `devices` is null, nominal library values are used.
 elmore_result evaluate_buffered_tree(const tree::routing_tree& tree,
                                      const wire_menu& menu,
                                      const wire_assignment& widths,

@@ -44,11 +44,4 @@ std::size_t wire_assignment::count_nondefault() const {
   return n;
 }
 
-std::vector<std::size_t> wire_assignment::histogram(
-    std::size_t menu_size) const {
-  std::vector<std::size_t> h(menu_size, 0);
-  for (const width_index w : width_at_) ++h.at(w);
-  return h;
-}
-
 }  // namespace vabi::timing

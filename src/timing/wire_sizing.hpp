@@ -64,9 +64,6 @@ class wire_assignment {
   /// Number of edges assigned a non-default (non-zero-index) width.
   std::size_t count_nondefault() const;
 
-  /// Histogram over width indices (size `menu_size`).
-  std::vector<std::size_t> histogram(std::size_t menu_size) const;
-
  private:
   std::vector<width_index> width_at_;
 };

@@ -116,21 +116,6 @@ void routing_tree::rehash_upward(node_id id) const {
   }
 }
 
-std::size_t routing_tree::subtree_size(node_id id) const {
-  if (id >= nodes_.size()) {
-    throw std::out_of_range("routing_tree: invalid node id");
-  }
-  std::size_t count = 0;
-  std::vector<node_id> stack{id};
-  while (!stack.empty()) {
-    const node_id n = stack.back();
-    stack.pop_back();
-    ++count;
-    for (const node_id c : nodes_[n].children) stack.push_back(c);
-  }
-  return count;
-}
-
 void routing_tree::apply_edit(const tree_edit& edit) {
   if (edit.node >= nodes_.size()) {
     throw std::out_of_range("apply_edit: invalid node id");

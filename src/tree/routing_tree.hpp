@@ -202,9 +202,6 @@ class routing_tree {
   /// concurrently: once warm, const reads race-free until the next mutation.
   void ensure_subtree_hashes() const;
 
-  /// Number of nodes in the subtree rooted at `id` (including `id`).
-  std::size_t subtree_size(node_id id) const;
-
   /// Node ids in postorder (children before parents; root last). Computed
   /// iteratively, so arbitrarily deep trees are safe. Detached subtrees are
   /// unreachable from the root and therefore excluded.

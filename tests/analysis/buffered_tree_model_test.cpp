@@ -44,8 +44,8 @@ TEST(BufferedTreeModel, NominalModeReproducesElmoreExactly) {
   fixture f;
   auto model = make_model(f.t, layout::nom_mode());
   buffered_tree_model btm{f.t, f.wire, f.lib, f.assignment, model, 150.0};
-  const auto eval = timing::evaluate_buffered_tree(f.t, f.wire, f.lib,
-                                                   f.assignment, 150.0);
+  const auto eval = timing::evaluate_buffered_tree(
+      f.t, timing::wire_menu{f.wire}, {}, f.lib, f.assignment, 150.0);
   EXPECT_TRUE(btm.root_rat().is_deterministic());
   EXPECT_NEAR(btm.root_rat().mean(), eval.root_rat_ps, 1e-6);
   EXPECT_EQ(btm.num_buffers(), f.assignment.count());
@@ -63,8 +63,8 @@ TEST(BufferedTreeModel, SampleEvaluationAtZeroEqualsNominal) {
   auto model = make_model(f.t, layout::wid_mode());
   buffered_tree_model btm{f.t, f.wire, f.lib, f.assignment, model, 150.0};
   const std::vector<double> zeros(model.space().size(), 0.0);
-  const auto eval = timing::evaluate_buffered_tree(f.t, f.wire, f.lib,
-                                                   f.assignment, 150.0);
+  const auto eval = timing::evaluate_buffered_tree(
+      f.t, timing::wire_menu{f.wire}, {}, f.lib, f.assignment, 150.0);
   EXPECT_NEAR(btm.evaluate_sample(zeros), eval.root_rat_ps, 1e-6);
 }
 

@@ -72,7 +72,8 @@ TEST(Backtrace, StatisticalAssignmentReproducesRatMean) {
 
   // Nominal check: replay with the deterministic engine semantics.
   const auto eval = timing::evaluate_buffered_tree(
-      t, o.wire, o.library, r.assignment, o.driver_res_ohm);
+      t, timing::wire_menu{o.wire}, {}, o.library, r.assignment,
+      o.driver_res_ohm);
   // The canonical-form mean differs from the nominal Elmore value only by the
   // statistical-min mean corrections, which are small here.
   EXPECT_NEAR(eval.root_rat_ps, r.root_rat.mean(),

@@ -87,7 +87,8 @@ TEST(CostBounded, AssignmentsReproduceFrontierRats) {
   const auto r = solved(solve_cost_bounded_insertion(t, o));
   for (const auto& p : r.frontier) {
     const auto eval = timing::evaluate_buffered_tree(
-        t, o.base.wire, o.base.library, p.assignment, o.base.driver_res_ohm);
+        t, timing::wire_menu{o.base.wire}, {}, o.base.library, p.assignment,
+        o.base.driver_res_ohm);
     EXPECT_NEAR(eval.root_rat_ps, p.root_rat_ps, 1e-6);
     EXPECT_NEAR(static_cast<double>(p.assignment.count()), p.cost, 1e-9);
   }
@@ -104,9 +105,10 @@ TEST(CostBounded, CustomCostsRespectTypeWeights) {
   const auto r = solved(solve_cost_bounded_insertion(t, o));
   for (const auto& p : r.frontier) {
     double expected = 0.0;
-    const auto h = p.assignment.histogram(o.base.library.size());
-    for (std::size_t b = 0; b < h.size(); ++b) {
-      expected += static_cast<double>(h[b]) * o.buffer_costs[b];
+    for (tree::node_id n = 0; n < p.assignment.num_nodes(); ++n) {
+      if (p.assignment.has_buffer(n)) {
+        expected += o.buffer_costs[p.assignment.buffer(n)];
+      }
     }
     EXPECT_NEAR(p.cost, expected, 1e-9);
   }

@@ -104,7 +104,7 @@ TEST(Journal, RecordRoundTripIsBitExact) {
 
   temp_journal tj{"roundtrip"};
   {
-    journal_writer writer{tj.path, header, 1, 0};
+    journal_writer writer{tj.path, header, 1};
     writer.append(rec);
     writer.flush();
     EXPECT_TRUE(writer.io_error().empty());

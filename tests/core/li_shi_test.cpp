@@ -4,8 +4,9 @@
 // so every test here is an equality check between li_shi_mode::always and
 // li_shi_mode::never (the seed scan path, kept verbatim):
 //
-//   - the divide-and-conquer against a brute-force scan on random inputs,
-//     including NaN-poisoned rows and columns;
+//   - the packed divide-and-conquer the engines run (the argmax_buffered_row
+//     kernel) against a brute-force scan on random inputs, including
+//     NaN-poisoned rows and columns;
 //   - the deterministic engine across random trees x library sizes
 //     {1, 2, 8, 32, 128}: root RAT bitwise, assignment, wires, and the
 //     bit-identity work counters;
@@ -115,9 +116,14 @@ void check_against_brute(const scan_case& c) {
   const auto key = [&c](timing::buffer_index b, std::size_t k) {
     return c.rat[k] - c.delay[b] - c.lib[b].res_ohm * c.load[k];
   };
+  std::vector<double> res;
+  for (timing::buffer_index b = 0; b < c.lib.size(); ++b) {
+    res.push_back(c.lib[b].res_ohm);
+  }
   buffer_frontier frontier{c.lib};
   std::vector<std::size_t> got;
-  frontier.best_per_type(c.load.size(), key, got);
+  frontier.best_per_type(c.load.size(), c.load.data(), c.rat.data(),
+                         c.delay.data(), res.data(), got);
   ASSERT_EQ(got.size(), c.lib.size());
   for (timing::buffer_index b = 0; b < c.lib.size(); ++b) {
     // The seed scan: strictly-greater / leftmost.
@@ -158,8 +164,9 @@ TEST(LiShiFrontier, MatchesBruteScanWithNaNCandidateColumns) {
 TEST(LiShiFrontier, EmptyInputsYieldNpos) {
   buffer_frontier frontier{timing::standard_library()};
   std::vector<std::size_t> best;
-  frontier.best_per_type(
-      0, [](timing::buffer_index, std::size_t) { return 0.0; }, best);
+  const std::vector<double> per_type(3, 0.0);
+  frontier.best_per_type(0, nullptr, nullptr, per_type.data(),
+                         per_type.data(), best);
   ASSERT_EQ(best.size(), 3u);
   for (const auto k : best) EXPECT_EQ(k, li_shi_npos);
 }

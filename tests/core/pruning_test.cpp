@@ -312,36 +312,6 @@ TEST_F(PrefilterTest, PrefilterHitsAreCountedOnSeparatedPairs) {
   EXPECT_TRUE(is_mutually_non_dominated(rule, list, space_));
 }
 
-TEST_F(PrefilterTest, SigmaDiffCacheIsSymmetricAndExact) {
-  auto rng = stats::make_rng(7);
-  const auto a = random_cand(rng, 1.0);
-  const auto b = random_cand(rng, 1.0);
-  sigma_diff_cache cache;
-  const double xy = cache.get(a.load, b.load, space_);
-  const double yx = cache.get(b.load, a.load, space_);
-  const double direct = stats::sigma_of_difference(a.load, b.load, space_);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(xy),
-            std::bit_cast<std::uint64_t>(direct));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(yx),
-            std::bit_cast<std::uint64_t>(direct));
-}
-
-TEST_F(PrefilterTest, CachedDominatesMatchesUncached) {
-  auto rng = stats::make_rng(11);
-  const two_param_rule rule{0.75, 0.85};
-  std::vector<stat_candidate> cands;
-  for (int i = 0; i < 12; ++i) cands.push_back(random_cand(rng, 0.5));
-  sigma_diff_cache cache;
-  for (const auto& a : cands) {
-    for (const auto& b : cands) {
-      EXPECT_EQ(dominates(rule, a, b, space_, cache),
-                dominates(rule, a, b, space_));
-    }
-  }
-  EXPECT_EQ(is_mutually_non_dominated(rule, cands, space_),
-            is_mutually_non_dominated<two_param_rule>(rule, cands, space_));
-}
-
 TEST_F(PrefilterTest, MomentCacheLazyAndInvalidates) {
   const auto c = make_cand(1.0, 2.0, {{ids_[0], 0.25}, {ids_[1], -0.5}},
                            {{ids_[2], 1.5}});

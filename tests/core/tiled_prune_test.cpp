@@ -778,49 +778,6 @@ TEST(TiledSparseDifferential, PoolWorkersMatchSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// 4P stddev memo (sigma_diff_cache::get_stddev).
-// ---------------------------------------------------------------------------
-
-class StddevCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override { space_ = make_space(16, 9); }
-  stats::variation_space space_;
-};
-
-TEST_F(StddevCacheTest, CachedStddevIsExact) {
-  auto rng = stats::make_rng(21);
-  const auto f = random_form(rng, 16, 0.7, -1.0, 1.0);
-  sigma_diff_cache cache;
-  const double got = cache.get_stddev(f, space_);
-  const double again = cache.get_stddev(f, space_);
-  const double direct = f.stddev(space_);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-            std::bit_cast<std::uint64_t>(direct));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(again),
-            std::bit_cast<std::uint64_t>(direct));
-}
-
-TEST_F(StddevCacheTest, CachedFourParamDominatesMatchesUncached) {
-  const four_param_rule rule;
-  auto rng = stats::make_rng(23);
-  std::vector<stat_candidate> cands;
-  for (int i = 0; i < 16; ++i) {
-    cands.push_back({random_form(rng, 16, 0.7, 0.0, 1.0),
-                     random_form(rng, 16, 0.7, -50.0, 50.0), nullptr});
-  }
-  cands.push_back({stats::linear_form{0.5}, stats::linear_form{0.0},
-                   nullptr});        // zero-sigma corner
-  cands.push_back(cands.front());    // identical-form tie corner
-  sigma_diff_cache cache;
-  for (const auto& a : cands) {
-    for (const auto& b : cands) {
-      EXPECT_EQ(dominates(rule, a, b, space_, cache),
-                dominates(rule, a, b, space_));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // 3. Engine layer: full solves under both modes.
 // ---------------------------------------------------------------------------
 
@@ -831,6 +788,10 @@ struct engine_case {
   std::size_t threads;  ///< 0 = serial engine
   li_shi_mode li_shi;
 };
+
+// Without this gtest lists the case as its raw bytes, `name` pointer
+// included, and the ctest name would change with the address-space layout.
+void PrintTo(const engine_case& ec, std::ostream* os) { *os << ec.name; }
 
 class TiledEngineDifferential : public ::testing::TestWithParam<engine_case> {
 };

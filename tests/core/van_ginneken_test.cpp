@@ -77,7 +77,8 @@ TEST(VanGinneken, AssignmentReproducesReportedRat) {
   const auto options = small_options(timing::standard_library());
   const auto dp = solved(solve_van_ginneken(t, options));
   const auto eval = timing::evaluate_buffered_tree(
-      t, options.wire, options.library, dp.assignment, options.driver_res_ohm);
+      t, timing::wire_menu{options.wire}, {}, options.library, dp.assignment,
+      options.driver_res_ohm);
   EXPECT_NEAR(eval.root_rat_ps, dp.root_rat_ps, 1e-6);
 }
 
@@ -90,7 +91,8 @@ TEST(VanGinneken, BuffersImproveLongNets) {
   const auto dp = solved(solve_van_ginneken(t, options));
   timing::buffer_assignment none(t.num_nodes());
   const auto unbuffered = timing::evaluate_buffered_tree(
-      t, options.wire, options.library, none, options.driver_res_ohm);
+      t, timing::wire_menu{options.wire}, {}, options.library, none,
+      options.driver_res_ohm);
   EXPECT_GT(dp.root_rat_ps, unbuffered.root_rat_ps);
 }
 

@@ -65,7 +65,8 @@ TEST(Stress, VeryDeepChainDoesNotOverflow) {
   const auto r = solved(core::solve_van_ginneken(t, o));
   EXPECT_GT(r.num_buffers, 10u);
   const auto eval = timing::evaluate_buffered_tree(
-      t, o.wire, o.library, r.assignment, o.driver_res_ohm);
+      t, timing::wire_menu{o.wire}, {}, o.library, r.assignment,
+      o.driver_res_ohm);
   EXPECT_NEAR(eval.root_rat_ps, r.root_rat_ps, 1e-6);
 }
 

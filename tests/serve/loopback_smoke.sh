@@ -9,7 +9,7 @@
 #      a fresh daemon on the same journal dir restores the finished nets and
 #      solves only the remainder -- and the combined per-net output is
 #      bit-identical (full %.17g precision) to an uninterrupted run;
-#   3. the stats endpoint serves the vabi_serve_stats v2 schema.
+#   3. the stats endpoint serves the vabi_serve_stats v3 schema.
 #
 # Usage: tests/serve/loopback_smoke.sh [BUILD_DIR]
 # Tunables (env): SMOKE_CLIENTS, SMOKE_SINKS, SMOKE_BATCH, SMOKE_SEED.
@@ -87,7 +87,7 @@ done
 # --- 3 (while the server is up): stats schema ------------------------------
 echo "=== stats schema ==="
 "$CLIENT" --unix "$SOCK" --stats > "$WORK/stats.json" 2>/dev/null
-grep -q '"schema": "vabi_serve_stats v2"' "$WORK/stats.json"
+grep -q '"schema": "vabi_serve_stats v3"' "$WORK/stats.json"
 grep -q '"solve_latency_ms"' "$WORK/stats.json"
 stop_server
 

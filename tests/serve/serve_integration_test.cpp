@@ -411,17 +411,30 @@ TEST_F(ServeTest, DrainRefusesNewWorkAndFinishesInFlight) {
   o.num_threads = 2;
   start_daemon(o);
 
+  // The last job is large, so A's batch is still running long after it is
+  // admitted: the drain below starts with that job in flight.
+  submit_msg a_submit = make_submit(6, /*sinks=*/100, /*seed=*/11);
+  a_submit.jobs.back().num_sinks = 10000;
   batch_summary a_summary;
-  std::thread a_thread([&] {
+  // A jthread joins on every exit, so a failed assertion below reports
+  // instead of destroying a joinable thread (std::terminate).
+  std::jthread a_thread([&] {
     serve_client a(client_opts("finisher"));
     ASSERT_TRUE(a.connect()) << a.last_error();
-    a_summary = a.run_batch(make_submit(6, /*sinks=*/100, /*seed=*/11));
+    a_summary = a.run_batch(a_submit);
   });
   // B connects before the drain begins (the listener stops accepting after).
   serve_client b(client_opts("toolate"));
   ASSERT_TRUE(b.connect()) << b.last_error();
-  ASSERT_TRUE(poll_until([this] { return daemon_->queue_depth() > 0; }));
+  // A's batch is admitted. The queue empties again once its jobs finish,
+  // but a completed job stays counted, so the wait cannot miss the window.
+  ASSERT_TRUE(poll_until([this] {
+    return daemon_->queue_depth() > 0 || daemon_->stats().jobs_completed() > 0;
+  }));
   daemon_->request_drain();
+  // A run whose batch had already finished would drain nothing in flight.
+  EXPECT_LT(daemon_->stats().jobs_completed(), 6u)
+      << "A's batch finished before the drain began";
   EXPECT_TRUE(daemon_->draining());
 
   const batch_summary b_summary =
@@ -450,14 +463,16 @@ TEST_F(ServeTest, StatsJsonCarriesSchemaAndSessionCounters) {
   const std::string in_band = client.fetch_stats();
   const std::string local = daemon_->stats_json();
   for (const std::string& json : {in_band, local}) {
-    EXPECT_NE(json.find("\"schema\": \"vabi_serve_stats v2\""),
+    EXPECT_NE(json.find("\"schema\": \"vabi_serve_stats v3\""),
               std::string::npos);
     EXPECT_NE(json.find("\"counted\""), std::string::npos);
     EXPECT_NE(json.find("\"jobs_completed\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"solve_latency_ms\""), std::string::npos);
-    EXPECT_NE(json.find("\"cache_hits\""), std::string::npos);
-    EXPECT_NE(json.find("\"nodes_reused\""), std::string::npos);
-    // v2 adds per-session and global timing-yield histograms (a backward
+    // v3 dropped the session cache counters: daemon jobs never consult a
+    // slab cache, so they read 0 on every job.
+    EXPECT_EQ(json.find("\"cache_hits\""), std::string::npos);
+    EXPECT_EQ(json.find("\"nodes_reused\""), std::string::npos);
+    // v2 added per-session and global timing-yield histograms (a backward
     // compatible field addition: v1 consumers ignore unknown keys).
     EXPECT_NE(json.find("\"yield\": {\"count\": 3"), std::string::npos)
         << json;

@@ -140,6 +140,14 @@ TEST_F(ShardCoordinatorTest, SpawnFailureConsumesBudgetAndSurvivorsFinish) {
   testing::arm("worker_spawn_fail:node=0");
   auto opts = base_options(3);
   opts.restart_budget = 2;
+  // No backoff: slot 0's initial spawn fails before the loop, and each
+  // supervision tick's respawn fails after it, so the slot retires by the
+  // end of tick 2. A survivor takes at most one job per tick and none is
+  // dispatched before tick 2 (readiness arrives in tick 1), so two
+  // survivors need ticks 2-5 for the eight jobs: the loop cannot end with
+  // slot 0 still in backoff.
+  opts.restart_backoff_base_ms = 0.0;
+  opts.restart_backoff_max_ms = 0.0;
   shard_coordinator coord(opts);
   auto out = coord.run(jobs);
   ASSERT_TRUE(out.ok()) << out.error().message();

@@ -142,13 +142,6 @@ TEST_F(LinearFormTest, EvaluateAtSample) {
   EXPECT_DOUBLE_EQ(f.evaluate(sample), 1.0 + 2.0 * 0.5 - 1.0 * 2.0);
 }
 
-TEST_F(LinearFormTest, PruneZeroTerms) {
-  linear_form f{0.0, {{x0_, 1.0}, {x1_, 0.0}, {x2_, 1e-18}}};
-  f.prune_zero_terms(1e-15);
-  EXPECT_EQ(f.num_terms(), 1u);
-  EXPECT_DOUBLE_EQ(f.coefficient(x0_), 1.0);
-}
-
 TEST_F(LinearFormTest, PercentileOfForm) {
   linear_form f{10.0, {{x0_, 2.0}}};  // N(10, 4)
   EXPECT_NEAR(percentile(f, space_, 0.5), 10.0, 1e-12);

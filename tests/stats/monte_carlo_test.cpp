@@ -79,14 +79,5 @@ TEST(MonteCarloSampler, LinearFormSampleMomentsMatchModel) {
   EXPECT_NEAR(m.stddev, f.stddev(space), 0.08);
 }
 
-TEST(MonteCarloSampler, DrawMany) {
-  variation_space space;
-  space.add_source(source_kind::random_device, 1.0);
-  monte_carlo_sampler sampler{space, 3};
-  const auto samples = sampler.draw_many(17);
-  EXPECT_EQ(samples.size(), 17u);
-  for (const auto& s : samples) EXPECT_EQ(s.size(), 1u);
-}
-
 }  // namespace
 }  // namespace vabi::stats

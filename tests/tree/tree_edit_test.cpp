@@ -137,9 +137,21 @@ TEST(TreeEdit, PruneThenGraftBackRestoresEverything) {
   const std::uint64_t root_before = t.subtree_hash(t.root());
   const std::size_t sinks_before = t.num_sinks();
   const std::size_t positions_before = t.num_buffer_positions();
-  const std::size_t sub = t.subtree_size(victim);
+  const std::size_t attached_before = t.postorder().size();
+  // The victim's subtree size, counted before the edit by a walk of its own.
+  std::size_t sub = 0;
+  for (std::vector<node_id> stack{victim}; !stack.empty();) {
+    const node_id n = stack.back();
+    stack.pop_back();
+    ++sub;
+    for (const node_id c : std::as_const(t).node(n).children) {
+      stack.push_back(c);
+    }
+  }
 
   t.apply_edit(tree_edit::prune_subtree(victim));
+  // The pruned subtree is exactly what dropped out of the traversal.
+  EXPECT_EQ(t.postorder().size(), attached_before - sub);
   EXPECT_TRUE(t.has_detached());
   EXPECT_EQ(t.num_detached(), sub);
   EXPECT_EQ(t.num_buffer_positions(), positions_before - sub);
@@ -236,7 +248,6 @@ TEST(TreeEdit, SingleNodeTree) {
   EXPECT_EQ(t.num_buffer_positions(), 0u);
   // Hashing a sourceless-only tree is well defined...
   EXPECT_NE(t.subtree_hash(t.root()), 0u);
-  EXPECT_EQ(t.subtree_size(t.root()), 1u);
   EXPECT_TRUE(t.postorder().size() == 1);
   // ...but it is not a solvable instance.
   EXPECT_THROW(t.validate(), std::logic_error);
@@ -256,7 +267,6 @@ TEST(TreeEdit, DeepChainTenThousandIsIterative) {
   t.apply_edit(tree_edit::retarget_rat(sink, -77.0));
   EXPECT_NE(t.subtree_hash(t.root()), before);
   EXPECT_EQ(t.subtree_hash(t.root()), full_recompute_root_hash(t));
-  EXPECT_EQ(t.subtree_size(t.root()), t.num_nodes());
   EXPECT_NO_THROW(t.validate());
 }
 
